@@ -7,8 +7,12 @@ KL-divergence self-training head. Everything runs on dense float64
 numpy, fully seeded, with exact hand-derived gradients.
 """
 
+# SLRL_THREADS must reach the BLAS thread variables before numpy loads
+from ._threads import apply_thread_cap
+
+apply_thread_cap()
+
 from .cluster import (
-    ClusterState,
     cluster_grads,
     init_centroids,
     kl_loss,
@@ -36,13 +40,12 @@ from .encoder import (
 from .gat import GatParams, attention_coeffs, gat_backward, gat_forward, init_gat, init_gat_stack
 from .graph import NeighborGraph, build_dot, build_gaussian, build_graph, knn_indices
 from .metrics import MetricsReport, accuracy, ari, evaluate, nmi, pair_f_score
-from .numerics import finite_diff_grad, make_rng, matmul, relative_error
+from .numerics import finite_diff_grad, make_rng, relative_error
 from .train import TrainConfig, TrainReport, ablate, gradcheck, total_loss, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterState",
     "cluster_grads",
     "init_centroids",
     "kl_loss",
@@ -81,7 +84,6 @@ __all__ = [
     "pair_f_score",
     "finite_diff_grad",
     "make_rng",
-    "matmul",
     "relative_error",
     "TrainConfig",
     "TrainReport",

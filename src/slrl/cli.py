@@ -5,14 +5,14 @@ training starts, so a run is reproducible from the manifest alone. Plot
 emission is data-only (CSV loss curves, metric grids, 2-D PCA
 projections); rendering is left to external tools.
 
-The environment variable ``SLRL_THREADS`` caps BLAS worker parallelism.
+The environment variable ``SLRL_THREADS`` caps BLAS worker parallelism; the
+package applies it on import, before numpy loads (see ``slrl._threads``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -22,37 +22,28 @@ import numpy as np
 
 from . import metrics as mt
 from .cluster import target_distribution
-from .data import MultiViewDataset, load_dataset, normalize, save_dataset, split, synth_multiview
-from .errors import FormatError, ParameterError
+from .data import (
+    MultiViewDataset,
+    load_dataset,
+    normalize,
+    read_labels,
+    save_dataset,
+    split,
+    synth_multiview,
+)
+from .errors import (
+    DegenerateClusterError,
+    DivergenceError,
+    FormatError,
+    NumericError,
+    ParameterError,
+)
 from .graph import dump_edges
 from .train import TrainConfig, TrainReport, ablate
 from .train import gradcheck as run_gradcheck
 from .train import save_checkpoint
 from .train import train as run_train
 from .train import write_loss_log
-
-_THREAD_LIMITER = None  # keeps the threadpoolctl controller alive
-
-
-def _apply_thread_cap() -> None:
-    global _THREAD_LIMITER
-    cap = os.environ.get("SLRL_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        print(f"warning: ignoring non-integer SLRL_THREADS={cap!r}", file=sys.stderr)
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        from threadpoolctl import threadpool_limits
-
-        _THREAD_LIMITER = threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--latent-dim", type=int, default=64)
@@ -70,7 +61,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true", default=True)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -104,7 +94,6 @@ def _config_from_args(args) -> TrainConfig:
         sigma=args.sigma,
         clusters=args.clusters,
         seed=args.seed,
-        deterministic=args.deterministic,
     )
 
 
@@ -228,8 +217,8 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
-    pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
-    truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
+    pred = read_labels(args.pred)
+    truth = read_labels(args.truth)
     report = mt.evaluate(pred, truth)
     print(report.to_text(), end="")
     if args.out:
@@ -389,13 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ParameterError, FormatError, FileNotFoundError) as exc:
+    except (
+        ParameterError,
+        FormatError,
+        FileNotFoundError,
+        NumericError,
+        DegenerateClusterError,
+        DivergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,15 +15,12 @@ multiple restarts, best inertia kept).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateClusterError, DivergenceError, ParameterError, ShapeError
 from .numerics import as_matrix, make_rng
 
 __all__ = [
-    "ClusterState",
     "kmeans",
     "init_centroids",
     "soft_assign",
@@ -31,19 +28,6 @@ __all__ = [
     "kl_loss",
     "cluster_grads",
 ]
-
-
-@dataclass
-class ClusterState:
-    """Centroids plus the current soft assignment and its sharpened target."""
-
-    centroids: np.ndarray  # (C, F)
-    q: np.ndarray  # (N, C), rows sum to 1
-    p: np.ndarray  # (N, C), rows sum to 1
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

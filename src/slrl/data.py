@@ -30,6 +30,7 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "read_matrix",
+    "read_labels",
     "write_matrix",
     "normalize",
     "synth_multiview",
@@ -117,16 +118,30 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == MAGIC:
-            rows, cols = struct.unpack("<QQ", fh.read(16))
+            shape = fh.read(16)
+            if len(shape) != 16:
+                raise FormatError(f"{path}: truncated matrix header")
+            rows, cols = struct.unpack("<QQ", shape)
             data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
             if data.size != rows * cols:
                 raise FormatError(f"{path}: truncated matrix block")
             return data.reshape(rows, cols).astype(np.float64)
     try:
-        m = np.loadtxt(path, dtype=np.float64, delimiter=None, ndmin=2)
+        return np.loadtxt(path, dtype=np.float64, delimiter=None, ndmin=2)
     except ValueError:
-        m = np.loadtxt(path, dtype=np.float64, delimiter=",", ndmin=2)
-    return m
+        pass
+    try:
+        return np.loadtxt(path, dtype=np.float64, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a numeric matrix ({exc})") from None
+
+
+def read_labels(path) -> np.ndarray:
+    """One integer label per line."""
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: labels must be integers ({exc})") from None
 
 
 def load_dataset(path) -> MultiViewDataset:
@@ -151,7 +166,7 @@ def load_dataset(path) -> MultiViewDataset:
         elif parts[0] == "labels":
             if len(parts) != 2:
                 raise FormatError(f"{manifest}:{lineno}: bad labels line")
-            labels = np.loadtxt(root / parts[1], dtype=np.int64, ndmin=1)
+            labels = read_labels(root / parts[1])
         else:
             raise FormatError(f"{manifest}:{lineno}: unknown directive {parts[0]!r}")
     if not views:

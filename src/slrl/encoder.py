@@ -129,22 +129,27 @@ def reconstruction_loss(state: LatentState, params, ds: MultiViewDataset) -> flo
 
 
 def reconstruction_grads(state: LatentState, params, ds: MultiViewDataset):
-    """Exact gradients of ``reconstruction_loss`` for H and every decoder.
+    """``reconstruction_loss`` and its exact gradients for H and every decoder.
 
-    Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients.
+    Returns (loss, grad_h, grads) where grads[v] is a DecoderParams of
+    gradients. The loss comes from the same forward pass, accumulated in the
+    order ``per_sample_reconstruction`` uses, so it equals
+    ``reconstruction_loss`` bit for bit.
     """
     if ds.n_samples != state.n:
         raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {state.n}")
     n = state.n
     h = state.h
+    per_sample = np.zeros(n)
     grad_h = np.zeros_like(h)
     grads = []
     for theta, x in zip(params, ds.views):
         theta.check_chain(h.shape[1])
         pre = h @ theta.w1.T + theta.b1
         hid = np.maximum(pre, 0.0)
-        out = hid @ theta.w2.T + theta.b2
-        d_out = (2.0 / n) * (out - x)
+        err = hid @ theta.w2.T + theta.b2 - x
+        per_sample += np.sum(err * err, axis=1)
+        d_out = (2.0 / n) * err
         d_hid = d_out @ theta.w2
         d_pre = d_hid * (pre > 0.0)
         grads.append(
@@ -156,4 +161,4 @@ def reconstruction_grads(state: LatentState, params, ds: MultiViewDataset):
             )
         )
         grad_h += d_pre @ theta.w1
-    return grad_h, grads
+    return float(per_sample.mean()), grad_h, grads

@@ -34,7 +34,6 @@ __all__ = [
     "gat_backward",
     "stack_forward",
     "stack_backward",
-    "stack_output_dim",
 ]
 
 
@@ -127,10 +126,6 @@ def init_gat_stack(
         stack.append(layer)
         dim = layer.f_out
     return stack
-
-
-def stack_output_dim(stack: list, f_in: int) -> int:
-    return stack[-1].f_out if stack else f_in
 
 
 def _activate(params: GatParams, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "as_matrix",
     "make_rng",
-    "matmul",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -36,18 +35,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericError("matmul produced non-finite entries")
-    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:

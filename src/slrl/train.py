@@ -21,8 +21,11 @@ appears in exactly one sample's loss, is stepped on its own per-sample
 gradient (N times the mean gradient), keeping the latent learning rate
 meaningful at any N. Reported losses follow the printed objective
 (mean-over-samples reconstruction, summed divergence); gradcheck verifies
-the exact gradients of that objective. Set ``h_recon_step="mean"`` to step
-the latent rows on the plain mean gradient instead.
+the exact gradients of that objective.
+
+All trainable state is listed once, by ``_named``, under the names the
+checkpoint uses; the optimizer step, gradcheck and ``save_checkpoint`` all
+walk that listing.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class TrainConfig:
     p_refresh_every: int = 1
     pretrain_epochs: int = 50
     seed: int = 0
-    deterministic: bool = True
     kernel: str | None = None  # None: pick from the dataset's view kinds
     sigma: float | None = None
     clusters: int | None = None  # None: take the ground-truth label count
@@ -82,7 +84,6 @@ class TrainConfig:
     early_stop_patience: int = 10
     early_stop_min_epochs: int = 20
     assign_stable_tol: float = 1e-3  # fraction of samples allowed to switch cluster
-    h_recon_step: str = "per_sample"  # "per_sample" | "mean"
 
     def validate(self) -> None:
         if self.latent_dim < 2:
@@ -99,8 +100,6 @@ class TrainConfig:
             raise ParameterError("need heads >= 1 and gat_layers >= 0")
         if min(self.graph_rebuild_every, self.p_refresh_every) < 1:
             raise ParameterError("cadences must be >= 1")
-        if self.h_recon_step not in ("per_sample", "mean"):
-            raise ParameterError(f"unknown h_recon_step {self.h_recon_step!r}")
 
 
 @dataclass
@@ -173,6 +172,66 @@ def _epoch_metrics(q: np.ndarray, labels) -> mt.MetricsReport | None:
     return mt.evaluate(np.argmax(q, axis=1), labels)
 
 
+_GROUPS = ("h", "decoders", "gat", "centroids")
+_DECODER_FIELDS = ("w1", "b1", "w2", "b2")
+
+
+def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
+    """Latent matrix, decoders and attention stack from seeds seed, seed+1, seed+2."""
+    state = enc.init_latent(n, cfg.latent_dim, seed)
+    decoders = enc.init_decoders(cfg.latent_dim, dims, seed + 1)
+    stack = gt.init_gat_stack(
+        cfg.gat_layers,
+        cfg.latent_dim,
+        cfg.latent_dim,
+        cfg.heads,
+        seed + 2,
+        activation=cfg.activation,
+        combine=cfg.combine,
+    )
+    return state, decoders, stack
+
+
+def _gat_pairs(stack) -> list:
+    return [(layer.w, layer.a) for layer in stack]
+
+
+def _named(h, decoders, gat, centroids=None) -> list:
+    """(group, name, array) for every trainable array, named as in the checkpoint.
+
+    ``gat`` holds one (per-head W list, per-head a list) pair per layer, so a
+    stack (through ``_gat_pairs``) and its ``stack_backward`` gradients list
+    alike, as do decoders and their gradients.
+    """
+    out = [("h", "h", h)]
+    for v, theta in enumerate(decoders):
+        out += [("decoders", f"decoder{v}.{f}", getattr(theta, f)) for f in _DECODER_FIELDS]
+    for layer_idx, (ws, avecs) in enumerate(gat):
+        out += [("gat", f"gat{layer_idx}.head{k}.w", w) for k, w in enumerate(ws)]
+        out += [("gat", f"gat{layer_idx}.head{k}.a", a) for k, a in enumerate(avecs)]
+    if centroids is not None:
+        out.append(("centroids", "centroids", centroids))
+    return out
+
+
+def _assemble(arrays, decoders, stack):
+    """Inverse of ``_named``: (h, decoders, stack, centroids) from arrays in listing order."""
+    it = iter(arrays)
+    h = next(it)
+    decs = [enc.DecoderParams(*(next(it) for _ in _DECODER_FIELDS)) for _ in decoders]
+    stk = [
+        replace(layer, w=[next(it) for _ in layer.w], a=[next(it) for _ in layer.a])
+        for layer in stack
+    ]
+    return h, decs, stk, next(it)
+
+
+def _step(params, grads, scales: dict) -> None:
+    """Descend in place: each array moves by its group's scale times its gradient."""
+    for (group, _, value), (_, _, grad) in zip(params, grads):
+        value -= scales[group] * grad
+
+
 def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
     cfg.validate()
@@ -182,31 +241,20 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     kernel = _resolve_kernel(ds, cfg)
     n_clusters = _resolve_clusters(ds, cfg)
 
-    state = enc.init_latent(n, cfg.latent_dim, cfg.seed)
-    decoders = enc.init_decoders(cfg.latent_dim, ds.dims, cfg.seed + 1)
-    stack = gt.init_gat_stack(
-        cfg.gat_layers,
-        cfg.latent_dim,
-        cfg.latent_dim,
-        cfg.heads,
-        cfg.seed + 2,
-        activation=cfg.activation,
-        combine=cfg.combine,
-    )
+    state, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
     report = TrainReport(decoders=decoders, gat_stack=stack)
     lr = cfg.learning_rate
-    h_scale = float(n) if cfg.h_recon_step == "per_sample" else 1.0
+    # latent rows step on their per-sample gradient, N times the mean one
+    scales = {"h": lr * float(n), "decoders": lr, "gat": lr, "centroids": lr * (cfg.gamma / n)}
 
     # phase 1: reconstruction-only descent on H and the decoders
     for _ in range(cfg.pretrain_epochs):
-        loss = enc.reconstruction_loss(state, decoders, ds)
-        grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+        loss, grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         report.lr_history.append(loss)
         report.lc_history.append(0.0)
         report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
         report.metrics_history.append(None)
-        state.h -= lr * h_scale * grad_h
-        _apply_decoder_step(decoders, dec_grads, lr)
+        _step(_named(state.h, decoders, []), _named(grad_h, dec_grads, []), scales)
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids
@@ -235,7 +283,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
                 q = cl.soft_assign(ht, centroids)
                 p = cl.target_distribution(q)
 
-        lr_value = enc.reconstruction_loss(state, decoders, ds)
+        lr_value, grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         lc_value = cl.kl_loss(p, q)
         loss = total_loss(lr_value, lc_value, cfg.gamma)
 
@@ -245,16 +293,15 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         report.metrics_history.append(_epoch_metrics(q, ds.labels))
         _update_invariant_gaps(report, q, p, caches)
 
-        grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
         # shared parameters descend the mean per-sample loss, so the summed
         # clustering gradients are scaled by gamma/N before stepping
         layer_grads, grad_h_gat = gt.stack_backward(stack, caches, (cfg.gamma / n) * grad_ht)
-
-        state.h -= lr * h_scale * (grad_h_rec + grad_h_gat)
-        _apply_decoder_step(decoders, dec_grads, lr)
-        _apply_gat_step(stack, layer_grads, lr)
-        centroids -= lr * (cfg.gamma / n) * grad_mu
+        _step(
+            _named(state.h, decoders, _gat_pairs(stack), centroids),
+            _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
+            scales,
+        )
         report.joint_epochs_run = epoch + 1
 
         # two convergence monitors, both gated behind a burn-in:
@@ -296,21 +343,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     report.final_eval = _epoch_metrics(q, ds.labels)
     report.graph = g
     return report
-
-
-def _apply_decoder_step(decoders, grads, lr: float) -> None:
-    for theta, g in zip(decoders, grads):
-        theta.w1 -= lr * g.w1
-        theta.b1 -= lr * g.b1
-        theta.w2 -= lr * g.w2
-        theta.b2 -= lr * g.b2
-
-
-def _apply_gat_step(stack, layer_grads, lr: float) -> None:
-    for layer, (grad_w, grad_a) in zip(stack, layer_grads):
-        for k in range(layer.heads):
-            layer.w[k] -= lr * grad_w[k]
-            layer.a[k] -= lr * grad_a[k]
 
 
 def _reseed_degenerate(ht, centroids, q) -> np.ndarray:
@@ -372,23 +404,15 @@ class GradcheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _kink_margin(state, decoders, stack, ht_input, nbhd) -> float:
+def _kink_margin(state, decoders, caches) -> float:
     """Smallest |pre-activation| at any ReLU/LeakyReLU kink in the frozen loss."""
-    margin = np.inf
-    for theta in decoders:
-        pre = state.h @ theta.w1.T + theta.b1
-        margin = min(margin, float(np.abs(pre).min()))
-    x = ht_input
-    indptr, indices = nbhd
-    row = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
-    for layer in stack:
-        for k in range(layer.heads):
-            fp = layer.f_prime
-            z = x @ layer.w[k].T
-            t = (z @ layer.a[k][:fp])[row] + (z @ layer.a[k][fp:])[indices]
-            margin = min(margin, float(np.abs(t).min()))
-        x = gt.gat_forward(layer, x, (indptr, indices))
-    return margin
+    pre = [state.h @ theta.w1.T + theta.b1 for theta in decoders]
+    scores = [head.t for cache in caches for head in cache.heads]
+    return min(float(np.abs(x).min()) for x in pre + scores)
+
+
+def _flat(arrays) -> np.ndarray:
+    return np.concatenate([np.empty(0)] + [np.ravel(a) for a in arrays])
 
 
 def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> GradcheckReport:
@@ -408,24 +432,14 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
 
     seed = cfg.seed
     for _ in range(50):
-        state = enc.init_latent(n, cfg.latent_dim, seed)
-        decoders = enc.init_decoders(cfg.latent_dim, ds.dims, seed + 1)
-        stack = gt.init_gat_stack(
-            cfg.gat_layers,
-            cfg.latent_dim,
-            cfg.latent_dim,
-            cfg.heads,
-            seed + 2,
-            activation=cfg.activation,
-            combine=cfg.combine,
-        )
+        state, decoders, stack = _init_model(n, ds.dims, cfg, seed)
         g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
         nbhd = g.neighborhoods(include_self=True)
-        if _kink_margin(state, decoders, stack, state.h, nbhd) > 1e-4:
+        ht, caches = gt.stack_forward(stack, state.h, nbhd)
+        if _kink_margin(state, decoders, caches) > 1e-4:
             break
         seed += 1
 
-    ht, caches = gt.stack_forward(stack, state.h, nbhd)
     centroids = cl.init_centroids(ht, n_clusters, seed=seed + 3, restarts=cfg.kmeans_restarts)
     p = cl.target_distribution(cl.soft_assign(ht, centroids))
 
@@ -437,135 +451,42 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
         return total_loss(lr_value, lc_value, cfg.gamma)
 
     # analytic gradients, assembled exactly like one training step
-    grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+    _, grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     layer_grads, grad_h_gat = gt.stack_backward(stack, caches, cfg.gamma * grad_ht)
-    grad_h = grad_h_rec + grad_h_gat
-    grad_mu = cfg.gamma * grad_mu
+    params = _named(state.h, decoders, _gat_pairs(stack), centroids)
+    grads = _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, cfg.gamma * grad_mu)
 
     errors = {}
+    for group in _GROUPS:
+        idx = [i for i, entry in enumerate(params) if entry[0] == group]
 
-    def f_h(vec):
-        return loss_at(vec.reshape(state.h.shape), decoders, stack, centroids)
+        def f(vec, idx=idx):
+            # the group's arrays become views into vec; the rest stay live
+            arrays = [a for _, _, a in params]
+            pos = 0
+            for i in idx:
+                size = arrays[i].size
+                arrays[i] = vec[pos : pos + size].reshape(arrays[i].shape)
+                pos += size
+            return loss_at(*_assemble(arrays, decoders, stack))
 
-    errors["h"] = relative_error(grad_h.ravel(), finite_diff_grad(f_h, state.h.ravel(), eps))
-
-    dec_vec = _pack_decoders(decoders)
-    dec_grad_vec = _pack_decoders(dec_grads)
-
-    def f_dec(vec):
-        return loss_at(state.h, _unpack_decoders(vec, decoders), stack, centroids)
-
-    errors["decoders"] = relative_error(dec_grad_vec, finite_diff_grad(f_dec, dec_vec, eps))
-
-    if stack:
-        gat_vec = _pack_gat(stack)
-        gat_grad_vec = np.concatenate(
-            [np.concatenate([w.ravel() for w in gw] + [a.ravel() for a in ga]) for gw, ga in layer_grads]
-        )
-
-        def f_gat(vec):
-            return loss_at(state.h, decoders, _unpack_gat(vec, stack), centroids)
-
-        errors["gat"] = relative_error(gat_grad_vec, finite_diff_grad(f_gat, gat_vec, eps))
-    else:
-        errors["gat"] = 0.0
-
-    def f_mu(vec):
-        return loss_at(state.h, decoders, stack, vec.reshape(centroids.shape))
-
-    errors["centroids"] = relative_error(
-        grad_mu.ravel(), finite_diff_grad(f_mu, centroids.ravel(), eps)
-    )
+        x0 = _flat(params[i][2] for i in idx)
+        analytic = _flat(grads[i][2] for i in idx)
+        errors[group] = relative_error(analytic, finite_diff_grad(f, x0, eps))
     return GradcheckReport(errors=errors, eps=eps, seed_used=seed)
 
 
-def _pack_decoders(decoders) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([t.w1.ravel(), t.b1.ravel(), t.w2.ravel(), t.b2.ravel()]) for t in decoders]
-    )
-
-
-def _unpack_decoders(vec: np.ndarray, template) -> list:
-    out = []
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        chunk = vec[pos : pos + size].reshape(shape)
-        pos += size
-        return chunk
-
-    for t in template:
-        out.append(
-            enc.DecoderParams(
-                w1=take(t.w1.shape), b1=take(t.b1.shape), w2=take(t.w2.shape), b2=take(t.b2.shape)
-            )
-        )
-    return out
-
-
-def _pack_gat(stack) -> np.ndarray:
-    parts = []
-    for layer in stack:
-        parts.extend(w.ravel() for w in layer.w)
-        parts.extend(a.ravel() for a in layer.a)
-    return np.concatenate(parts)
-
-
-def _unpack_gat(vec: np.ndarray, template) -> list:
-    out = []
-    pos = 0
-    for layer in template:
-        ws, aas = [], []
-        for w in layer.w:
-            size = w.size
-            ws.append(vec[pos : pos + size].reshape(w.shape))
-            pos += size
-        for a in layer.a:
-            size = a.size
-            aas.append(vec[pos : pos + size].reshape(a.shape))
-            pos += size
-        out.append(
-            gt.GatParams(
-                w=ws,
-                a=aas,
-                activation=layer.activation,
-                combine=layer.combine,
-                leaky_slope=layer.leaky_slope,
-            )
-        )
-    return out
-
-
 def save_checkpoint(report: TrainReport, path) -> None:
-    """All model matrices in the binary layout, plus a text index."""
+    """Every trainable array plus the ``ht`` and ``q`` outputs in the binary layout,
+    with a text index; vectors are stored as one-row matrices."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    entries = {}
-
-    def put(name, array):
-        arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
-        entries[name] = arr
-
-    put("h", report.h)
-    put("ht", report.ht)
-    put("q", report.q)
-    put("centroids", report.centroids)
-    for v, theta in enumerate(report.decoders):
-        put(f"decoder{v}.w1", theta.w1)
-        put(f"decoder{v}.b1", theta.b1)
-        put(f"decoder{v}.w2", theta.w2)
-        put(f"decoder{v}.b2", theta.b2)
-    for layer_idx, layer in enumerate(report.gat_stack):
-        for k in range(layer.heads):
-            put(f"gat{layer_idx}.head{k}.w", layer.w[k])
-            put(f"gat{layer_idx}.head{k}.a", layer.a[k])
+    named = _named(report.h, report.decoders, _gat_pairs(report.gat_stack), report.centroids)
     lines = []
-    for name, arr in entries.items():
-        fname = name.replace("/", "_") + ".mvm"
-        write_matrix(root / fname, arr)
+    for name, array in [e[1:] for e in named] + [("ht", report.ht), ("q", report.q)]:
+        fname = name + ".mvm"
+        write_matrix(root / fname, np.atleast_2d(np.asarray(array, dtype=np.float64)))
         lines.append(f"{name} {fname}")
     (root / "index.txt").write_text("\n".join(lines) + "\n")
 

@@ -11,21 +11,6 @@ import math
 import numpy as np
 
 
-# ---------------------------------------------------------------- numerics
-
-def matmul_triple_loop(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 # ------------------------------------------------------------------- graph
 
 def knn_bruteforce(h, k):

@@ -1,10 +1,19 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slrl.cli
 from slrl.cli import main
 from slrl.data import load_dataset
+from slrl.errors import DegenerateClusterError, DivergenceError, NumericError
+
+SRC = str(Path(slrl.cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
@@ -88,6 +97,15 @@ def test_eval_mismatched_lengths_usage_error(tmp_path):
     pred.write_text("0\n1\n")
     truth.write_text("0\n1\n1\n")
     assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 2
+
+
+def test_eval_non_integer_label_usage_error(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_text("0\nx\n")
+    truth.write_text("0\n1\n")
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ablate_missing_dataset_usage_error(tmp_path):
@@ -185,3 +203,67 @@ def test_projection_csv_shape(tmp_path):
     lines = (out / "h_pca.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,label"
     assert len(lines) == 1 + 18
+
+
+def test_diverging_run_is_a_clean_error(tmp_path, capsys):
+    # a step size this large blows H up to non-finite values
+    out = str(tmp_path / "x")
+    code = run_cli("train", "--synth", "3x20", "--lr", "50", "--k", "3", "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: non-finite")
+
+
+@pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])
+def test_training_failures_map_to_exit_2(tmp_path, capsys, monkeypatch, exc):
+    def fail(ds, cfg):
+        raise exc("training failed")
+
+    monkeypatch.setattr(slrl.cli, "run_train", fail)
+    code = run_cli("train", "--synth", "3x5", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: training failed\n"
+
+
+# Prints {library: thread count in force} for every OpenBLAS mapped into the
+# process, asking each through the getter the numpy and scipy builds export.
+_THREAD_PROBE = """
+import ctypes, json, os
+{pre}
+import slrl.cli, scipy.linalg
+getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+counts = {{}}
+for path in sorted({{line.split()[-1] for line in open("/proc/self/maps")}}):
+    if "openblas" in os.path.basename(path).lower():
+        lib = ctypes.CDLL(path)
+        getter = next(getattr(lib, g) for g in getters if hasattr(lib, g))
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        counts[os.path.basename(path)] = getter()
+print(json.dumps(counts))
+"""
+
+
+def _probe_threads(pre=""):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(SLRL_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE.format(pre=pre)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS library is loaded")
+    return counts, proc.stderr
+
+
+def test_slrl_threads_caps_openblas_before_numpy_loads():
+    counts, _ = _probe_threads()
+    assert set(counts.values()) == {1}, counts
+
+
+def test_slrl_threads_warns_when_it_cannot_apply():
+    if importlib.util.find_spec("threadpoolctl") is not None:
+        pytest.skip("threadpoolctl can apply the cap after numpy has loaded")
+    _, err = _probe_threads(pre="import numpy")
+    assert "warning: SLRL_THREADS=1 not applied" in err

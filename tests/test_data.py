@@ -53,6 +53,26 @@ def test_missing_file_is_io_error(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_non_integer_label_is_format_error(tmp_path):
+    write_text_matrix(tmp_path / "a.txt", np.zeros((3, 2)))
+    (tmp_path / "labels.txt").write_text("0\n1\nbanana\n")
+    (tmp_path / "manifest.txt").write_text("view a a.txt continuous\nlabels labels.txt\n")
+    with pytest.raises(FormatError):
+        load_dataset(tmp_path)
+
+
+def test_truncated_binary_header_is_format_error(tmp_path):
+    (tmp_path / "m.mvm").write_bytes(b"MVM1" + b"\x03\x00\x00")
+    with pytest.raises(FormatError):
+        read_matrix(tmp_path / "m.mvm")
+
+
+def test_unparsable_text_matrix_is_format_error(tmp_path):
+    (tmp_path / "m.txt").write_text("1.0 2.0\n3.0 oops\n")
+    with pytest.raises(FormatError):
+        read_matrix(tmp_path / "m.txt")
+
+
 def test_binary_matrix_round_trip(tmp_path):
     m = np.random.default_rng(0).normal(size=(7, 3))
     write_matrix(tmp_path / "m.mvm", m)

@@ -109,7 +109,8 @@ def test_reconstruction_loss_nonnegative():
 def test_grads_zero_at_perfect_fit():
     state, params, _ = small_problem(seed=6)
     ds = MultiViewDataset(views=[decode(theta, state.h) for theta in params])
-    grad_h, grads = reconstruction_grads(state, params, ds)
+    loss, grad_h, grads = reconstruction_grads(state, params, ds)
+    assert loss == 0.0
     assert np.max(np.abs(grad_h)) == 0.0
     for g in grads:
         assert max(np.abs(g.w1).max(), np.abs(g.w2).max()) == 0.0
@@ -117,7 +118,7 @@ def test_grads_zero_at_perfect_fit():
 
 def test_grads_match_finite_differences():
     state, params, ds = small_problem(seed=7)
-    grad_h, grads = reconstruction_grads(state, params, ds)
+    _, grad_h, grads = reconstruction_grads(state, params, ds)
 
     def loss_of_h(vec):
         s = type(state)(h=vec.reshape(state.h.shape))
@@ -148,13 +149,20 @@ def test_grads_match_finite_differences():
     assert relative_error(analytic, num_theta) < 1e-4
 
 
+def test_grads_return_the_loss_bitwise():
+    for seed in range(5):
+        state, params, ds = small_problem(seed=seed)
+        loss, _, _ = reconstruction_grads(state, params, ds)
+        assert loss == reconstruction_loss(state, params, ds)
+
+
 def test_grad_of_sample_independent_of_other_rows():
     state, params, ds = small_problem(seed=8)
-    grad_h, _ = reconstruction_grads(state, params, ds)
+    _, grad_h, _ = reconstruction_grads(state, params, ds)
     views = [v.copy() for v in ds.views]
     views[0][3] += 2.5  # perturb a different sample's features
     perturbed = MultiViewDataset(views=views)
-    grad_h2, _ = reconstruction_grads(state, params, perturbed)
+    _, grad_h2, _ = reconstruction_grads(state, params, perturbed)
     assert np.array_equal(grad_h[0], grad_h2[0])
     assert not np.array_equal(grad_h[3], grad_h2[3])
 

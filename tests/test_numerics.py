@@ -1,44 +1,7 @@
 import numpy as np
 import pytest
 
-from slrl.errors import ShapeError
-from slrl.numerics import finite_diff_grad, make_rng, matmul, relative_error
-
-from oracles import matmul_triple_loop
-
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_case():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-    assert np.array_equal(out, [[2.0], [4.0]])
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = make_rng(7)
-    a = rng.normal(size=(5, 4))
-    b = rng.normal(size=(4, 3))
-    assert np.max(np.abs(matmul(a, b) - matmul_triple_loop(a, b))) < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_associative_on_random_triples():
-    rng = make_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 5))
-        c = rng.normal(size=(5, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        rel = np.abs(left - right) / np.maximum(np.abs(left), 1e-30)
-        assert rel.max() < 1e-9
+from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
 
 def test_rng_reproducible_first_10k_draws():
