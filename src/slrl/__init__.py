@@ -7,8 +7,46 @@ KL-divergence self-training head. Everything runs on dense float64
 numpy, fully seeded, with exact hand-derived gradients.
 """
 
-# SLRL_THREADS must reach the BLAS thread variables before numpy loads
-from ._threads import apply_thread_cap
+import os
+import sys
+
+_thread_limiter = None  # keeps the threadpoolctl controller alive
+
+
+def apply_thread_cap() -> None:
+    """Cap BLAS worker threads at ``SLRL_THREADS``.
+
+    OpenBLAS, OpenMP and MKL read their thread variables once, when they
+    load, so this runs on package import, before any submodule loads numpy.
+    When numpy is already loaded, the cap goes through threadpoolctl;
+    without threadpoolctl it cannot take effect, and a one-line warning on
+    stderr says so.
+    """
+    global _thread_limiter
+    cap = os.environ.get("SLRL_THREADS")
+    if not cap:
+        return
+    try:
+        n = max(1, int(cap))
+    except ValueError:
+        print(f"warning: ignoring non-integer SLRL_THREADS={cap!r}", file=sys.stderr)
+        return
+    # libraries that load later (and child processes) read the variables
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(n)
+    if "numpy" not in sys.modules:
+        return
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        print(
+            f"warning: SLRL_THREADS={cap} not applied: numpy loaded before slrl "
+            "and threadpoolctl is not installed",
+            file=sys.stderr,
+        )
+        return
+    _thread_limiter = threadpool_limits(limits=n)
+
 
 apply_thread_cap()
 

@@ -6,7 +6,7 @@ emission is data-only (CSV loss curves, metric grids, 2-D PCA
 projections); rendering is left to external tools.
 
 The environment variable ``SLRL_THREADS`` caps BLAS worker parallelism; the
-package applies it on import, before numpy loads (see ``slrl._threads``).
+package applies it on import, before numpy loads (see ``slrl.apply_thread_cap``).
 """
 
 from __future__ import annotations

@@ -129,27 +129,24 @@ def reconstruction_loss(state: LatentState, params, ds: MultiViewDataset) -> flo
 
 
 def reconstruction_grads(state: LatentState, params, ds: MultiViewDataset):
-    """``reconstruction_loss`` and its exact gradients for H and every decoder.
+    """Exact gradients of ``reconstruction_loss`` for H and every decoder.
 
-    Returns (loss, grad_h, grads) where grads[v] is a DecoderParams of
-    gradients. The loss comes from the same forward pass, accumulated in the
-    order ``per_sample_reconstruction`` uses, so it equals
-    ``reconstruction_loss`` bit for bit.
+    Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients.
     """
     if ds.n_samples != state.n:
         raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {state.n}")
+    if len(params) != ds.n_views:
+        raise ShapeError(f"{len(params)} decoders for {ds.n_views} views")
     n = state.n
-    h = state.h
-    per_sample = np.zeros(n)
+    h = as_matrix(state.h, "h")
     grad_h = np.zeros_like(h)
     grads = []
     for theta, x in zip(params, ds.views):
         theta.check_chain(h.shape[1])
         pre = h @ theta.w1.T + theta.b1
         hid = np.maximum(pre, 0.0)
-        err = hid @ theta.w2.T + theta.b2 - x
-        per_sample += np.sum(err * err, axis=1)
-        d_out = (2.0 / n) * err
+        out = hid @ theta.w2.T + theta.b2
+        d_out = (2.0 / n) * (out - x)
         d_hid = d_out @ theta.w2
         d_pre = d_hid * (pre > 0.0)
         grads.append(
@@ -161,4 +158,4 @@ def reconstruction_grads(state: LatentState, params, ds: MultiViewDataset):
             )
         )
         grad_h += d_pre @ theta.w1
-    return float(per_sample.mean()), grad_h, grads
+    return grad_h, grads

@@ -214,21 +214,9 @@ def _named(h, decoders, gat, centroids=None) -> list:
     return out
 
 
-def _assemble(arrays, decoders, stack):
-    """Inverse of ``_named``: (h, decoders, stack, centroids) from arrays in listing order."""
-    it = iter(arrays)
-    h = next(it)
-    decs = [enc.DecoderParams(*(next(it) for _ in _DECODER_FIELDS)) for _ in decoders]
-    stk = [
-        replace(layer, w=[next(it) for _ in layer.w], a=[next(it) for _ in layer.a])
-        for layer in stack
-    ]
-    return h, decs, stk, next(it)
-
-
 def _step(params, grads, scales: dict) -> None:
     """Descend in place: each array moves by its group's scale times its gradient."""
-    for (group, _, value), (_, _, grad) in zip(params, grads):
+    for (group, _, value), (_, _, grad) in zip(params, grads, strict=True):
         value -= scales[group] * grad
 
 
@@ -249,7 +237,8 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # phase 1: reconstruction-only descent on H and the decoders
     for _ in range(cfg.pretrain_epochs):
-        loss, grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+        loss = enc.reconstruction_loss(state, decoders, ds)
+        grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         report.lr_history.append(loss)
         report.lc_history.append(0.0)
         report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
@@ -283,7 +272,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
                 q = cl.soft_assign(ht, centroids)
                 p = cl.target_distribution(q)
 
-        lr_value, grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+        lr_value = enc.reconstruction_loss(state, decoders, ds)
         lc_value = cl.kl_loss(p, q)
         loss = total_loss(lr_value, lc_value, cfg.gamma)
 
@@ -293,6 +282,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         report.metrics_history.append(_epoch_metrics(q, ds.labels))
         _update_invariant_gaps(report, q, p, caches)
 
+        grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
         # shared parameters descend the mean per-sample loss, so the summed
         # clustering gradients are scaled by gamma/N before stepping
@@ -451,7 +441,7 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
         return total_loss(lr_value, lc_value, cfg.gamma)
 
     # analytic gradients, assembled exactly like one training step
-    _, grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+    grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     layer_grads, grad_h_gat = gt.stack_backward(stack, caches, cfg.gamma * grad_ht)
     params = _named(state.h, decoders, _gat_pairs(stack), centroids)
@@ -462,18 +452,19 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
         idx = [i for i, entry in enumerate(params) if entry[0] == group]
 
         def f(vec, idx=idx):
-            # the group's arrays become views into vec; the rest stay live
-            arrays = [a for _, _, a in params]
+            # write vec into the group's live arrays; the others keep their values
             pos = 0
             for i in idx:
-                size = arrays[i].size
-                arrays[i] = vec[pos : pos + size].reshape(arrays[i].shape)
-                pos += size
-            return loss_at(*_assemble(arrays, decoders, stack))
+                live = params[i][2]
+                np.copyto(live, vec[pos : pos + live.size].reshape(live.shape))
+                pos += live.size
+            return loss_at(state.h, decoders, stack, centroids)
 
         x0 = _flat(params[i][2] for i in idx)
         analytic = _flat(grads[i][2] for i in idx)
-        errors[group] = relative_error(analytic, finite_diff_grad(f, x0, eps))
+        numeric = finite_diff_grad(f, x0, eps)
+        f(x0)  # put the unperturbed values back
+        errors[group] = relative_error(analytic, numeric)
     return GradcheckReport(errors=errors, eps=eps, seed_used=seed)
 
 

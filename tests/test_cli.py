@@ -210,7 +210,8 @@ def test_diverging_run_is_a_clean_error(tmp_path, capsys):
     out = str(tmp_path / "x")
     code = run_cli("train", "--synth", "3x20", "--lr", "50", "--k", "3", "--out", out)
     assert code == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: non-finite")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "non-finite" in last
 
 
 @pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])
