@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError
 from .graph import NeighborGraph
@@ -160,55 +161,46 @@ def _resolve_neighborhoods(g, n: int, include_self: bool):
     return indptr, indices
 
 
+@dataclass(slots=True)
 class _HeadCache:
-    __slots__ = ("z", "t", "alpha", "agg")
-
-    def __init__(self, z, t, alpha, agg):
-        self.z = z
-        self.t = t
-        self.alpha = alpha
-        self.agg = agg
+    z: np.ndarray
+    t: np.ndarray
+    alpha: np.ndarray
+    agg: np.ndarray
 
 
+@dataclass(slots=True)
 class _LayerCache:
-    __slots__ = ("indptr", "indices", "row", "heads", "pre_combine", "h_in")
-
-    def __init__(self, indptr, indices, row, heads, pre_combine, h_in):
-        self.indptr = indptr
-        self.indices = indices
-        self.row = row
-        self.heads = heads
-        self.pre_combine = pre_combine
-        self.h_in = h_in
+    indptr: np.ndarray
+    indices: np.ndarray
+    row: np.ndarray  # CSR row id of each edge
+    heads: list
+    pre_combine: np.ndarray | None
+    h_in: np.ndarray
 
     def alpha_row_sums(self) -> np.ndarray:
         """Per-head per-node attention row sums (should all be 1)."""
         n = self.indptr.shape[0] - 1
-        sums = np.empty((len(self.heads), n))
-        for k, head in enumerate(self.heads):
-            acc = np.zeros(n)
-            np.add.at(acc, self.row, head.alpha)
-            sums[k] = acc
-        return sums
+        return np.array([np.bincount(self.row, head.alpha, minlength=n) for head in self.heads])
+
+
+def _segment_reduce(ufunc, x, indptr) -> np.ndarray:
+    """``ufunc`` over each CSR row segment of ``x``; 0 for empty rows, which
+    ``reduceat`` would give the next row's first element (or fail past the end)."""
+    out = np.zeros(indptr.shape[0] - 1)
+    nonempty = indptr[:-1] < indptr[1:]
+    out[nonempty] = ufunc.reduceat(x, indptr[:-1][nonempty])
+    return out
 
 
 def _head_forward(params: GatParams, k: int, h, indptr, indices, row):
-    n = h.shape[0]
     fp = params.f_prime
     z = h @ params.w[k].T
-    s_src = z @ params.a[k][:fp]
-    s_dst = z @ params.a[k][fp:]
-    t = s_src[row] + s_dst[indices]
+    t = (z @ params.a[k][:fp])[row] + (z @ params.a[k][fp:])[indices]
     e = np.where(t > 0, t, params.leaky_slope * t)
-    rowmax = np.full(n, -np.inf)
-    np.maximum.at(rowmax, row, e)
-    rowmax[~np.isfinite(rowmax)] = 0.0  # empty neighborhoods contribute nothing
-    ex = np.exp(e - rowmax[row])
-    denom = np.zeros(n)
-    np.add.at(denom, row, ex)
-    alpha = ex / denom[row]
-    agg = np.zeros((n, fp))
-    np.add.at(agg, row, alpha[:, None] * z[indices])
+    ex = np.exp(e - _segment_reduce(np.maximum, e, indptr)[row])
+    alpha = ex / _segment_reduce(np.add, ex, indptr)[row]
+    agg = sp.csr_matrix((alpha, indices, indptr), shape=(h.shape[0],) * 2) @ z
     return _HeadCache(z=z, t=t, alpha=alpha, agg=agg)
 
 
@@ -241,25 +233,18 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
             u_k = upstream[:, k * fp : (k + 1) * fp]
             d_agg = u_k * _activate_deriv(params, hc.agg)
         d_alpha = np.einsum("ef,ef->e", d_agg[row], hc.z[indices])
-        dz = np.zeros_like(hc.z)
-        np.add.at(dz, indices, hc.alpha[:, None] * d_agg[row])
+        dz = sp.csr_matrix((hc.alpha, indices, indptr), shape=(n, n)).T @ d_agg
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
-        dot = np.zeros(n)
-        np.add.at(dot, row, hc.alpha * d_alpha)
+        dot = _segment_reduce(np.add, hc.alpha * d_alpha, indptr)
         d_e = hc.alpha * (d_alpha - dot[row])
         d_t = d_e * np.where(hc.t > 0, 1.0, params.leaky_slope)
-        a_src = params.a[k][:fp]
-        a_dst = params.a[k][fp:]
-        da_src = d_t @ hc.z[row]
-        da_dst = d_t @ hc.z[indices]
-        row_dt = np.zeros(n)
-        np.add.at(row_dt, row, d_t)
-        col_dt = np.zeros(n)
-        np.add.at(col_dt, indices, d_t)
-        dz += row_dt[:, None] * a_src[None, :]
-        dz += col_dt[:, None] * a_dst[None, :]
+        # t_ij = a_src . z_i + a_dst . z_j, so sum d_t over rows and over columns
+        row_dt = _segment_reduce(np.add, d_t, indptr)
+        col_dt = np.bincount(indices, weights=d_t, minlength=n)
+        dz += np.outer(row_dt, params.a[k][:fp])
+        dz += np.outer(col_dt, params.a[k][fp:])
+        grad_a.append(np.concatenate([row_dt @ hc.z, col_dt @ hc.z]))
         grad_w.append(dz.T @ h)
-        grad_a.append(np.concatenate([da_src, da_dst]))
         grad_h += dz @ params.w[k]
     return grad_w, grad_a, grad_h
 

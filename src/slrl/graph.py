@@ -8,8 +8,11 @@ neighbors of j or vice versa. Weights come from either a Gaussian kernel,
 or the raw dot product h_j^T h_i. The attention layer consumes only the
 edge set; weights are retained for inspection and debugging dumps.
 
-Neighbor search is exact (full pairwise distances) with ties broken toward
-the smaller index, so construction is deterministic.
+Neighbor search is exact and deterministic. A build computes one matrix of
+squared distances and selects each node's k nearest with ``np.partition``
+over blocks of at most ``_ROW_BLOCK`` rows; where the k-th distance ties past
+the k-th place, the smaller indices win. ``mask | mask.T`` is the union, and
+the weights and the default sigma are read off the same matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
     "build_graph",
     "dump_edges",
 ]
+
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -58,24 +63,42 @@ class NeighborGraph:
         With ``include_self`` each node's own id is inserted into its sorted
         neighbor list, which is the form the attention layer consumes.
         """
-        lists = []
-        for i in range(self.n):
-            ids = self.nbrs[i]
-            if include_self:
-                ids = np.insert(ids, np.searchsorted(ids, i), i)
-            lists.append(ids)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(v) for v in lists])
-        indices = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
-        return indptr, indices.astype(np.int64)
+        np.cumsum([len(ids) for ids in self.nbrs], out=indptr[1:])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.nbrs], dtype=np.int64)
+        if include_self:
+            # node i goes after those of its neighbors with smaller ids
+            row = np.repeat(np.arange(self.n), np.diff(indptr))
+            pos = indptr[:-1] + np.bincount(row[indices < row], minlength=self.n)
+            indices = np.insert(indices, pos, np.arange(self.n))
+            indptr += np.arange(self.n + 1)
+        return indptr, indices
 
 
-def _pairwise_sq_dists(h: np.ndarray) -> np.ndarray:
+def _knn(h: np.ndarray, k: int, gram: np.ndarray):
+    """Squared distances (inf diagonal, written over ``gram`` = h h^T) and a mask
+    of each row's k nearest columns, the smaller column winning a tie."""
+    n = h.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (h @ h.T)
-    d = np.maximum(d, 0.0)
+    d = np.add.outer(sq, sq)
+    d -= np.multiply(gram, 2.0, out=gram)
+    np.maximum(d, 0.0, out=d)
     # force exact symmetry so both directions of an edge share one distance
-    return (d + d.T) / 2.0
+    d = np.add(d, d.T, out=gram)
+    d /= 2.0
+    np.fill_diagonal(d, np.inf)
+    mask = np.empty(d.shape, dtype=bool)
+    for s in range(0, n, _ROW_BLOCK):
+        blk, sel = d[s : s + _ROW_BLOCK], mask[s : s + _ROW_BLOCK]
+        kth = np.partition(blk, k - 1, axis=1)[:, k - 1 : k]
+        np.less_equal(blk, kth, out=sel)
+        # rows where the k-th distance ties past the k-th place keep the smaller ids
+        for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
+            ties = np.flatnonzero(blk[i] == kth[i])
+            sel[i, ties[k - np.count_nonzero(blk[i] < kth[i]) :]] = False
+    return d, mask
 
 
 def knn_indices(h, k: int) -> list:
@@ -85,33 +108,19 @@ def knn_indices(h, k: int) -> list:
     in ascending-distance order.
     """
     h = as_matrix(h, "h")
-    n = h.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k={k} outside [1, {n - 1}]")
-    d = _pairwise_sq_dists(h)
-    np.fill_diagonal(d, np.inf)
-    out = []
-    for i in range(n):
-        order = np.argsort(d[i], kind="stable")  # stable: equal distances keep index order
-        out.append(order[:k].astype(np.int64))
-    return out
+    d, mask = _knn(h, k, h @ h.T)
+    cols = np.nonzero(mask)[1].reshape(-1, k)
+    # cols ascend within each row, so a stable sort by distance keeps index order on ties
+    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
+    return list(np.take_along_axis(cols, order, axis=1))
 
 
-def _union_edges(nn: list):
-    """Symmetrized edge set { (i,j) : j in knn(i) or i in knn(j) }, i != j."""
-    n = len(nn)
-    adj = [set() for _ in range(n)]
-    for i, ids in enumerate(nn):
-        for j in ids:
-            adj[int(i)].add(int(j))
-            adj[int(j)].add(int(i))
-    return [np.array(sorted(s), dtype=np.int64) for s in adj]
-
-
-def _median_knn_distance(h: np.ndarray, nn: list) -> float:
-    d2 = _pairwise_sq_dists(h)
-    dists = np.concatenate([np.sqrt(d2[i, ids]) for i, ids in enumerate(nn)])
-    return float(np.median(dists))
+def _union_graph(mask: np.ndarray, weight, **fields) -> NeighborGraph:
+    """Union-rule graph over the selection mask; ``weight(rows, cols)`` gives edge weights."""
+    rows, cols = np.nonzero(mask | mask.T)
+    cuts = np.cumsum(np.bincount(rows, minlength=mask.shape[0]))[:-1]
+    nbrs, wts = np.split(cols, cuts), np.split(weight(rows, cols), cuts)
+    return NeighborGraph(n=mask.shape[0], nbrs=nbrs, wts=wts, **fields)
 
 
 def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
@@ -122,9 +131,9 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
     heuristic collapse, in which case an explicit sigma is required.
     """
     h = as_matrix(h, "h")
-    nn = knn_indices(h, k)
+    d, mask = _knn(h, k, h @ h.T)
     if sigma is None:
-        sigma = _median_knn_distance(h, nn)
+        sigma = float(np.median(np.sqrt(d[mask])))
         if sigma <= 0.0:
             raise ParameterError(
                 "sigma heuristic degenerate (all selected neighbor distances are zero); "
@@ -132,21 +141,20 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
             )
     elif sigma <= 0.0:
         raise ParameterError("sigma must be positive")
-    adj = _union_edges(nn)
-    d2 = _pairwise_sq_dists(h)
-    wts = [np.exp(-d2[i, ids] / (2.0 * sigma * sigma)) for i, ids in enumerate(adj)]
-    return NeighborGraph(n=h.shape[0], k=k, kernel="gaussian", sigma=float(sigma), nbrs=adj, wts=wts)
+    scale = 2.0 * sigma * sigma
+    return _union_graph(
+        mask, lambda r, c: np.exp(-d[r, c] / scale), k=k, kernel="gaussian", sigma=float(sigma)
+    )
 
 
 def build_dot(h, k: int) -> NeighborGraph:
     """Union-kNN graph with dot-product weights (may be negative)."""
     h = as_matrix(h, "h")
-    nn = knn_indices(h, k)
-    adj = _union_edges(nn)
     gram = h @ h.T
-    gram = (gram + gram.T) / 2.0
-    wts = [gram[i, ids].copy() for i, ids in enumerate(adj)]
-    return NeighborGraph(n=h.shape[0], k=k, kernel="dot", sigma=None, nbrs=adj, wts=wts)
+    _, mask = _knn(h, k, gram.copy())
+    return _union_graph(
+        mask, lambda r, c: (gram[r, c] + gram[c, r]) / 2.0, k=k, kernel="dot", sigma=None
+    )
 
 
 def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:

@@ -42,7 +42,7 @@ from . import gat as gt
 from . import graph as gr
 from . import metrics as mt
 from .data import MultiViewDataset, read_matrix, write_matrix
-from .errors import NumericError, ParameterError
+from .errors import FormatError, NumericError, ParameterError
 from .numerics import finite_diff_grad, relative_error
 
 __all__ = [
@@ -214,8 +214,12 @@ def _named(h, decoders, gat, centroids=None) -> list:
     return out
 
 
-def _step(params, grads, scales: dict) -> None:
-    """Descend in place: each array moves by its group's scale times its gradient."""
+def _step(params, grads, scales: dict, where: str) -> None:
+    """Descend in place: each array moves by its group's scale times its gradient.
+    Nothing moves if a gradient is non-finite; the error names ``where``."""
+    for group, name, grad in grads:
+        if not np.isfinite(grad).all():
+            raise NumericError(f"{where}: non-finite gradient in group {group!r} ({name})")
     for (group, _, value), (_, _, grad) in zip(params, grads, strict=True):
         value -= scales[group] * grad
 
@@ -236,14 +240,15 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     scales = {"h": lr * float(n), "decoders": lr, "gat": lr, "centroids": lr * (cfg.gamma / n)}
 
     # phase 1: reconstruction-only descent on H and the decoders
-    for _ in range(cfg.pretrain_epochs):
+    for epoch in range(cfg.pretrain_epochs):
         loss = enc.reconstruction_loss(state, decoders, ds)
         grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
         report.lr_history.append(loss)
         report.lc_history.append(0.0)
         report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
         report.metrics_history.append(None)
-        _step(_named(state.h, decoders, []), _named(grad_h, dec_grads, []), scales)
+        where = f"pretrain epoch {epoch + 1}"
+        _step(_named(state.h, decoders, []), _named(grad_h, dec_grads, []), scales, where)
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids
@@ -291,6 +296,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             _named(state.h, decoders, _gat_pairs(stack), centroids),
             _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
             scales,
+            f"joint epoch {epoch + 1}",
         )
         report.joint_epochs_run = epoch + 1
 
@@ -489,10 +495,13 @@ def load_checkpoint(path) -> dict:
     if not index.exists():
         raise FileNotFoundError(f"no index.txt in {root}")
     out = {}
-    for line in index.read_text().splitlines():
+    for lineno, line in enumerate(index.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        name, fname = line.split()
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"{index} line {lineno}: expected 'name file', got {line!r}")
+        name, fname = fields
         out[name] = read_matrix(root / fname)
     return out
 

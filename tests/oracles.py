@@ -54,6 +54,19 @@ def dot_adjacency(h, k):
     return a
 
 
+def neighborhoods_oracle(nbrs, include_self):
+    """CSR (indptr, indices) built row by row, inserting each node into its own list."""
+    lists = []
+    for i, ids in enumerate(nbrs):
+        ids = np.asarray(ids, dtype=np.int64)
+        if include_self:
+            ids = np.insert(ids, np.searchsorted(ids, i), i)
+        lists.append(ids)
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(v) for v in lists])
+    return indptr, np.concatenate(lists).astype(np.int64)
+
+
 # --------------------------------------------------------------- attention
 
 def _leaky(x, slope):

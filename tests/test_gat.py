@@ -227,3 +227,62 @@ def test_alpha_row_sums_exposed_by_cache():
     sums = caches[0].alpha_row_sums()
     assert sums.shape == (2, 7)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+
+# a prebuilt neighborhood CSR with one empty row (node 2), and one with no edges
+ONE_EMPTY_ROW = [[0, 3], [1, 4], [], [0, 3, 4], [1]]
+NO_EDGES = [[]] * 5
+
+
+@pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
+@pytest.mark.parametrize("combine", ["average", "concat"])
+@pytest.mark.parametrize("activation", ["sigmoid", "elu"])
+def test_empty_neighborhoods_forward_matches_oracle(lists, combine, activation):
+    params = random_params(30, 3, 4, heads=2, combine=combine, activation=activation)
+    h = make_rng(31).normal(size=(5, 3))
+    nbhd = csr(lists)
+    out = gat_forward(params, h, nbhd, include_self=False)
+    want = gat_forward_oracle(params.w, params.a, params.leaky_slope, activation, combine, h, lists)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - want)) < 1e-12
+    act_zero = 0.5 if activation == "sigmoid" else 0.0
+    for i, ids in enumerate(lists):
+        if not ids:
+            assert np.all(out[i] == act_zero)
+
+
+@pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
+def test_empty_neighborhoods_backward_matches_finite_differences(lists):
+    params = random_params(32, 3, 3, heads=2)
+    h = make_rng(33).normal(size=(5, 3))
+    nbhd = csr(lists)
+    upstream = make_rng(34).normal(size=(5, 3))
+    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream, include_self=False)
+    for grad in grad_w + grad_a + [grad_h]:
+        assert np.all(np.isfinite(grad))
+
+    def scalar_of_h(vec):
+        out = gat_forward(params, vec.reshape(h.shape), nbhd, include_self=False)
+        return float(np.sum(upstream * out))
+
+    assert relative_error(grad_h.ravel(), finite_diff_grad(scalar_of_h, h.ravel(), 1e-5)) < 1e-4
+    for k in range(params.heads):
+        def scalar_of_a(vec, k=k):
+            a = [v.copy() for v in params.a]
+            a[k] = vec
+            p = GatParams(w=params.w, a=a)
+            return float(np.sum(upstream * gat_forward(p, h, nbhd, include_self=False)))
+
+        num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
+        assert relative_error(grad_a[k], num_a) < 1e-4
+
+
+@pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
+def test_empty_neighborhoods_alpha_row_sums(lists):
+    stack = init_gat_stack(1, 3, 3, heads=2, seed=35)
+    h = make_rng(36).normal(size=(5, 3))
+    _, caches = stack_forward(stack, h, csr(lists), include_self=False)
+    sums = caches[0].alpha_row_sums()
+    nonempty = np.array([len(ids) > 0 for ids in lists])
+    assert np.max(np.abs(sums[:, nonempty] - 1.0), initial=0.0) < 1e-12
+    assert np.all(sums[:, ~nonempty] == 0.0)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from slrl.errors import ParameterError
-from slrl.graph import build_dot, build_gaussian, dump_edges, knn_indices
+from slrl import graph
+from slrl.graph import NeighborGraph, build_dot, build_gaussian, dump_edges, knn_indices
 from slrl.numerics import make_rng
 
-from oracles import dot_adjacency, gaussian_adjacency, knn_bruteforce
+from oracles import dot_adjacency, gaussian_adjacency, knn_bruteforce, neighborhoods_oracle
 
 
 def graph_to_dense(g):
@@ -148,3 +149,54 @@ def test_neighborhoods_include_self():
         row = indices[indptr[i] : indptr[i + 1]]
         assert i in row
         assert np.array_equal(row, np.sort(row))
+
+
+def grid_points(n, side, seed):
+    """n points on a small integer grid: many exactly equal distances, some duplicates."""
+    return make_rng(seed).integers(0, side, size=(n, 2)).astype(float)
+
+
+def straddling_rows(h, k):
+    """Rows whose k-th and (k+1)-th nearest distances tie, so the cut splits a tie."""
+    d = np.sum((h[:, None, :] - h[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d, np.inf)
+    d.sort(axis=1)
+    return np.flatnonzero(d[:, k - 1] == d[:, k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_knn_ties_straddling_the_kth_distance_match_oracle(k):
+    h = grid_points(40, 5, seed=k)
+    assert straddling_rows(h, k).size > 0
+    for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
+        assert np.array_equal(got, want)
+    dense_g = graph_to_dense(build_gaussian(h, k, sigma=1.3))
+    dense_d = graph_to_dense(build_dot(h, k))
+    assert np.max(np.abs(dense_g - gaussian_adjacency(h, k, 1.3))) < 1e-12
+    assert np.max(np.abs(dense_d - dot_adjacency(h, k))) < 1e-12
+
+
+def test_knn_across_row_blocks_matches_oracle():
+    n, k = graph._ROW_BLOCK + 45, 4
+    h = grid_points(n, 9, seed=11)
+    assert straddling_rows(h, k)[-1] >= graph._ROW_BLOCK  # ties in the second block too
+    for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
+        assert np.array_equal(got, want)
+    g = build_gaussian(h, k, sigma=2.0)
+    assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, 2.0))) < 1e-12
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_neighborhoods_match_row_by_row_transcription(include_self):
+    for seed in range(5):
+        g = build_gaussian(grid_points(30, 4, seed), 3, sigma=1.0)
+        got = g.neighborhoods(include_self=include_self)
+        want = neighborhoods_oracle(g.nbrs, include_self)
+        assert all(np.array_equal(a, b) and a.dtype == np.int64 for a, b in zip(got, want))
+    # empty lists, and a node whose id is larger than all of its neighbors'
+    nbrs = [np.array([2]), np.zeros(0, dtype=np.int64), np.array([0, 3]), np.array([2])]
+    wts = [np.ones(len(ids)) for ids in nbrs]
+    g = NeighborGraph(n=4, k=1, kernel="dot", sigma=None, nbrs=nbrs, wts=wts)
+    got = g.neighborhoods(include_self=include_self)
+    want = neighborhoods_oracle(nbrs, include_self)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from slrl.data import synth_multiview
-from slrl.errors import NumericError, ParameterError
+import slrl.cluster
+from slrl.errors import FormatError, NumericError, ParameterError
 from slrl.train import (
     TrainConfig,
     ablate,
@@ -209,6 +210,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(back) == set(want)
     for name, array in want.items():
         assert np.array_equal(back[name], np.atleast_2d(array)), name
+
+
+def test_checkpoint_malformed_index_line(tmp_path):
+    ds = small_ds()
+    save_checkpoint(train(ds, small_cfg(epochs=1)), tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "index.txt").write_text("h h.mvm\nh\n")
+    with pytest.raises(FormatError, match="line 2: expected 'name file', got 'h'"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_non_finite_joint_gradient_stops_before_the_step(monkeypatch):
+    seen = {}
+    original = slrl.cluster.cluster_grads
+
+    def overflowing(ht, centroids, p):
+        seen["live"], seen["before"] = centroids, centroids.copy()
+        grad_ht, grad_mu = original(ht, centroids, p)
+        grad_mu[0, 0] = np.inf
+        return grad_ht, grad_mu
+
+    monkeypatch.setattr(slrl.cluster, "cluster_grads", overflowing)
+    with pytest.raises(NumericError, match="joint epoch 1: non-finite gradient in group 'centroids'"):
+        train(small_ds(), small_cfg())
+    assert np.array_equal(seen["live"], seen["before"])  # no array moved
 
 
 def test_loss_log_format(tmp_path):
