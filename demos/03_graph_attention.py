@@ -14,27 +14,27 @@ from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
 rng = make_rng(3)
 h = rng.normal(size=(7, 4))
-g = build_gaussian(h, k=2, sigma=1.0)
+nbhd = build_gaussian(h, k=2, sigma=1.0).neighborhoods()  # CSR rows with self loops
 
 params = init_gat(f_in=4, f_prime=4, heads=2, seed_or_rng=0)
-alphas = attention_coeffs(params, head=0, h=h, g=g)
+alphas = attention_coeffs(params, head=0, h=h, nbhd=nbhd)
 print("attention row sums:", [round(float(a.sum()), 12) for a in alphas])
 print("node 0 attends over", len(alphas[0]), "neighbors (self included)")
 
-out_avg = gat_forward(params, h, g)
+out_avg = gat_forward(params, h, nbhd)
 print("\naverage combine: output", out_avg.shape, "in (0,1):",
       bool(out_avg.min() > 0 and out_avg.max() < 1))
 
 params_cat = init_gat(4, 4, heads=2, seed_or_rng=0, combine="concat")
-out_cat = gat_forward(params_cat, h, g)
+out_cat = gat_forward(params_cat, h, nbhd)
 print("concat combine: output", out_cat.shape)
 
 # gradient of a random scalar functional of the output, wrt the inputs
 upstream = rng.normal(size=out_avg.shape)
-grad_w, grad_a, grad_h = gat_backward(params, h, g, upstream)
+grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream)
 
 num = finite_diff_grad(
-    lambda v: float(np.sum(upstream * gat_forward(params, v.reshape(h.shape), g))),
+    lambda v: float(np.sum(upstream * gat_forward(params, v.reshape(h.shape), nbhd))),
     h.ravel(),
 )
 print("\nbackward check (inputs):   rel err %.2e" % relative_error(grad_h.ravel(), num))
@@ -48,7 +48,7 @@ num_w = finite_diff_grad(
                     w=[v.reshape(4, 4), params.w[1]], a=params.a, combine=params.combine
                 ),
                 h,
-                g,
+                nbhd,
             )
         )
     ),

@@ -1,7 +1,7 @@
 """Multi-head graph attention over the neighbor graph, forward and backward.
 
 For head k with linear map W^k (F' x F) and scoring vector a^k (2F'), the
-attention of node i over its neighborhood N_i (which includes i itself) is
+attention of node i over its neighborhood N_i (in training, i is in N_i) is
 
     alpha_ij = softmax_{j in N_i} LeakyReLU(a^kT [W^k h_i || W^k h_j]),
 
@@ -9,6 +9,9 @@ each head aggregates g_i^k = sum_{j in N_i} alpha_ij^k W^k h_j, and heads
 combine either by averaging pre-activations (output dim F', activation
 applied after the average) or by concatenating activated head outputs
 (output dim K F'). Softmax rows are max-shifted for overflow safety.
+
+Neighborhoods arrive as one CSR pair ``(indptr, indices)`` whose row i lists
+N_i as given; an empty row aggregates to zero.
 
 The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
@@ -23,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError
-from .graph import NeighborGraph
 from .numerics import as_matrix, make_rng
 
 __all__ = [
@@ -147,17 +149,16 @@ def _activate_deriv(params: GatParams, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _resolve_neighborhoods(g, n: int, include_self: bool):
-    """Accept a NeighborGraph or a prebuilt (indptr, indices) pair."""
-    if isinstance(g, NeighborGraph):
-        if g.n != n:
-            raise ShapeError(f"graph covers {g.n} nodes, features cover {n}")
-        return g.neighborhoods(include_self=include_self)
-    indptr, indices = g
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indptr.shape[0] != n + 1:
-        raise ShapeError(f"indptr covers {indptr.shape[0] - 1} nodes, features cover {n}")
+def _check_neighborhoods(nbhd, n: int):
+    """The CSR pair ``(indptr, indices)`` as int64 arrays, checked against n nodes."""
+    indptr, indices = (np.asarray(x, dtype=np.int64) for x in nbhd)
+    if indptr.ndim != 1 or indptr.shape[0] != n + 1:
+        raise ShapeError(f"indptr must have {n + 1} entries for {n} nodes, got {indptr.shape}")
+    ends_ok = indptr[0] == 0 and indptr[-1] == indices.size
+    if indices.ndim != 1 or not ends_ok or np.any(np.diff(indptr) < 0):
+        raise ShapeError(f"indptr must not decrease from 0 to len(indices)={indices.size}")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ShapeError(f"neighbor ids must lie in [0, {n})")
     return indptr, indices
 
 
@@ -249,46 +250,46 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     return grad_w, grad_a, grad_h
 
 
-def attention_coeffs(params: GatParams, head: int, h, g, include_self: bool = True) -> list:
+def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     """Per-node attention coefficient arrays for one head.
 
-    Entry i is aligned with node i's neighborhood (self included by default)
-    in ascending neighbor order and sums to 1.
+    Entry i is aligned with row i of the ``(indptr, indices)`` pair ``nbhd``
+    and sums to 1 unless the row is empty.
     """
     h = as_matrix(h, "h")
     if not 0 <= head < params.heads:
         raise ParameterError(f"head {head} outside [0, {params.heads})")
-    indptr, indices = _resolve_neighborhoods(g, h.shape[0], include_self)
+    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
     row = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
     hc = _head_forward(params, head, h, indptr, indices, row)
     return [hc.alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
 
 
-def gat_forward(params: GatParams, h, g, include_self: bool = True) -> np.ndarray:
+def gat_forward(params: GatParams, h, nbhd) -> np.ndarray:
     """Structured representation: one attention layer applied to h."""
     h = as_matrix(h, "h")
     if h.shape[1] != params.f_in:
         raise ShapeError(f"layer expects {params.f_in} features, got {h.shape[1]}")
-    indptr, indices = _resolve_neighborhoods(g, h.shape[0], include_self)
+    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
     out, _ = _layer_forward(params, h, indptr, indices)
     return out
 
 
-def gat_backward(params: GatParams, h, g, upstream, include_self: bool = True):
+def gat_backward(params: GatParams, h, nbhd, upstream):
     """Gradients of sum(upstream * gat_forward(...)) for W^k, a^k, and h.
 
     Returns (grad_w, grad_a, grad_h) with grad_w/grad_a as per-head lists.
     """
     h = as_matrix(h, "h")
     upstream = as_matrix(upstream, "upstream")
-    indptr, indices = _resolve_neighborhoods(g, h.shape[0], include_self)
+    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
     out, cache = _layer_forward(params, h, indptr, indices)
     if upstream.shape != out.shape:
         raise ShapeError(f"upstream shape {upstream.shape} does not match output {out.shape}")
     return _layer_backward(params, cache, upstream)
 
 
-def stack_forward(stack: list, h, g, include_self: bool = True):
+def stack_forward(stack: list, h, nbhd):
     """Forward through a layer stack; identity for an empty stack.
 
     Returns (output, caches); caches feed ``stack_backward`` and expose the
@@ -297,7 +298,7 @@ def stack_forward(stack: list, h, g, include_self: bool = True):
     h = as_matrix(h, "h")
     if not stack:
         return h, []
-    indptr, indices = _resolve_neighborhoods(g, h.shape[0], include_self)
+    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
     caches = []
     x = h
     for layer in stack:

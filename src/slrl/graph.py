@@ -8,6 +8,9 @@ neighbors of j or vice versa. Weights come from either a Gaussian kernel,
 or the raw dot product h_j^T h_i. The attention layer consumes only the
 edge set; weights are retained for inspection and debugging dumps.
 
+A graph is stored once, as the CSR arrays ``np.nonzero`` gives for the union
+mask (no self loops); ``neighborhoods()`` inserts the self loops attention uses.
+
 Neighbor search is exact and deterministic. A build computes one matrix of
 squared distances and selects each node's k nearest with ``np.partition``
 over blocks of at most ``_ROW_BLOCK`` rows; where the k-th distance ties past
@@ -38,41 +41,44 @@ _ROW_BLOCK = 256
 
 @dataclass
 class NeighborGraph:
-    """Symmetric weighted adjacency stored as per-node sorted neighbor lists."""
+    """Symmetric weighted adjacency in CSR form, rows in ascending id order."""
 
     n: int
     k: int
     kernel: str  # "gaussian" | "dot"
     sigma: float | None
-    nbrs: list  # nbrs[i]: sorted int64 array of neighbor ids, no self
-    wts: list  # wts[i]: weights aligned with nbrs[i]
+    indptr: np.ndarray  # (n + 1,) int64 row offsets into indices
+    indices: np.ndarray  # neighbor ids, ascending within each row, no self
+    weights: np.ndarray  # edge weights aligned with indices
+
+    @property
+    def nbrs(self) -> list:
+        """Per-node neighbor id arrays (views of ``indices``)."""
+        return np.split(self.indices, self.indptr[1:-1])
+
+    @property
+    def wts(self) -> list:
+        """Per-node weight arrays aligned with ``nbrs`` (views of ``weights``)."""
+        return np.split(self.weights, self.indptr[1:-1])
 
     def degree(self, i: int) -> int:
-        return len(self.nbrs[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def weight(self, i: int, j: int) -> float:
         """Edge weight, 0.0 for absent pairs."""
-        pos = np.searchsorted(self.nbrs[i], j)
-        if pos < len(self.nbrs[i]) and self.nbrs[i][pos] == j:
-            return float(self.wts[i][pos])
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        pos = lo + np.searchsorted(self.indices[lo:hi], j)
+        if pos < hi and self.indices[pos] == j:
+            return float(self.weights[pos])
         return 0.0
 
-    def neighborhoods(self, include_self: bool = True):
-        """CSR-style (indptr, indices) over per-node neighborhoods.
-
-        With ``include_self`` each node's own id is inserted into its sorted
-        neighbor list, which is the form the attention layer consumes.
-        """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(ids) for ids in self.nbrs], out=indptr[1:])
-        indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.nbrs], dtype=np.int64)
-        if include_self:
-            # node i goes after those of its neighbors with smaller ids
-            row = np.repeat(np.arange(self.n), np.diff(indptr))
-            pos = indptr[:-1] + np.bincount(row[indices < row], minlength=self.n)
-            indices = np.insert(indices, pos, np.arange(self.n))
-            indptr += np.arange(self.n + 1)
-        return indptr, indices
+    def neighborhoods(self):
+        """CSR (indptr, indices) with each node's own id inserted into its sorted row."""
+        # node i goes after those of its neighbors with smaller ids
+        row = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        pos = self.indptr[:-1] + np.bincount(row[self.indices < row], minlength=self.n)
+        indices = np.insert(self.indices, pos, np.arange(self.n))
+        return self.indptr + np.arange(self.n + 1), indices
 
 
 def _knn(h: np.ndarray, k: int, gram: np.ndarray):
@@ -118,9 +124,10 @@ def knn_indices(h, k: int) -> list:
 def _union_graph(mask: np.ndarray, weight, **fields) -> NeighborGraph:
     """Union-rule graph over the selection mask; ``weight(rows, cols)`` gives edge weights."""
     rows, cols = np.nonzero(mask | mask.T)
-    cuts = np.cumsum(np.bincount(rows, minlength=mask.shape[0]))[:-1]
-    nbrs, wts = np.split(cols, cuts), np.split(weight(rows, cols), cuts)
-    return NeighborGraph(n=mask.shape[0], nbrs=nbrs, wts=wts, **fields)
+    indptr = np.searchsorted(rows, np.arange(mask.shape[0] + 1))
+    return NeighborGraph(
+        n=mask.shape[0], indptr=indptr, indices=cols, weights=weight(rows, cols), **fields
+    )
 
 
 def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
@@ -167,9 +174,7 @@ def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None)
 
 def dump_edges(g: NeighborGraph) -> str:
     """Text dump, one ``i j weight`` line per undirected edge with i < j."""
-    lines = []
-    for i in range(g.n):
-        for j, w in zip(g.nbrs[i], g.wts[i]):
-            if i < j:
-                lines.append(f"{i} {j} {w:.17g}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = rows < g.indices
+    edges = zip(rows[upper].tolist(), g.indices[upper].tolist(), g.weights[upper].tolist())
+    return "".join(f"{i} {j} {w:.17g}\n" for i, j, w in edges)

@@ -2,10 +2,9 @@
 
 Phase 1 pretrains the latent matrix and decoders on the reconstruction
 loss alone. Phase 2 then, per epoch: rebuilds the kNN graph from the
-current latent matrix (on a configurable cadence), runs the attention
-stack to get the structured representation, refreshes the sharpened
-target distribution (also on a cadence, held constant in between),
-computes the total loss
+current latent matrix (the first epoch uses the graph built for k-means),
+runs the attention stack to get the structured representation, refreshes
+the sharpened target distribution, computes the total loss
 
     L = L_r + gamma * L_c,
 
@@ -72,18 +71,14 @@ class TrainConfig:
     gat_layers: int = 1
     activation: str = "sigmoid"
     combine: str = "average"
-    graph_rebuild_every: int = 1
-    p_refresh_every: int = 1
     pretrain_epochs: int = 50
     seed: int = 0
     kernel: str | None = None  # None: pick from the dataset's view kinds
     sigma: float | None = None
     clusters: int | None = None  # None: take the ground-truth label count
-    kmeans_restarts: int = 10
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 10
     early_stop_min_epochs: int = 20
-    assign_stable_tol: float = 1e-3  # fraction of samples allowed to switch cluster
 
     def validate(self) -> None:
         if self.latent_dim < 2:
@@ -98,8 +93,6 @@ class TrainConfig:
             raise ParameterError("epoch counts must be >= 0")
         if self.heads < 1 or self.gat_layers < 0:
             raise ParameterError("need heads >= 1 and gat_layers >= 0")
-        if min(self.graph_rebuild_every, self.p_refresh_every) < 1:
-            raise ParameterError("cadences must be >= 1")
 
 
 @dataclass
@@ -174,6 +167,8 @@ def _epoch_metrics(q: np.ndarray, labels) -> mt.MetricsReport | None:
 
 _GROUPS = ("h", "decoders", "gat", "centroids")
 _DECODER_FIELDS = ("w1", "b1", "w2", "b2")
+# hard assignments count as stable when at most this fraction of samples switch cluster
+_ASSIGN_STABLE_TOL = 1e-3
 
 
 def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
@@ -224,6 +219,9 @@ def _step(params, grads, scales: dict, where: str) -> None:
         value -= scales[group] * grad
 
 
+# no numpy overflow/invalid warnings: _step, total_loss and as_matrix stop
+# every non-finite value with a typed error
+@np.errstate(over="ignore", invalid="ignore")
 def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
     cfg.validate()
@@ -252,30 +250,26 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids
-    g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
-    nbhd = g.neighborhoods(include_self=True)
+    nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
     ht, caches = gt.stack_forward(stack, state.h, nbhd)
-    centroids = cl.init_centroids(ht, n_clusters, seed=cfg.seed + 3, restarts=cfg.kmeans_restarts)
-    p = None
+    centroids = cl.init_centroids(ht, n_clusters, seed=cfg.seed + 3)
     best_loss = np.inf
     no_improve = 0
     prev_assign = None
     stable_assign = 0
 
     for epoch in range(cfg.epochs):
-        if epoch > 0 and epoch % cfg.graph_rebuild_every == 0:
-            g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
-            nbhd = g.neighborhoods(include_self=True)
+        if epoch > 0:
+            nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
         ht, caches = gt.stack_forward(stack, state.h, nbhd)
         q = cl.soft_assign(ht, centroids)
-        if epoch % cfg.p_refresh_every == 0 or p is None:
-            try:
-                p = cl.target_distribution(q)
-            except cl.DegenerateClusterError:
-                warnings.warn("degenerate cluster during target refresh; re-seeding centroid")
-                centroids = _reseed_degenerate(ht, centroids, q)
-                q = cl.soft_assign(ht, centroids)
-                p = cl.target_distribution(q)
+        try:
+            p = cl.target_distribution(q)
+        except cl.DegenerateClusterError:
+            warnings.warn("degenerate cluster during target refresh; re-seeding centroid")
+            centroids = _reseed_degenerate(ht, centroids, q)
+            q = cl.soft_assign(ht, centroids)
+            p = cl.target_distribution(q)
 
         lr_value = enc.reconstruction_loss(state, decoders, ds)
         lc_value = cl.kl_loss(p, q)
@@ -304,14 +298,14 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         #  - loss: an epoch failing to improve the best loss by a relative
         #    early_stop_tol spends one unit of patience
         #  - assignments: the alternating scheme has converged once hard
-        #    cluster assignments stop changing (within assign_stable_tol)
+        #    cluster assignments stop changing (within _ASSIGN_STABLE_TOL)
         if loss < best_loss * (1.0 - cfg.early_stop_tol):
             best_loss = loss
             no_improve = 0
         else:
             no_improve += 1
         assign = np.argmax(q, axis=1)
-        if prev_assign is not None and np.mean(assign != prev_assign) <= cfg.assign_stable_tol:
+        if prev_assign is not None and np.mean(assign != prev_assign) <= _ASSIGN_STABLE_TOL:
             stable_assign += 1
         else:
             stable_assign = 0
@@ -328,7 +322,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # final state under the last parameter values
     g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
-    nbhd = g.neighborhoods(include_self=True)
+    nbhd = g.neighborhoods()
     ht, _ = gt.stack_forward(stack, state.h, nbhd)
     q = cl.soft_assign(ht, centroids)
     report.h = state.h
@@ -429,14 +423,13 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
     seed = cfg.seed
     for _ in range(50):
         state, decoders, stack = _init_model(n, ds.dims, cfg, seed)
-        g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
-        nbhd = g.neighborhoods(include_self=True)
+        nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
         ht, caches = gt.stack_forward(stack, state.h, nbhd)
         if _kink_margin(state, decoders, caches) > 1e-4:
             break
         seed += 1
 
-    centroids = cl.init_centroids(ht, n_clusters, seed=seed + 3, restarts=cfg.kmeans_restarts)
+    centroids = cl.init_centroids(ht, n_clusters, seed=seed + 3)
     p = cl.target_distribution(cl.soft_assign(ht, centroids))
 
     def loss_at(h_mat, decs, stk, mu) -> float:

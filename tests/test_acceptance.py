@@ -113,12 +113,12 @@ def test_criterion_oracle_equivalence():
         lists = [indices[indptr[i] : indptr[i + 1]] for i in range(6)]
         for combine in ("average", "concat"):
             params = init_gat(4, 3, heads=2, seed_or_rng=make_rng(1000 + seed), combine=combine)
-            rows = attention_coeffs(params, 0, hg, graph)
+            rows = attention_coeffs(params, 0, hg, (indptr, indices))
             want_rows = attention_oracle(params.w[0], params.a[0], params.leaky_slope, hg, lists)
             for got, want in zip(rows, want_rows):
                 track(got, want)
             track(
-                gat_forward(params, hg, graph),
+                gat_forward(params, hg, (indptr, indices)),
                 gat_forward_oracle(
                     params.w, params.a, params.leaky_slope, params.activation, combine, hg, lists
                 ),

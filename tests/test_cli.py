@@ -206,7 +206,7 @@ def test_projection_csv_shape(tmp_path):
     assert len(lines) == 1 + 18
 
 
-def test_diverging_run_is_a_clean_error(tmp_path, capsys):
+def test_diverging_run_is_a_clean_error(tmp_path, capsys, recwarn):
     # a step size this large blows H up to non-finite values
     out = str(tmp_path / "x")
     code = run_cli("train", "--synth", "3x20", "--lr", "50", "--k", "3", "--out", out)
@@ -215,6 +215,8 @@ def test_diverging_run_is_a_clean_error(tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     pattern = r"error: (pretrain|joint) epoch \d+: non-finite gradient in group '\w+' \(.+\)"
     assert re.fullmatch(pattern, last)
+    # and numpy prints no overflow or invalid-value warnings on the way
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])

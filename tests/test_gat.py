@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slrl.errors import ShapeError
 from slrl.gat import (
     GatParams,
     attention_coeffs,
@@ -40,15 +41,15 @@ def test_singleton_neighborhood_gives_unit_alpha():
     params = random_params(0, 3, 4, heads=1)
     h = make_rng(1).normal(size=(2, 3))
     nbhd = csr([[0], [1]])  # only the self loop
-    alphas = attention_coeffs(params, 0, h, nbhd, include_self=False)
+    alphas = attention_coeffs(params, 0, h, nbhd)
     assert alphas[0].shape == (1,) and alphas[0][0] == pytest.approx(1.0)
 
 
 def test_zero_weights_give_uniform_attention():
     params = GatParams(w=[np.zeros((4, 3))], a=[np.ones(8)])
     h, g = random_graph(2, n=6, f=3)
-    alphas = attention_coeffs(params, 0, h, g)
     indptr, indices = g.neighborhoods()
+    alphas = attention_coeffs(params, 0, h, (indptr, indices))
     for i, row in enumerate(alphas):
         size = indptr[i + 1] - indptr[i]
         assert np.max(np.abs(row - 1.0 / size)) < 1e-12
@@ -59,7 +60,7 @@ def test_attention_matches_eq_oracle():
         params = random_params(seed, 3, 3, heads=1)
         h, g = random_graph(seed + 100, n=4, f=3, k=2)
         indptr, indices = g.neighborhoods()
-        got = attention_coeffs(params, 0, h, g)
+        got = attention_coeffs(params, 0, h, (indptr, indices))
         want = attention_oracle(
             params.w[0], params.a[0], params.leaky_slope, h, neighborhood_lists(indptr, indices)
         )
@@ -71,7 +72,7 @@ def test_attention_rows_stochastic():
     params = random_params(3, 5, 4, heads=2)
     h, g = random_graph(4, n=10, f=5)
     for head in range(2):
-        for row in attention_coeffs(params, head, h, g):
+        for row in attention_coeffs(params, head, h, g.neighborhoods()):
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(row > 0)
 
@@ -81,7 +82,7 @@ def test_forward_single_forced_neighbor():
     params = random_params(5, 3, 4, heads=1)
     h = make_rng(6).normal(size=(2, 3))
     nbhd = csr([[1], [0]])
-    out = gat_forward(params, h, nbhd, include_self=False)
+    out = gat_forward(params, h, nbhd)
     expected = 1.0 / (1.0 + np.exp(-(params.w[0] @ h[1])))
     assert np.max(np.abs(out[0] - expected)) < 1e-12
 
@@ -89,7 +90,7 @@ def test_forward_single_forced_neighbor():
 def test_forward_zero_weights_sigmoid_half():
     params = GatParams(w=[np.zeros((4, 3))] * 2, a=[np.zeros(8)] * 2)
     h, g = random_graph(7, n=5, f=3)
-    out = gat_forward(params, h, g)
+    out = gat_forward(params, h, g.neighborhoods())
     assert np.max(np.abs(out - 0.5)) < 1e-12
 
 
@@ -100,7 +101,7 @@ def test_forward_matches_transcription_oracle(combine, activation):
         params = random_params(seed, 4, 3, heads=2, combine=combine, activation=activation)
         h, g = random_graph(seed + 50, n=6, f=4, k=2)
         indptr, indices = g.neighborhoods()
-        got = gat_forward(params, h, g)
+        got = gat_forward(params, h, (indptr, indices))
         want = gat_forward_oracle(
             params.w,
             params.a,
@@ -117,39 +118,40 @@ def test_forward_matches_transcription_oracle(combine, activation):
 def test_sigmoid_output_range():
     params = random_params(8, 4, 4, heads=3)
     h, g = random_graph(9, n=8, f=4)
-    out = gat_forward(params, h, g)
+    out = gat_forward(params, h, g.neighborhoods())
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def test_locality_of_forward():
     params = random_params(10, 3, 3, heads=2)
     h, g = random_graph(11, n=9, f=3, k=2)
-    out = gat_forward(params, h, g)
+    nbhd = g.neighborhoods()
+    out = gat_forward(params, h, nbhd)
     target = 0
     neighborhood = set(g.nbrs[target].tolist()) | {target}
     outsider = next(i for i in range(g.n) if i not in neighborhood)
     h2 = h.copy()
     h2[outsider] += 1.7
-    out2 = gat_forward(params, h2, g)
+    out2 = gat_forward(params, h2, nbhd)
     assert np.array_equal(out[target], out2[target])
 
 
 def test_permutation_equivariance():
     params = random_params(12, 3, 4, heads=2)
     h, g = random_graph(13, n=7, f=3, k=2)
-    out = gat_forward(params, h, g)
+    out = gat_forward(params, h, g.neighborhoods())
     perm = make_rng(14).permutation(g.n)
     inv = np.argsort(perm)
     h_perm = h[perm]
     g_perm = build_gaussian(h_perm, k=2, sigma=1.0)
-    out_perm = gat_forward(params, h_perm, g_perm)
+    out_perm = gat_forward(params, h_perm, g_perm.neighborhoods())
     assert np.max(np.abs(out_perm - out[perm])) < 1e-9
 
 
 def test_backward_zero_upstream():
     params = random_params(15, 4, 3, heads=2)
     h, g = random_graph(16, n=6, f=4)
-    grad_w, grad_a, grad_h = gat_backward(params, h, g, np.zeros((6, 3)))
+    grad_w, grad_a, grad_h = gat_backward(params, h, g.neighborhoods(), np.zeros((6, 3)))
     assert all(np.max(np.abs(gw)) == 0 for gw in grad_w)
     assert all(np.max(np.abs(ga)) == 0 for ga in grad_a)
     assert np.max(np.abs(grad_h)) == 0
@@ -159,13 +161,14 @@ def test_backward_zero_upstream():
 def test_backward_matches_finite_differences(combine):
     params = random_params(17, 3, 3, heads=2, combine=combine)
     h, g = random_graph(18, n=5, f=3, k=2)
+    nbhd = g.neighborhoods()
     f_out = params.f_out
     upstream = make_rng(19).normal(size=(5, f_out))
 
-    grad_w, grad_a, grad_h = gat_backward(params, h, g, upstream)
+    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream)
 
     def scalar_of_h(vec):
-        return float(np.sum(upstream * gat_forward(params, vec.reshape(h.shape), g)))
+        return float(np.sum(upstream * gat_forward(params, vec.reshape(h.shape), nbhd)))
 
     assert relative_error(grad_h.ravel(), finite_diff_grad(scalar_of_h, h.ravel(), 1e-5)) < 1e-4
 
@@ -174,7 +177,7 @@ def test_backward_matches_finite_differences(combine):
             w = [m.copy() for m in params.w]
             w[k] = vec.reshape(params.w[k].shape)
             p = GatParams(w=w, a=params.a, activation=params.activation, combine=combine)
-            return float(np.sum(upstream * gat_forward(p, h, g)))
+            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
 
         num = finite_diff_grad(scalar_of_w, params.w[k].ravel(), 1e-5)
         assert relative_error(grad_w[k].ravel(), num) < 1e-4
@@ -183,7 +186,7 @@ def test_backward_matches_finite_differences(combine):
             a = [v.copy() for v in params.a]
             a[k] = vec
             p = GatParams(w=params.w, a=a, activation=params.activation, combine=combine)
-            return float(np.sum(upstream * gat_forward(p, h, g)))
+            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
         assert relative_error(grad_a[k], num_a) < 1e-4
@@ -197,8 +200,36 @@ def test_backward_locality():
     outsider = next(i for i in range(g.n) if i not in neighborhood)
     upstream = np.zeros((g.n, 3))
     upstream[target] = 1.0
-    _, _, grad_h = gat_backward(params, h, g, upstream)
+    _, _, grad_h = gat_backward(params, h, g.neighborhoods(), upstream)
     assert np.max(np.abs(grad_h[outsider])) == 0.0
+
+
+# 3-node CSR pairs that each break one rule: indptr has n + 1 entries, starts
+# at 0, never decreases and ends at len(indices); every id lies in [0, n)
+BAD_PAIRS = {
+    "indptr-too-long": ([0, 1, 2, 3, 3], [1, 2, 0]),
+    "indptr-too-short": ([0, 1, 3], [1, 2, 0]),
+    "indptr-not-from-0": ([1, 1, 2, 3], [1, 2, 0]),
+    "indptr-decreasing": ([0, 2, 1, 3], [1, 2, 0]),
+    "indptr-end-mismatch": ([0, 1, 2, 2], [1, 2, 0]),
+    "id-past-n": ([0, 1, 2, 3], [1, 5, 0]),
+    "id-negative": ([0, 1, 2, 3], [1, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("pair", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+@pytest.mark.parametrize("call", ["attention_coeffs", "gat_forward", "gat_backward", "stack"])
+def test_malformed_neighborhoods_raise_shape_error(pair, call):
+    params = random_params(40, 3, 3, heads=2)
+    h = make_rng(41).normal(size=(3, 3))
+    run = {
+        "attention_coeffs": lambda: attention_coeffs(params, 0, h, pair),
+        "gat_forward": lambda: gat_forward(params, h, pair),
+        "gat_backward": lambda: gat_backward(params, h, pair, np.ones((3, 3))),
+        "stack": lambda: stack_forward([params], h, pair),
+    }[call]
+    with pytest.raises(ShapeError):
+        run()
 
 
 def test_stack_identity_when_empty():
@@ -212,7 +243,7 @@ def test_stack_identity_when_empty():
 def test_stack_two_layers_shapes():
     stack = init_gat_stack(2, 4, 3, heads=2, seed=0, combine="concat")
     h, g = random_graph(23, n=6, f=4)
-    out, caches = stack_forward(stack, h, g)
+    out, caches = stack_forward(stack, h, g.neighborhoods())
     assert out.shape == (6, 6)  # concat: K * F' = 2 * 3
     assert stack[1].f_in == 6
     grads, grad_h = stack_backward(stack, caches, np.ones_like(out))
@@ -223,7 +254,7 @@ def test_stack_two_layers_shapes():
 def test_alpha_row_sums_exposed_by_cache():
     stack = init_gat_stack(1, 3, 3, heads=2, seed=1)
     h, g = random_graph(24, n=7, f=3)
-    _, caches = stack_forward(stack, h, g)
+    _, caches = stack_forward(stack, h, g.neighborhoods())
     sums = caches[0].alpha_row_sums()
     assert sums.shape == (2, 7)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
@@ -241,7 +272,7 @@ def test_empty_neighborhoods_forward_matches_oracle(lists, combine, activation):
     params = random_params(30, 3, 4, heads=2, combine=combine, activation=activation)
     h = make_rng(31).normal(size=(5, 3))
     nbhd = csr(lists)
-    out = gat_forward(params, h, nbhd, include_self=False)
+    out = gat_forward(params, h, nbhd)
     want = gat_forward_oracle(params.w, params.a, params.leaky_slope, activation, combine, h, lists)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - want)) < 1e-12
@@ -257,12 +288,12 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
     h = make_rng(33).normal(size=(5, 3))
     nbhd = csr(lists)
     upstream = make_rng(34).normal(size=(5, 3))
-    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream, include_self=False)
+    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream)
     for grad in grad_w + grad_a + [grad_h]:
         assert np.all(np.isfinite(grad))
 
     def scalar_of_h(vec):
-        out = gat_forward(params, vec.reshape(h.shape), nbhd, include_self=False)
+        out = gat_forward(params, vec.reshape(h.shape), nbhd)
         return float(np.sum(upstream * out))
 
     assert relative_error(grad_h.ravel(), finite_diff_grad(scalar_of_h, h.ravel(), 1e-5)) < 1e-4
@@ -271,7 +302,7 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
             a = [v.copy() for v in params.a]
             a[k] = vec
             p = GatParams(w=params.w, a=a)
-            return float(np.sum(upstream * gat_forward(p, h, nbhd, include_self=False)))
+            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
         assert relative_error(grad_a[k], num_a) < 1e-4
@@ -281,7 +312,7 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
 def test_empty_neighborhoods_alpha_row_sums(lists):
     stack = init_gat_stack(1, 3, 3, heads=2, seed=35)
     h = make_rng(36).normal(size=(5, 3))
-    _, caches = stack_forward(stack, h, csr(lists), include_self=False)
+    _, caches = stack_forward(stack, h, csr(lists))
     sums = caches[0].alpha_row_sums()
     nonempty = np.array([len(ids) > 0 for ids in lists])
     assert np.max(np.abs(sums[:, nonempty] - 1.0), initial=0.0) < 1e-12

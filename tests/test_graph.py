@@ -144,7 +144,7 @@ def test_dump_edges_format():
 def test_neighborhoods_include_self():
     h = make_rng(9).normal(size=(6, 2))
     g = build_gaussian(h, 2)
-    indptr, indices = g.neighborhoods(include_self=True)
+    indptr, indices = g.neighborhoods()
     for i in range(g.n):
         row = indices[indptr[i] : indptr[i + 1]]
         assert i in row
@@ -186,17 +186,26 @@ def test_knn_across_row_blocks_matches_oracle():
     assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, 2.0))) < 1e-12
 
 
+def csr_of(g, include_self):
+    """The self-looped CSR from ``neighborhoods()``, or the stored one without self loops."""
+    return g.neighborhoods() if include_self else (g.indptr, g.indices)
+
+
 @pytest.mark.parametrize("include_self", [True, False])
 def test_neighborhoods_match_row_by_row_transcription(include_self):
     for seed in range(5):
         g = build_gaussian(grid_points(30, 4, seed), 3, sigma=1.0)
-        got = g.neighborhoods(include_self=include_self)
+        got = csr_of(g, include_self)
         want = neighborhoods_oracle(g.nbrs, include_self)
         assert all(np.array_equal(a, b) and a.dtype == np.int64 for a, b in zip(got, want))
     # empty lists, and a node whose id is larger than all of its neighbors'
     nbrs = [np.array([2]), np.zeros(0, dtype=np.int64), np.array([0, 3]), np.array([2])]
-    wts = [np.ones(len(ids)) for ids in nbrs]
-    g = NeighborGraph(n=4, k=1, kernel="dot", sigma=None, nbrs=nbrs, wts=wts)
-    got = g.neighborhoods(include_self=include_self)
+    indptr = np.array([0, 1, 1, 3, 4], dtype=np.int64)
+    indices = np.array([2, 0, 3, 2], dtype=np.int64)
+    g = NeighborGraph(
+        n=4, k=1, kernel="dot", sigma=None, indptr=indptr, indices=indices, weights=np.ones(4)
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(g.nbrs, nbrs, strict=True))
+    got = csr_of(g, include_self)
     want = neighborhoods_oracle(nbrs, include_self)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
