@@ -78,7 +78,19 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _comma_list(flag: str, text: str, kind) -> list:
+    """Parse a comma list such as ``8,8`` given to ``flag``; empty items are errors."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"bad {flag} {text!r}, expected a comma list of {kind.__name__} values"
+        ) from None
+
+
 def _config_from_args(args) -> TrainConfig:
+    if args.repeats < 1:
+        raise ParameterError(f"--repeats must be >= 1, got {args.repeats}")
     return TrainConfig(
         latent_dim=args.latent_dim,
         k=args.k,
@@ -104,7 +116,7 @@ def _parse_synth_spec(spec: str, views: int, view_dims: str | None, noise: float
     except ValueError:
         raise ParameterError(f"bad --synth spec {spec!r}, expected CLUSTERSxPER like 3x50")
     if view_dims:
-        dims = [int(d) for d in view_dims.split(",")]
+        dims = _comma_list("--view-dims", view_dims, int)
     else:
         dims = [8] * views
     return synth_multiview(clusters, per, dims, noise=noise, seed=seed)
@@ -256,16 +268,16 @@ def cmd_sweep(args, argv) -> int:
     out = Path(args.out)
     cfg = _config_from_args(args)
     ds, dataset_spec = _load_input(args, cfg.seed)
+    if ds.labels is None:
+        raise ParameterError("sweep needs labels to score each grid cell")
     if args.gamma_grid is None:
         gammas = [10.0**e for e in range(-5, 5)]
     else:
-        gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
+        gammas = _comma_list("--gamma-grid", args.gamma_grid, float)
     if args.k_grid is None:
         ks = list(range(3, 16))
     else:
-        ks = [int(x) for x in args.k_grid.split(",") if x.strip()]
-    if not gammas or not ks:
-        raise ParameterError("sweep grids must be nonempty")
+        ks = _comma_list("--k-grid", args.k_grid, int)
     manifest = _write_manifest(out, "sweep", cfg, dataset_spec, argv)
     lines = ["gamma,k,acc_mean,acc_std,nmi_mean,nmi_std,f_mean,f_std,ari_mean,ari_std"]
     for gamma in gammas:

@@ -5,8 +5,10 @@ vectors. The library returns fractions in [0, 1] (ARI in [-1, 1]);
 percentages only appear in reports.
 
 Conventions pinned here so numbers are reproducible:
-  * ACC uses an optimal one-to-one cluster mapping (Hungarian assignment
-    on the contingency matrix), not a greedy mapping.
+  * ACC uses an optimal one-to-one cluster mapping, not a greedy mapping.
+    The mapping comes from an in-house exact assignment on the contingency
+    matrix (Kuhn-Munkres with row and column potentials, in integers), so
+    scoring loads no optimisation library.
   * NMI normalizes mutual information by the arithmetic mean of the two
     label entropies; if either entropy is zero the score is 1 when the
     partitions are identical and 0 otherwise.
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError
 
@@ -59,6 +60,54 @@ def _partitions_identical(table: np.ndarray) -> bool:
     return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
 
 
+def _max_matched(table: np.ndarray) -> int:
+    """Largest sum of ``table[i, col(i)]`` over one-to-one row-to-column maps.
+
+    Shortest augmenting paths with row and column potentials (Kuhn-Munkres,
+    in the form of Jonker & Volgenant): O(r^2 c) for an r x c table with
+    r <= c, each column update one numpy operation. The costs are the
+    negated integer counts, so every potential, and the total, is exact.
+    A tall table is transposed; its surplus rows stay unmatched.
+    """
+    cost = -np.asarray(table, dtype=np.int64)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    n, m = cost.shape
+    # 1-based rows and columns; column 0 is the root of each augmenting search
+    a = np.zeros((n + 1, m + 1), dtype=np.int64)
+    a[1:, 1:] = cost
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1, dtype=np.int64)
+    owner = np.zeros(m + 1, dtype=np.intp)  # row matched to each column, 0 = free
+    way = np.zeros(m + 1, dtype=np.intp)  # previous column on the shortest path
+    inf = np.iinfo(np.int64).max  # infinite slack, kept in int64
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = np.full(m + 1, inf, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
+        while owner[j0] != 0:
+            used[j0] = True
+            i0 = owner[j0]
+            cur = a[i0] - u[i0] - v
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            slack = np.where(used, inf, minv)
+            j1 = int(slack.argmin())
+            delta = slack[j1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0 != 0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = np.flatnonzero(owner[1:]) + 1
+    return -int(a[owner[cols], cols].sum())
+
+
 def accuracy(pred, truth) -> float:
     """Best agreement fraction over one-to-one mappings of cluster ids.
 
@@ -68,9 +117,7 @@ def accuracy(pred, truth) -> float:
     """
     pred, truth = _check_labels(pred, truth)
     table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    matched = int(table[rows, cols].sum())
-    return matched / pred.shape[0]
+    return _max_matched(table) / pred.shape[0]
 
 
 def nmi(pred, truth) -> float:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import slrl.cli
 from slrl.cli import main
-from slrl.data import load_dataset
+from slrl.data import load_dataset, save_dataset, synth_multiview
 from slrl.errors import DegenerateClusterError, DivergenceError, NumericError
 
 SRC = str(Path(slrl.cli.__file__).resolve().parents[1])
@@ -149,6 +150,61 @@ def test_sweep_single_cell_matches_train(tmp_path):
 def test_sweep_empty_grid_usage_error(tmp_path):
     assert run_cli("sweep", "--synth", "3x8", "--gamma-grid", "", "--k-grid", "3",
                    "--out", str(tmp_path / "s")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--view-dims", "8,x"),
+        ("train", "--view-dims", "4,,4"),
+        ("ablate", "--view-dims", "8,x"),
+        ("gradcheck", "--view-dims", "4,,4"),
+        ("synth", "--view-dims", "8,x"),
+        ("sweep", "--view-dims", "4,,4"),
+        ("sweep", "--gamma-grid", "1,zz"),
+        ("sweep", "--k-grid", "3,y"),
+    ],
+)
+def test_bad_comma_list_names_the_flag(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "o"
+    out_flag = [] if command == "gradcheck" else ["--out", str(out)]
+    assert run_cli(command, "--synth", "3x8", flag, value, *out_flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {flag} {value!r}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_repeats_below_one_usage_error(tmp_path, capsys, command, repeats):
+    out = tmp_path / "o"
+    assert run_cli(command, "--synth", "3x8", "--repeats", repeats, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --repeats must be >= 1, got {repeats}\n"
+    assert not out.exists()
+
+
+def test_sweep_without_labels_usage_error(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    save_dataset(replace(synth_multiview(3, 8, [4, 4], seed=0), labels=None), data_dir)
+    out = tmp_path / "o"
+    code = run_cli("sweep", "--data", str(data_dir), "--clusters", "3",
+                   "--gamma-grid", "10", "--k-grid", "3", "--out", str(out))
+    assert code == 2
+    assert "sweep needs labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # ACC's assignment is in-house; only scipy.sparse is needed, and
+    # scipy.optimize would also pull in linalg, special and spatial.
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.spatial")
+    probe = f"import sys, slrl.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gradcheck_exit_code_zero():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from slrl.errors import ParameterError
-from slrl.metrics import accuracy, aggregate_rows, ari, evaluate, nmi, pair_f_score
+from slrl.metrics import _max_matched, accuracy, aggregate_rows, ari, evaluate, nmi, pair_f_score
 from slrl.numerics import make_rng
 
 from oracles import acc_bruteforce, ari_oracle, f_score_oracle, nmi_oracle, partitions_up_to
@@ -27,6 +28,44 @@ def test_accuracy_rectangular_contingency():
     pred = [0, 1, 2, 3]
     truth = [0, 0, 1, 1]
     assert accuracy(pred, truth) == pytest.approx(acc_bruteforce(pred, truth))
+
+
+def _seeded_tables(seed, count, max_c, max_count):
+    """Count tables cycling through square, wide, tall, 1 x m and n x 1 shapes,
+    filled with spread-out counts, tie-heavy counts or (every tenth) zeros."""
+    rng = make_rng(seed)
+    for t in range(count):
+        r, c = sorted(int(x) for x in rng.integers(1, max_c + 1, size=2))
+        shape = [(c, c), (r, c), (c, r), (1, c), (c, 1)][t % 5]
+        if t % 10 == 9:
+            yield np.zeros(shape, dtype=np.int64)
+        elif t % 2:
+            yield rng.integers(0, 2, size=shape) * int(rng.integers(1, max_count + 1))
+        else:
+            yield rng.integers(0, max_count + 1, size=shape)
+
+
+def test_max_matched_equals_scipy_assignment():
+    for table in _seeded_tables(seed=11, count=3000, max_c=30, max_count=60):
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        got = _max_matched(table)
+        assert type(got) is int
+        assert got == int(table[rows, cols].sum()), table
+
+
+def test_accuracy_equals_bruteforce_on_small_tables():
+    checked = 0
+    for table in _seeded_tables(seed=12, count=600, max_c=5, max_count=4):
+        pred, truth = np.nonzero(table)
+        counts = table[pred, truth]
+        pred, truth = np.repeat(pred, counts), np.repeat(truth, counts)
+        if pred.size == 0:
+            continue
+        best = acc_bruteforce(pred, truth)
+        assert _max_matched(table) / pred.size == best, table
+        assert accuracy(pred, truth) == best, table
+        checked += 1
+    assert checked > 400
 
 
 def test_accuracy_length_mismatch():
