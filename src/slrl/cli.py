@@ -1,8 +1,10 @@
 """Command-line surface: train, eval, ablate, sweep, gradcheck, synth.
 
 Every run writes a JSON manifest into its output directory before any
-training starts, so a run is reproducible from the manifest alone. Plot
-emission is data-only (CSV loss curves, metric grids, 2-D PCA
+training starts, so a run is reproducible from the manifest alone. The
+settings are checked against the data first (``train.check_fit``, for every
+sweep grid cell), so a setting that does not fit exits 2 and writes nothing.
+Plot emission is data-only (CSV loss curves, metric grids, 2-D PCA
 projections); rendering is left to external tools.
 
 The environment variable ``SLRL_THREADS`` caps BLAS worker parallelism; the
@@ -39,7 +41,7 @@ from .errors import (
     ParameterError,
 )
 from .graph import dump_edges
-from .train import TrainConfig, TrainReport, ablate
+from .train import TrainConfig, TrainReport, ablate, check_fit
 from .train import gradcheck as run_gradcheck
 from .train import save_checkpoint
 from .train import train as run_train
@@ -208,6 +210,7 @@ def cmd_train(args, argv) -> int:
     out = Path(args.out)
     cfg = _config_from_args(args)
     ds, dataset_spec = _load_input(args, cfg.seed)
+    check_fit(ds, cfg)
     manifest = _write_manifest(out, "train", cfg, dataset_spec, argv)
     reports = []
     for r in range(args.repeats):
@@ -244,8 +247,7 @@ def cmd_ablate(args, argv) -> int:
     out = Path(args.out)
     cfg = _config_from_args(args)
     ds, dataset_spec = _load_input(args, cfg.seed)
-    if ds.labels is None and cfg.clusters is None:
-        raise ParameterError("ablation needs labels or an explicit --clusters")
+    check_fit(ds, cfg)
     manifest = _write_manifest(out, "ablate", cfg, dataset_spec, argv)
     rows = {"a": [], "b": [], "c": []}
     for r in range(args.repeats):
@@ -278,6 +280,9 @@ def cmd_sweep(args, argv) -> int:
         ks = list(range(3, 16))
     else:
         ks = _comma_list("--k-grid", args.k_grid, int)
+    for gamma in gammas:
+        for k in ks:
+            check_fit(ds, replace(cfg, gamma=gamma, k=k))
     manifest = _write_manifest(out, "sweep", cfg, dataset_spec, argv)
     lines = ["gamma,k,acc_mean,acc_std,nmi_mean,nmi_std,f_mean,f_std,ari_mean,ari_std"]
     for gamma in gammas:

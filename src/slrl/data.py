@@ -16,7 +16,9 @@ On-disk layout, rooted at a directory:
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -122,9 +124,12 @@ def read_matrix(path) -> np.ndarray:
             if len(shape) != 16:
                 raise FormatError(f"{path}: truncated matrix header")
             rows, cols = struct.unpack("<QQ", shape)
+            # checked before reading, so that a bad header sizes no allocation
+            if rows * cols * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise FormatError(f"{path}: truncated matrix block ({rows}x{cols} declared)")
+            if max(rows, 1) * max(cols, 1) * 8 > sys.maxsize:
+                raise FormatError(f"{path}: matrix shape {rows}x{cols} too large")
             data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if data.size != rows * cols:
-                raise FormatError(f"{path}: truncated matrix block")
             return data.reshape(rows, cols).astype(np.float64)
     try:
         return np.loadtxt(path, dtype=np.float64, delimiter=None, ndmin=2)
@@ -152,7 +157,11 @@ def load_dataset(path) -> MultiViewDataset:
         raise FileNotFoundError(f"no {MANIFEST} in {root}")
     views, names, kinds = [], [], []
     labels = None
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), 1):
+    try:
+        text = manifest.read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest}: not text ({exc})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,7 +15,8 @@ N_i as given; an empty row aggregates to zero.
 
 The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
-suite checks it against central differences.
+suite checks it against central differences. Its per-edge dot products
+gather ``_EDGE_CHUNK`` edges at a time, so it holds no (E, F') array.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ __all__ = [
     "stack_forward",
     "stack_backward",
 ]
+
+# edges per gather in the backward pass's per-edge dot products
+_EDGE_CHUNK = 4096
 
 
 @dataclass
@@ -194,6 +198,16 @@ def _segment_reduce(ufunc, x, indptr) -> np.ndarray:
     return out
 
 
+def _edge_dots(x, y, row, indices) -> np.ndarray:
+    """x[row[e]] . y[indices[e]] for every edge e, gathered ``_EDGE_CHUNK`` edges
+    at a time so that no (E, F) gather exists."""
+    out = np.empty(indices.shape[0])
+    for s in range(0, out.shape[0], _EDGE_CHUNK):
+        e = slice(s, s + _EDGE_CHUNK)
+        out[e] = np.einsum("ef,ef->e", x[row[e]], y[indices[e]])
+    return out
+
+
 def _head_forward(params: GatParams, k: int, h, indptr, indices, row):
     fp = params.f_prime
     z = h @ params.w[k].T
@@ -233,7 +247,7 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
         else:
             u_k = upstream[:, k * fp : (k + 1) * fp]
             d_agg = u_k * _activate_deriv(params, hc.agg)
-        d_alpha = np.einsum("ef,ef->e", d_agg[row], hc.z[indices])
+        d_alpha = _edge_dots(d_agg, hc.z, row, indices)
         dz = sp.csr_matrix((hc.alpha, indices, indptr), shape=(n, n)).T @ d_agg
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
         dot = _segment_reduce(np.add, hc.alpha * d_alpha, indptr)

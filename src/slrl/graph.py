@@ -8,14 +8,21 @@ neighbors of j or vice versa. Weights come from either a Gaussian kernel,
 or the raw dot product h_j^T h_i. The attention layer consumes only the
 edge set; weights are retained for inspection and debugging dumps.
 
-A graph is stored once, as the CSR arrays ``np.nonzero`` gives for the union
-mask (no self loops); ``neighborhoods()`` inserts the self loops attention uses.
+A graph is stored once, as CSR arrays with rows and the ids within each row
+in ascending order (no self loops); ``neighborhoods()`` inserts the self
+loops attention uses.
 
-Neighbor search is exact and deterministic. A build computes one matrix of
-squared distances and selects each node's k nearest with ``np.partition``
-over blocks of at most ``_ROW_BLOCK`` rows; where the k-th distance ties past
-the k-th place, the smaller indices win. ``mask | mask.T`` is the union, and
-the weights and the default sigma are read off the same matrix.
+Neighbor search is exact and deterministic, and no build holds an N x N
+array. It works through blocks of at most ``_ROW_BLOCK`` rows: for a block I
+it computes the squared distances ``sq_I + sq - 2 h_I h^T`` and selects each
+row's k nearest with ``np.partition``; where the k-th distance ties past the
+k-th place, the smaller indices win. Only the k ids per row, their squared
+distances and their dot products are kept, so memory is O(N * _ROW_BLOCK).
+The union is the sorted set of unique codes ``i * N + j`` over both
+directions of every selected pair, which is already the CSR order. Both
+directions of an edge take their weight from the pair's first selection in
+row order, so the adjacency is exactly symmetric. The default sigma and the
+weights come from the kept values, with no second distance pass.
 """
 
 from __future__ import annotations
@@ -81,30 +88,50 @@ class NeighborGraph:
         return self.indptr + np.arange(self.n + 1), indices
 
 
-def _knn(h: np.ndarray, k: int, gram: np.ndarray):
-    """Squared distances (inf diagonal, written over ``gram`` = h h^T) and a mask
-    of each row's k nearest columns, the smaller column winning a tie."""
+def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int):
+    """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``; the block's (rows, N)
+    arrays are freed on return."""
+    gram2 = h[start : start + _ROW_BLOCK] @ h.T
+    gram2 *= 2.0
+    d = np.add.outer(sq[start : start + _ROW_BLOCK], sq)
+    d -= gram2
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d[:, start:], np.inf)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k].copy()
+    sel = d <= kth
+    # rows where the k-th distance ties past the k-th place keep the smaller ids
+    for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
+        ties = np.flatnonzero(d[i] == kth[i])
+        sel[i, ties[k - np.count_nonzero(d[i] < kth[i]) :]] = False
+    ids = np.flatnonzero(sel).reshape(-1, k) % sel.shape[1]
+    return ids, np.take_along_axis(d, ids, axis=1), np.take_along_axis(gram2, ids, axis=1) / 2.0
+
+
+def _nearest(h: np.ndarray, k: int):
+    """Each row's k nearest other rows, the smaller id winning a tie: ids (N, k),
+    ascending within a row, with their squared distances and dot products."""
     n = h.shape[0]
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)
-    d = np.add.outer(sq, sq)
-    d -= np.multiply(gram, 2.0, out=gram)
-    np.maximum(d, 0.0, out=d)
-    # force exact symmetry so both directions of an edge share one distance
-    d = np.add(d, d.T, out=gram)
-    d /= 2.0
-    np.fill_diagonal(d, np.inf)
-    mask = np.empty(d.shape, dtype=bool)
-    for s in range(0, n, _ROW_BLOCK):
-        blk, sel = d[s : s + _ROW_BLOCK], mask[s : s + _ROW_BLOCK]
-        kth = np.partition(blk, k - 1, axis=1)[:, k - 1 : k]
-        np.less_equal(blk, kth, out=sel)
-        # rows where the k-th distance ties past the k-th place keep the smaller ids
-        for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
-            ties = np.flatnonzero(blk[i] == kth[i])
-            sel[i, ties[k - np.count_nonzero(blk[i] < kth[i]) :]] = False
-    return d, mask
+    blocks = [_block_nearest(h, sq, s, k) for s in range(0, n, _ROW_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _union(ids: np.ndarray, values: np.ndarray, **fields) -> NeighborGraph:
+    """Union-rule graph over the selections ``ids`` (N, k); an edge weighs
+    ``values`` at the first selection of its pair in row order."""
+    n, k = ids.shape
+    rows = np.repeat(np.arange(n), k)
+    cols = ids.ravel()
+    # both directions of each selection, side by side: a unique code's first
+    # occurrence is then the first selection of its pair, for either direction
+    codes = np.column_stack([rows * n + cols, cols * n + rows]).ravel()
+    codes, first = np.unique(codes, return_index=True)
+    rows, indices = np.divmod(codes, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    weights = values.ravel()[first // 2]
+    return NeighborGraph(n=n, k=k, indptr=indptr, indices=indices, weights=weights, **fields)
 
 
 def knn_indices(h, k: int) -> list:
@@ -113,21 +140,10 @@ def knn_indices(h, k: int) -> list:
     Ties are broken toward the smaller index. Returns a list of int64 arrays
     in ascending-distance order.
     """
-    h = as_matrix(h, "h")
-    d, mask = _knn(h, k, h @ h.T)
-    cols = np.nonzero(mask)[1].reshape(-1, k)
-    # cols ascend within each row, so a stable sort by distance keeps index order on ties
-    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
-    return list(np.take_along_axis(cols, order, axis=1))
-
-
-def _union_graph(mask: np.ndarray, weight, **fields) -> NeighborGraph:
-    """Union-rule graph over the selection mask; ``weight(rows, cols)`` gives edge weights."""
-    rows, cols = np.nonzero(mask | mask.T)
-    indptr = np.searchsorted(rows, np.arange(mask.shape[0] + 1))
-    return NeighborGraph(
-        n=mask.shape[0], indptr=indptr, indices=cols, weights=weight(rows, cols), **fields
-    )
+    ids, dist, _ = _nearest(as_matrix(h, "h"), k)
+    # ids ascend within each row, so a stable sort by distance keeps index order on ties
+    order = np.argsort(dist, axis=1, kind="stable")
+    return list(np.take_along_axis(ids, order, axis=1))
 
 
 def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
@@ -137,10 +153,9 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
     selected kNN pairs; degenerate data (all points identical) makes that
     heuristic collapse, in which case an explicit sigma is required.
     """
-    h = as_matrix(h, "h")
-    d, mask = _knn(h, k, h @ h.T)
+    ids, dist, _ = _nearest(as_matrix(h, "h"), k)
     if sigma is None:
-        sigma = float(np.median(np.sqrt(d[mask])))
+        sigma = float(np.median(np.sqrt(dist)))
         if sigma <= 0.0:
             raise ParameterError(
                 "sigma heuristic degenerate (all selected neighbor distances are zero); "
@@ -149,19 +164,13 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
     elif sigma <= 0.0:
         raise ParameterError("sigma must be positive")
     scale = 2.0 * sigma * sigma
-    return _union_graph(
-        mask, lambda r, c: np.exp(-d[r, c] / scale), k=k, kernel="gaussian", sigma=float(sigma)
-    )
+    return _union(ids, np.exp(-dist / scale), kernel="gaussian", sigma=float(sigma))
 
 
 def build_dot(h, k: int) -> NeighborGraph:
     """Union-kNN graph with dot-product weights (may be negative)."""
-    h = as_matrix(h, "h")
-    gram = h @ h.T
-    _, mask = _knn(h, k, gram.copy())
-    return _union_graph(
-        mask, lambda r, c: (gram[r, c] + gram[c, r]) / 2.0, k=k, kernel="dot", sigma=None
-    )
+    ids, _, dots = _nearest(as_matrix(h, "h"), k)
+    return _union(ids, dots, kernel="dot", sigma=None)
 
 
 def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:

@@ -48,6 +48,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "GradcheckReport",
+    "check_fit",
     "total_loss",
     "train",
     "ablate",
@@ -159,6 +160,18 @@ def _resolve_clusters(ds: MultiViewDataset, cfg: TrainConfig) -> int:
     return c
 
 
+def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> None:
+    """Raise ``ParameterError`` unless ``cfg`` is valid and fits ``ds``: k below the
+    sample count and between 2 and N clusters. ``train`` runs this first."""
+    cfg.validate()
+    n = ds.n_samples
+    if cfg.k > n - 1:
+        raise ParameterError(f"k={cfg.k} too large for {n} samples")
+    c = _resolve_clusters(ds, cfg)
+    if not 2 <= c <= n:
+        raise ParameterError(f"cluster count {c} outside [2, {n}]")
+
+
 def _epoch_metrics(q: np.ndarray, labels) -> mt.MetricsReport | None:
     if labels is None:
         return None
@@ -224,10 +237,8 @@ def _step(params, grads, scales: dict, where: str) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
-    cfg.validate()
+    check_fit(ds, cfg)
     n = ds.n_samples
-    if cfg.k > n - 1:
-        raise ParameterError(f"k={cfg.k} too large for {n} samples")
     kernel = _resolve_kernel(ds, cfg)
     n_clusters = _resolve_clusters(ds, cfg)
 
@@ -367,7 +378,7 @@ def ablate(ds: MultiViewDataset, cfg: TrainConfig) -> dict:
     (c) the full pipeline.
     Returns {"a": report, "b": report, "c": report}.
     """
-    cfg.validate()
+    check_fit(ds, cfg)
     cfg_a = replace(cfg, gamma=0.0, gat_layers=0)
     cfg_b = replace(cfg, gamma=0.0, gat_layers=max(1, cfg.gat_layers))
     return {"a": train(ds, cfg_a), "b": train(ds, cfg_b), "c": train(ds, cfg)}
@@ -413,7 +424,7 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
     close to a kink are re-seeded deterministically, since finite
     differences are meaningless across a kink.
     """
-    cfg.validate()
+    check_fit(ds, cfg)
     n = ds.n_samples
     if n > 30:
         raise ParameterError(f"gradcheck needs N <= 30, got {n}")

@@ -183,6 +183,25 @@ def test_repeats_below_one_usage_error(tmp_path, capsys, command, repeats):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("train", ["--k", "0"], "k must be >= 1"),
+        ("train", ["--k", "24"], "k=24 too large for 24 samples"),
+        ("train", ["--clusters", "50"], "cluster count 50 outside [2, 24]"),
+        ("ablate", ["--clusters", "1"], "cluster count 1 outside [2, 24]"),
+        ("sweep", ["--k-grid", "0", "--gamma-grid", "10"], "k must be >= 1"),
+        # the first cell fits; the check still runs before any cell trains
+        ("sweep", ["--k-grid", "3,30", "--gamma-grid", "10"], "k=30 too large for 24 samples"),
+    ],
+)
+def test_setting_that_does_not_fit_writes_nothing(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "o"
+    assert run_cli(command, "--synth", "3x8", *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_without_labels_usage_error(tmp_path, capsys):
     data_dir = tmp_path / "data"
     save_dataset(replace(synth_multiview(3, 8, [4, 4], seed=0), labels=None), data_dir)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from slrl import gat
 from slrl.errors import ShapeError
 from slrl.gat import (
     GatParams,
@@ -317,3 +320,34 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
     nonempty = np.array([len(ids) > 0 for ids in lists])
     assert np.max(np.abs(sums[:, nonempty] - 1.0), initial=0.0) < 1e-12
     assert np.all(sums[:, ~nonempty] == 0.0)
+
+
+def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
+    h, g = random_graph(23, 40, 5, k=4)
+    stack = init_gat_stack(2, 5, 3, 2, seed=4, combine="concat", activation="elu")
+    out, caches = stack_forward(stack, h, g.neighborhoods())
+    upstream = make_rng(24).normal(size=out.shape)
+    whole = stack_backward(stack, caches, upstream)
+    monkeypatch.setattr(gat, "_EDGE_CHUNK", 7)  # many chunks, the last one partial
+    chunked = stack_backward(stack, caches, upstream)
+    assert np.array_equal(whole[1], chunked[1])
+    for (w1, a1), (w2, a2) in zip(whole[0], chunked[0], strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(w1 + a1, w2 + a2, strict=True))
+
+
+def test_backward_holds_no_edge_by_feature_gather():
+    n, f = 1024, 64
+    h, g = random_graph(25, n, f, k=30)
+    indptr, indices = g.neighborhoods()
+    edges = indices.shape[0]
+    stack = init_gat_stack(1, f, f, 2, seed=5)
+    out, caches = stack_forward(stack, h, (indptr, indices))
+    upstream = make_rng(26).normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        stack_backward(stack, caches, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < edges * f * 8  # one (E, F') float64 gather
+    assert edges >= 8 * gat._EDGE_CHUNK  # so that the bound leaves no room for one

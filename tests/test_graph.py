@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slrl.errors import ParameterError
 from slrl import graph
-from slrl.graph import NeighborGraph, build_dot, build_gaussian, dump_edges, knn_indices
+from slrl.graph import (
+    NeighborGraph,
+    build_dot,
+    build_gaussian,
+    build_graph,
+    dump_edges,
+    knn_indices,
+)
 from slrl.numerics import make_rng
 
 from oracles import dot_adjacency, gaussian_adjacency, knn_bruteforce, neighborhoods_oracle
@@ -184,6 +193,41 @@ def test_knn_across_row_blocks_matches_oracle():
         assert np.array_equal(got, want)
     g = build_gaussian(h, k, sigma=2.0)
     assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, 2.0))) < 1e-12
+
+
+def edge_set(nbrs):
+    return {(i, int(j)) for i, ids in enumerate(nbrs) for j in ids}
+
+
+def test_blocked_build_matches_oracles_on_random_input():
+    # no ties here: three row blocks, the last one partial
+    n, k = 2 * graph._ROW_BLOCK + 40, 5
+    h = make_rng(12).normal(size=(n, 3))
+    want = knn_bruteforce(h, k)
+    union = edge_set(want)
+    union |= {(j, i) for i, j in union}
+    g = build_gaussian(h, k)
+    assert edge_set(g.nbrs) == union
+    kept = [np.sqrt(np.sum((h[i] - h[j]) ** 2)) for i, ids in enumerate(want) for j in ids]
+    assert g.sigma == pytest.approx(np.median(kept), rel=1e-12)
+    assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, g.sigma))) < 1e-12
+    d = build_dot(h, k)
+    assert edge_set(d.nbrs) == union
+    assert np.max(np.abs(graph_to_dense(d) - dot_adjacency(h, k))) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "dot"])
+def test_build_holds_no_n_by_n_array(kernel):
+    n = 4 * graph._ROW_BLOCK
+    h = make_rng(13).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        build_graph(h, 10, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of _ROW_BLOCK rows hold a few (N / 4, N) arrays, never one N x N matrix
+    assert peak < n * n * 8
 
 
 def csr_of(g, include_self):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from slrl.data import synth_multiview
 import slrl.cluster
+import slrl.encoder
 from slrl.errors import FormatError, NumericError, ParameterError
 from slrl.train import (
     TrainConfig,
     ablate,
+    check_fit,
     gradcheck,
     load_checkpoint,
     save_checkpoint,
@@ -52,6 +56,33 @@ def test_config_validation():
         TrainConfig(gamma=-1.0).validate()
     with pytest.raises(ParameterError):
         TrainConfig(learning_rate=0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(k=0), "k must be >= 1"),
+        (dict(k=18), "k=18 too large for 18 samples"),
+        (dict(clusters=19), r"cluster count 19 outside \[2, 18\]"),
+        (dict(clusters=1), r"cluster count 1 outside \[2, 18\]"),
+    ],
+)
+def test_settings_that_do_not_fit_fail_before_any_epoch(monkeypatch, fields, message):
+    ds = small_ds()
+    cfg = small_cfg(**fields)
+    with pytest.raises(ParameterError, match=message):
+        check_fit(ds, cfg)
+    monkeypatch.setattr(slrl.encoder, "reconstruction_grads", lambda *a: pytest.fail("trained"))
+    for run in (train, ablate):
+        with pytest.raises(ParameterError, match=message):
+            run(ds, cfg)
+
+
+def test_check_fit_needs_clusters_without_labels():
+    ds = replace(small_ds(), labels=None)
+    with pytest.raises(ParameterError, match="no labels"):
+        check_fit(ds, small_cfg())
+    check_fit(ds, small_cfg(clusters=3))
 
 
 def test_zero_joint_epochs_keeps_pretrained_state():
