@@ -16,7 +16,7 @@ rng = make_rng(3)
 h = rng.normal(size=(7, 4))
 nbhd = build_gaussian(h, k=2, sigma=1.0).neighborhoods()  # CSR rows with self loops
 
-params = init_gat(f_in=4, f_prime=4, heads=2, seed_or_rng=0)
+params = init_gat(f_in=4, f_prime=4, heads=2, rng=make_rng(0))
 alphas = attention_coeffs(params, head=0, h=h, nbhd=nbhd)
 print("attention row sums:", [round(float(a.sum()), 12) for a in alphas])
 print("node 0 attends over", len(alphas[0]), "neighbors (self included)")
@@ -25,7 +25,7 @@ out_avg = gat_forward(params, h, nbhd)
 print("\naverage combine: output", out_avg.shape, "in (0,1):",
       bool(out_avg.min() > 0 and out_avg.max() < 1))
 
-params_cat = init_gat(4, 4, heads=2, seed_or_rng=0, combine="concat")
+params_cat = init_gat(4, 4, heads=2, rng=make_rng(0), combine="concat")
 out_cat = gat_forward(params_cat, h, nbhd)
 print("concat combine: output", out_cat.shape)
 

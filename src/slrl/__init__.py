@@ -68,7 +68,6 @@ from .data import (
 )
 from .encoder import (
     DecoderParams,
-    LatentState,
     decode,
     init_decoders,
     init_latent,
@@ -97,7 +96,6 @@ __all__ = [
     "split",
     "synth_multiview",
     "DecoderParams",
-    "LatentState",
     "decode",
     "init_decoders",
     "init_latent",

@@ -48,20 +48,21 @@ from .train import train as run_train
 from .train import write_loss_log
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--latent-dim", type=int, default=64)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--pretrain-epochs", type=int, default=50)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--activation", choices=["sigmoid", "elu"], default="sigmoid")
-    p.add_argument("--combine", choices=["average", "concat"], default="average")
-    p.add_argument("--kernel", choices=["gaussian", "dot"], default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    d = TrainConfig()
+    p.add_argument("--latent-dim", type=int, default=d.latent_dim)
+    p.add_argument("--k", type=int, default=d.k)
+    p.add_argument("--gamma", type=float, default=d.gamma)
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--pretrain-epochs", type=int, default=d.pretrain_epochs)
+    p.add_argument("--heads", type=int, default=d.heads)
+    p.add_argument("--layers", type=int, default=d.gat_layers)
+    p.add_argument("--activation", choices=["sigmoid", "elu"], default=d.activation)
+    p.add_argument("--combine", choices=["average", "concat"], default=d.combine)
+    p.add_argument("--kernel", choices=["gaussian", "dot"], default=d.kernel)
+    p.add_argument("--sigma", type=float, default=d.sigma)
+    p.add_argument("--clusters", type=int, default=d.clusters)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--repeats", type=int, default=1)
 
 

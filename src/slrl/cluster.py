@@ -10,7 +10,7 @@ the target distribution squares and frequency-normalizes Q,
 
 and the clustering loss is KL(P || Q) with P held constant between
 refreshes. Centroids are initialized by k-means (k-means++ seeding,
-multiple restarts, best inertia kept).
+``_RESTARTS`` restarts, best inertia kept).
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ __all__ = [
     "kl_loss",
     "cluster_grads",
 ]
+
+# k-means: restarts kept by best inertia, and the Lloyd iteration cap and
+# relative inertia-change tolerance of each restart
+_RESTARTS = 10
+_MAX_ITER = 100
+_TOL = 1e-6
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -61,13 +67,13 @@ def _plusplus_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
     return x[np.array(chosen)].copy()
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(x: np.ndarray, centers: np.ndarray):
     """Lloyd iterations; empty clusters are re-seeded from the farthest point."""
     n = x.shape[0]
     c = centers.shape[0]
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _sq_dists(x, centers)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
@@ -80,7 +86,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
                 assigned_d2[far] = 0.0  # do not reuse the same point for another empty cluster
                 members = labels == j
             centers[j] = x[members].mean(axis=0)
-        if prev_inertia - inertia <= tol * max(abs(prev_inertia), 1e-12):
+        if prev_inertia - inertia <= _TOL * max(abs(prev_inertia), 1e-12):
             prev_inertia = inertia
             break
         prev_inertia = inertia
@@ -90,8 +96,8 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
     return centers, labels, inertia
 
 
-def kmeans(x, c: int, seed: int, restarts: int = 10, max_iter: int = 100, tol: float = 1e-6):
-    """Best-of-``restarts`` k-means with k-means++ seeding.
+def kmeans(x, c: int, seed: int):
+    """Best-of-``_RESTARTS`` k-means with k-means++ seeding.
 
     Returns (centroids, labels, inertia). Deterministic given seed.
     """
@@ -101,20 +107,20 @@ def kmeans(x, c: int, seed: int, restarts: int = 10, max_iter: int = 100, tol: f
         raise ParameterError(f"cluster count {c} outside [1, {n}]")
     rng = make_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         centers = _plusplus_seed(x, c, rng)
-        centers, labels, inertia = _lloyd(x, centers, max_iter, tol)
+        centers, labels, inertia = _lloyd(x, centers)
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)
     return best
 
 
-def init_centroids(ht, c: int, seed: int, restarts: int = 10) -> np.ndarray:
+def init_centroids(ht, c: int, seed: int) -> np.ndarray:
     """Centroid matrix for the clustering head, via restarted k-means."""
     ht = as_matrix(ht, "ht")
     if not 2 <= c <= ht.shape[0]:
         raise ParameterError(f"cluster count {c} outside [2, {ht.shape[0]}]")
-    centers, _, _ = kmeans(ht, c, seed=seed, restarts=restarts)
+    centers, _, _ = kmeans(ht, c, seed=seed)
     return centers
 
 

@@ -10,7 +10,7 @@ On-disk layout, rooted at a directory:
         labels <relative-path>
   * matrix files either as whitespace/comma-delimited text or as binary
     blocks: magic ``MVM1``, rows (u64 LE), cols (u64 LE), then rows*cols
-    float64 LE values in row-major order
+    float64 LE values in row-major order, up to the end of the file
   * labels as one integer per line
 """
 
@@ -19,6 +19,8 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,6 +43,8 @@ __all__ = [
 
 MAGIC = b"MVM1"
 MANIFEST = "manifest.txt"
+# smallest pairwise distance between the scaled cluster centers of synth_multiview
+_MIN_SEPARATION = 0.5
 
 
 @dataclass
@@ -125,28 +129,41 @@ def read_matrix(path) -> np.ndarray:
                 raise FormatError(f"{path}: truncated matrix header")
             rows, cols = struct.unpack("<QQ", shape)
             # checked before reading, so that a bad header sizes no allocation
-            if rows * cols * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
-                raise FormatError(f"{path}: truncated matrix block ({rows}x{cols} declared)")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if rows * cols * 8 != left:
+                raise FormatError(f"{path}: {rows}x{cols} matrix declared, {left} data bytes follow")
             if max(rows, 1) * max(cols, 1) * 8 > sys.maxsize:
                 raise FormatError(f"{path}: matrix shape {rows}x{cols} too large")
             data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
             return data.reshape(rows, cols).astype(np.float64)
-    try:
-        return np.loadtxt(path, dtype=np.float64, delimiter=None, ndmin=2)
-    except ValueError:
-        pass
-    try:
-        return np.loadtxt(path, dtype=np.float64, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a numeric matrix ({exc})") from None
+    with _values_required(path):
+        for delimiter in (None, ","):
+            try:
+                return np.loadtxt(path, dtype=np.float64, delimiter=delimiter, ndmin=2)
+            except ValueError as exc:
+                error = exc
+    raise FormatError(f"{path}: not a numeric matrix ({error})") from None
 
 
 def read_labels(path) -> np.ndarray:
     """One integer label per line."""
-    try:
-        return np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise FormatError(f"{path}: labels must be integers ({exc})") from None
+    with _values_required(path):
+        try:
+            return np.loadtxt(path, dtype=np.int64, ndmin=1)
+        except ValueError as exc:
+            raise FormatError(f"{path}: labels must be integers ({exc})") from None
+
+
+@contextmanager
+def _values_required(path):
+    """A text file that holds no values raises ``FormatError`` in place of
+    numpy's warning and empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            yield
+        except UserWarning:
+            raise FormatError(f"{path}: no values") from None
 
 
 def load_dataset(path) -> MultiViewDataset:
@@ -216,7 +233,6 @@ def synth_multiview(
     view_dims,
     noise: float = 0.05,
     seed: int = 0,
-    min_separation: float = 0.5,
 ) -> MultiViewDataset:
     """Synthetic multi-view data with ground-truth cluster labels.
 
@@ -224,7 +240,7 @@ def synth_multiview(
     through a random linear map plus isotropic Gaussian noise, so at
     ``noise=0`` all samples of a cluster coincide within every view.
     Centers are redrawn until their pairwise distance is at least
-    ``min_separation``, which keeps the difficulty of a given noise level
+    ``_MIN_SEPARATION``, which keeps the difficulty of a given noise level
     comparable across seeds.
     """
     if clusters < 2 or per_cluster < 2:
@@ -248,7 +264,7 @@ def synth_multiview(
             )
         )
         np.fill_diagonal(d, np.inf)
-        if d.min() * scale >= min_separation:
+        if d.min() * scale >= _MIN_SEPARATION:
             break
     centers = centers * scale
     n = clusters * per_cluster

@@ -1,7 +1,7 @@
 """Common latent representation and per-view reconstruction networks.
 
-The latent matrix H (one free row per sample) is optimized directly; each
-view v is reconstructed from it by a small decoder
+The latent matrix H, a plain (N, F) array with one free row per sample, is
+optimized directly; each view v is reconstructed from it by a small decoder
 
     x_hat = relu(H W1^T + b1) W2^T + b2
 
@@ -26,7 +26,6 @@ from .errors import ParameterError, ShapeError
 from .numerics import as_matrix, make_rng
 
 __all__ = [
-    "LatentState",
     "DecoderParams",
     "init_latent",
     "init_decoder",
@@ -38,21 +37,6 @@ __all__ = [
 ]
 
 INIT_HALF_WIDTH = 0.05  # latent entries start i.i.d. uniform on [-0.05, 0.05]
-
-
-@dataclass
-class LatentState:
-    """Free latent matrix, one row per sample."""
-
-    h: np.ndarray  # (N, F)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def f(self) -> int:
-        return self.h.shape[1]
 
 
 @dataclass
@@ -73,12 +57,12 @@ class DecoderParams:
             raise ShapeError("decoder output bias does not match output dim")
 
 
-def init_latent(n: int, f: int, seed: int) -> LatentState:
-    """Latent rows drawn i.i.d. uniform on [-0.05, 0.05]."""
+def init_latent(n: int, f: int, seed: int) -> np.ndarray:
+    """The (N, F) latent matrix, entries drawn i.i.d. uniform on [-0.05, 0.05]."""
     if n < 1 or f < 2:
         raise ParameterError(f"need n >= 1 and f >= 2, got n={n}, f={f}")
     rng = make_rng(seed)
-    return LatentState(h=rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=(n, f)))
+    return rng.uniform(-INIT_HALF_WIDTH, INIT_HALF_WIDTH, size=(n, f))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -110,35 +94,38 @@ def decode(theta: DecoderParams, h) -> np.ndarray:
     return np.maximum(pre, 0.0) @ theta.w2.T + theta.b2
 
 
-def per_sample_reconstruction(state: LatentState, params, ds: MultiViewDataset) -> np.ndarray:
-    """Vector of per-sample reconstruction errors sum_v ||f_v(h_n) - x_n^(v)||^2."""
-    if ds.n_samples != state.n:
-        raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {state.n}")
+def _sample_count(h, params, ds: MultiViewDataset) -> int:
+    """The row count of h, checked to be one row per sample and one decoder per view."""
+    n = np.shape(h)[0]
+    if ds.n_samples != n:
+        raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {n}")
     if len(params) != ds.n_views:
         raise ShapeError(f"{len(params)} decoders for {ds.n_views} views")
-    total = np.zeros(state.n)
+    return n
+
+
+def per_sample_reconstruction(h, params, ds: MultiViewDataset) -> np.ndarray:
+    """Vector of per-sample reconstruction errors sum_v ||f_v(h_n) - x_n^(v)||^2."""
+    n = _sample_count(h, params, ds)
+    total = np.zeros(n)
     for theta, x in zip(params, ds.views):
-        err = decode(theta, state.h) - x
+        err = decode(theta, h) - x
         total += np.sum(err * err, axis=1)
     return total
 
 
-def reconstruction_loss(state: LatentState, params, ds: MultiViewDataset) -> float:
+def reconstruction_loss(h, params, ds: MultiViewDataset) -> float:
     """Mean over samples of the summed per-view squared errors."""
-    return float(per_sample_reconstruction(state, params, ds).mean())
+    return float(per_sample_reconstruction(h, params, ds).mean())
 
 
-def reconstruction_grads(state: LatentState, params, ds: MultiViewDataset):
+def reconstruction_grads(h, params, ds: MultiViewDataset):
     """Exact gradients of ``reconstruction_loss`` for H and every decoder.
 
     Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients.
     """
-    if ds.n_samples != state.n:
-        raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {state.n}")
-    if len(params) != ds.n_views:
-        raise ShapeError(f"{len(params)} decoders for {ds.n_views} views")
-    n = state.n
-    h = as_matrix(state.h, "h")
+    n = _sample_count(h, params, ds)
+    h = as_matrix(h, "h")
     grad_h = np.zeros_like(h)
     grads = []
     for theta, x in zip(params, ds.views):

@@ -30,6 +30,7 @@ from .errors import ParameterError, ShapeError
 from .numerics import as_matrix, make_rng
 
 __all__ = [
+    "LEAKY_SLOPE",
     "GatParams",
     "init_gat",
     "init_gat_stack",
@@ -40,6 +41,8 @@ __all__ = [
     "stack_backward",
 ]
 
+# negative-side slope of the LeakyReLU on attention scores, as in GAT
+LEAKY_SLOPE = 0.2
 # edges per gather in the backward pass's per-edge dot products
 _EDGE_CHUNK = 4096
 
@@ -52,7 +55,6 @@ class GatParams:
     a: list  # per head: (2 F',)
     activation: str = "sigmoid"  # "sigmoid" | "elu"
     combine: str = "average"  # "average" | "concat"
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         if not self.w or len(self.w) != len(self.a):
@@ -67,8 +69,6 @@ class GatParams:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.combine not in ("average", "concat"):
             raise ParameterError(f"unknown combine mode {self.combine!r}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ParameterError("leaky_slope must lie in (0, 1)")
 
     @property
     def heads(self) -> int:
@@ -91,10 +91,9 @@ def init_gat(
     f_in: int,
     f_prime: int,
     heads: int,
-    seed_or_rng,
+    rng: np.random.Generator,
     activation: str = "sigmoid",
     combine: str = "average",
-    leaky_slope: float = 0.2,
 ) -> GatParams:
     """He-uniform head weights (fan-in only) and Glorot-uniform scoring vectors.
 
@@ -102,7 +101,6 @@ def init_gat(
     contrast; Glorot-width scoring vectors keep the initial attention
     close to uniform.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else make_rng(seed_or_rng)
     sw = np.sqrt(6.0 / f_in)
     sa = np.sqrt(6.0 / (2 * f_prime + 1))
     return GatParams(
@@ -110,7 +108,6 @@ def init_gat(
         a=[rng.uniform(-sa, sa, size=2 * f_prime) for _ in range(heads)],
         activation=activation,
         combine=combine,
-        leaky_slope=leaky_slope,
     )
 
 
@@ -122,14 +119,13 @@ def init_gat_stack(
     seed: int,
     activation: str = "sigmoid",
     combine: str = "average",
-    leaky_slope: float = 0.2,
 ) -> list:
     """A stack of attention layers with chained dimensions; [] when layers=0."""
     rng = make_rng(seed)
     stack = []
     dim = f_in
     for _ in range(layers):
-        layer = init_gat(dim, f_prime, heads, rng, activation, combine, leaky_slope)
+        layer = init_gat(dim, f_prime, heads, rng, activation, combine)
         stack.append(layer)
         dim = layer.f_out
     return stack
@@ -212,7 +208,7 @@ def _head_forward(params: GatParams, k: int, h, indptr, indices, row):
     fp = params.f_prime
     z = h @ params.w[k].T
     t = (z @ params.a[k][:fp])[row] + (z @ params.a[k][fp:])[indices]
-    e = np.where(t > 0, t, params.leaky_slope * t)
+    e = np.where(t > 0, t, LEAKY_SLOPE * t)
     ex = np.exp(e - _segment_reduce(np.maximum, e, indptr)[row])
     alpha = ex / _segment_reduce(np.add, ex, indptr)[row]
     agg = sp.csr_matrix((alpha, indices, indptr), shape=(h.shape[0],) * 2) @ z
@@ -252,7 +248,7 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
         dot = _segment_reduce(np.add, hc.alpha * d_alpha, indptr)
         d_e = hc.alpha * (d_alpha - dot[row])
-        d_t = d_e * np.where(hc.t > 0, 1.0, params.leaky_slope)
+        d_t = d_e * np.where(hc.t > 0, 1.0, LEAKY_SLOPE)
         # t_ij = a_src . z_i + a_dst . z_j, so sum d_t over rows and over columns
         row_dt = _segment_reduce(np.add, d_t, indptr)
         col_dt = np.bincount(indices, weights=d_t, minlength=n)

@@ -161,8 +161,8 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
                 "sigma heuristic degenerate (all selected neighbor distances are zero); "
                 "pass an explicit sigma"
             )
-    elif sigma <= 0.0:
-        raise ParameterError("sigma must be positive")
+    elif not 0.0 < sigma < np.inf:  # false for nan too
+        raise ParameterError("sigma must be finite and positive")
     scale = 2.0 * sigma * sigma
     return _union(ids, np.exp(-dist / scale), kernel="gaussian", sigma=float(sigma))
 

@@ -225,10 +225,6 @@ class MetricsReport:
                 lines.append(f"{key} {value}")
         return "\n".join(lines) + "\n"
 
-    def to_row(self) -> str:
-        """Delimited row ``acc,nmi,f_score,ari`` for multi-run aggregation."""
-        return f"{self.acc:.6f},{self.nmi:.6f},{self.f_score:.6f},{self.ari:.6f}"
-
 
 def evaluate(pred, truth) -> MetricsReport:
     """All four metrics in one report."""

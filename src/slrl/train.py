@@ -77,8 +77,6 @@ class TrainConfig:
     kernel: str | None = None  # None: pick from the dataset's view kinds
     sigma: float | None = None
     clusters: int | None = None  # None: take the ground-truth label count
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 10
     early_stop_min_epochs: int = 20
 
     def validate(self) -> None:
@@ -86,10 +84,13 @@ class TrainConfig:
             raise ParameterError("latent_dim must be >= 2")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
-        if self.gamma < 0:
-            raise ParameterError("gamma must be >= 0")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        # written so that nan fails too: every comparison with nan is false
+        if not 0 <= self.gamma < np.inf:
+            raise ParameterError("gamma must be finite and >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ParameterError("learning_rate must be finite and positive")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ParameterError("sigma must be finite and positive")
         if min(self.epochs, self.pretrain_epochs) < 0:
             raise ParameterError("epoch counts must be >= 0")
         if self.heads < 1 or self.gat_layers < 0:
@@ -180,13 +181,20 @@ def _epoch_metrics(q: np.ndarray, labels) -> mt.MetricsReport | None:
 
 _GROUPS = ("h", "decoders", "gat", "centroids")
 _DECODER_FIELDS = ("w1", "b1", "w2", "b2")
+# early stopping: an epoch that does not lower the best loss by this relative
+# margin spends one unit of patience
+_EARLY_STOP_TOL = 1e-6
+# epochs without loss improvement, or with stable assignments, before a stop
+_PATIENCE = 10
 # hard assignments count as stable when at most this fraction of samples switch cluster
 _ASSIGN_STABLE_TOL = 1e-3
+# central-difference step of gradcheck
+_GRADCHECK_EPS = 1e-5
 
 
 def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
     """Latent matrix, decoders and attention stack from seeds seed, seed+1, seed+2."""
-    state = enc.init_latent(n, cfg.latent_dim, seed)
+    h = enc.init_latent(n, cfg.latent_dim, seed)
     decoders = enc.init_decoders(cfg.latent_dim, dims, seed + 1)
     stack = gt.init_gat_stack(
         cfg.gat_layers,
@@ -197,7 +205,7 @@ def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
         activation=cfg.activation,
         combine=cfg.combine,
     )
-    return state, decoders, stack
+    return h, decoders, stack
 
 
 def _gat_pairs(stack) -> list:
@@ -242,7 +250,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     kernel = _resolve_kernel(ds, cfg)
     n_clusters = _resolve_clusters(ds, cfg)
 
-    state, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
+    h, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
     report = TrainReport(decoders=decoders, gat_stack=stack)
     lr = cfg.learning_rate
     # latent rows step on their per-sample gradient, N times the mean one
@@ -250,19 +258,19 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # phase 1: reconstruction-only descent on H and the decoders
     for epoch in range(cfg.pretrain_epochs):
-        loss = enc.reconstruction_loss(state, decoders, ds)
-        grad_h, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+        loss = enc.reconstruction_loss(h, decoders, ds)
+        grad_h, dec_grads = enc.reconstruction_grads(h, decoders, ds)
         report.lr_history.append(loss)
         report.lc_history.append(0.0)
         report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
         report.metrics_history.append(None)
         where = f"pretrain epoch {epoch + 1}"
-        _step(_named(state.h, decoders, []), _named(grad_h, dec_grads, []), scales, where)
+        _step(_named(h, decoders, []), _named(grad_h, dec_grads, []), scales, where)
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids
-    nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
-    ht, caches = gt.stack_forward(stack, state.h, nbhd)
+    nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+    ht, caches = gt.stack_forward(stack, h, nbhd)
     centroids = cl.init_centroids(ht, n_clusters, seed=cfg.seed + 3)
     best_loss = np.inf
     no_improve = 0
@@ -271,8 +279,8 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     for epoch in range(cfg.epochs):
         if epoch > 0:
-            nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
-        ht, caches = gt.stack_forward(stack, state.h, nbhd)
+            nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+        ht, caches = gt.stack_forward(stack, h, nbhd)
         q = cl.soft_assign(ht, centroids)
         try:
             p = cl.target_distribution(q)
@@ -282,7 +290,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             q = cl.soft_assign(ht, centroids)
             p = cl.target_distribution(q)
 
-        lr_value = enc.reconstruction_loss(state, decoders, ds)
+        lr_value = enc.reconstruction_loss(h, decoders, ds)
         lc_value = cl.kl_loss(p, q)
         loss = total_loss(lr_value, lc_value, cfg.gamma)
 
@@ -292,13 +300,13 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         report.metrics_history.append(_epoch_metrics(q, ds.labels))
         _update_invariant_gaps(report, q, p, caches)
 
-        grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+        grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
         grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
         # shared parameters descend the mean per-sample loss, so the summed
         # clustering gradients are scaled by gamma/N before stepping
         layer_grads, grad_h_gat = gt.stack_backward(stack, caches, (cfg.gamma / n) * grad_ht)
         _step(
-            _named(state.h, decoders, _gat_pairs(stack), centroids),
+            _named(h, decoders, _gat_pairs(stack), centroids),
             _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
             scales,
             f"joint epoch {epoch + 1}",
@@ -307,10 +315,10 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
         # two convergence monitors, both gated behind a burn-in:
         #  - loss: an epoch failing to improve the best loss by a relative
-        #    early_stop_tol spends one unit of patience
+        #    _EARLY_STOP_TOL spends one unit of patience
         #  - assignments: the alternating scheme has converged once hard
         #    cluster assignments stop changing (within _ASSIGN_STABLE_TOL)
-        if loss < best_loss * (1.0 - cfg.early_stop_tol):
+        if loss < best_loss * (1.0 - _EARLY_STOP_TOL):
             best_loss = loss
             no_improve = 0
         else:
@@ -322,21 +330,21 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             stable_assign = 0
         prev_assign = assign
         if epoch + 1 >= cfg.early_stop_min_epochs:
-            if no_improve >= cfg.early_stop_patience:
+            if no_improve >= _PATIENCE:
                 report.early_stopped_at = epoch + 1
                 report.early_stop_reason = "loss"
                 break
-            if stable_assign >= cfg.early_stop_patience:
+            if stable_assign >= _PATIENCE:
                 report.early_stopped_at = epoch + 1
                 report.early_stop_reason = "assignments"
                 break
 
     # final state under the last parameter values
-    g = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma)
+    g = gr.build_graph(h, cfg.k, kernel, cfg.sigma)
     nbhd = g.neighborhoods()
-    ht, _ = gt.stack_forward(stack, state.h, nbhd)
+    ht, _ = gt.stack_forward(stack, h, nbhd)
     q = cl.soft_assign(ht, centroids)
-    report.h = state.h
+    report.h = h
     report.ht = ht
     report.q = q
     report.centroids = centroids
@@ -405,9 +413,9 @@ class GradcheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _kink_margin(state, decoders, caches) -> float:
+def _kink_margin(h, decoders, caches) -> float:
     """Smallest |pre-activation| at any ReLU/LeakyReLU kink in the frozen loss."""
-    pre = [state.h @ theta.w1.T + theta.b1 for theta in decoders]
+    pre = [h @ theta.w1.T + theta.b1 for theta in decoders]
     scores = [head.t for cache in caches for head in cache.heads]
     return min(float(np.abs(x).min()) for x in pre + scores)
 
@@ -416,7 +424,7 @@ def _flat(arrays) -> np.ndarray:
     return np.concatenate([np.empty(0)] + [np.ravel(a) for a in arrays])
 
 
-def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> GradcheckReport:
+def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
     """Compare analytic gradients of the joint loss against central differences.
 
     The graph and the target distribution are frozen, exactly as within one
@@ -433,28 +441,21 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
 
     seed = cfg.seed
     for _ in range(50):
-        state, decoders, stack = _init_model(n, ds.dims, cfg, seed)
-        nbhd = gr.build_graph(state.h, cfg.k, kernel, cfg.sigma).neighborhoods()
-        ht, caches = gt.stack_forward(stack, state.h, nbhd)
-        if _kink_margin(state, decoders, caches) > 1e-4:
+        h, decoders, stack = _init_model(n, ds.dims, cfg, seed)
+        nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+        ht, caches = gt.stack_forward(stack, h, nbhd)
+        if _kink_margin(h, decoders, caches) > 1e-4:
             break
         seed += 1
 
     centroids = cl.init_centroids(ht, n_clusters, seed=seed + 3)
     p = cl.target_distribution(cl.soft_assign(ht, centroids))
 
-    def loss_at(h_mat, decs, stk, mu) -> float:
-        s = enc.LatentState(h=h_mat)
-        lr_value = enc.reconstruction_loss(s, decs, ds)
-        ht_now, _ = gt.stack_forward(stk, h_mat, nbhd)
-        lc_value = cl.kl_loss(p, cl.soft_assign(ht_now, mu))
-        return total_loss(lr_value, lc_value, cfg.gamma)
-
     # analytic gradients, assembled exactly like one training step
-    grad_h_rec, dec_grads = enc.reconstruction_grads(state, decoders, ds)
+    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     layer_grads, grad_h_gat = gt.stack_backward(stack, caches, cfg.gamma * grad_ht)
-    params = _named(state.h, decoders, _gat_pairs(stack), centroids)
+    params = _named(h, decoders, _gat_pairs(stack), centroids)
     grads = _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, cfg.gamma * grad_mu)
 
     errors = {}
@@ -468,14 +469,16 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig, eps: float = 1e-5) -> Grad
                 live = params[i][2]
                 np.copyto(live, vec[pos : pos + live.size].reshape(live.shape))
                 pos += live.size
-            return loss_at(state.h, decoders, stack, centroids)
+            ht_now, _ = gt.stack_forward(stack, h, nbhd)
+            lc_value = cl.kl_loss(p, cl.soft_assign(ht_now, centroids))
+            return total_loss(enc.reconstruction_loss(h, decoders, ds), lc_value, cfg.gamma)
 
         x0 = _flat(params[i][2] for i in idx)
         analytic = _flat(grads[i][2] for i in idx)
-        numeric = finite_diff_grad(f, x0, eps)
+        numeric = finite_diff_grad(f, x0, _GRADCHECK_EPS)
         f(x0)  # put the unperturbed values back
         errors[group] = relative_error(analytic, numeric)
-    return GradcheckReport(errors=errors, eps=eps, seed_used=seed)
+    return GradcheckReport(errors=errors, eps=_GRADCHECK_EPS, seed_used=seed)
 
 
 def save_checkpoint(report: TrainReport, path) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 from slrl.cluster import kl_loss, soft_assign, target_distribution
 from slrl.data import synth_multiview
-from slrl.gat import attention_coeffs, gat_forward, init_gat
+from slrl.gat import LEAKY_SLOPE, attention_coeffs, gat_forward, init_gat
 from slrl.graph import build_dot, build_gaussian
 from slrl.metrics import accuracy, ari, nmi, pair_f_score
 from slrl.numerics import make_rng
@@ -112,15 +112,15 @@ def test_criterion_oracle_equivalence():
         indptr, indices = graph.neighborhoods()
         lists = [indices[indptr[i] : indptr[i + 1]] for i in range(6)]
         for combine in ("average", "concat"):
-            params = init_gat(4, 3, heads=2, seed_or_rng=make_rng(1000 + seed), combine=combine)
+            params = init_gat(4, 3, heads=2, rng=make_rng(1000 + seed), combine=combine)
             rows = attention_coeffs(params, 0, hg, (indptr, indices))
-            want_rows = attention_oracle(params.w[0], params.a[0], params.leaky_slope, hg, lists)
+            want_rows = attention_oracle(params.w[0], params.a[0], LEAKY_SLOPE, hg, lists)
             for got, want in zip(rows, want_rows):
                 track(got, want)
             track(
                 gat_forward(params, hg, (indptr, indices)),
                 gat_forward_oracle(
-                    params.w, params.a, params.leaky_slope, params.activation, combine, hg, lists
+                    params.w, params.a, LEAKY_SLOPE, params.activation, combine, hg, lists
                 ),
             )
 

@@ -193,12 +193,34 @@ def test_repeats_below_one_usage_error(tmp_path, capsys, command, repeats):
         ("sweep", ["--k-grid", "0", "--gamma-grid", "10"], "k must be >= 1"),
         # the first cell fits; the check still runs before any cell trains
         ("sweep", ["--k-grid", "3,30", "--gamma-grid", "10"], "k=30 too large for 24 samples"),
+        ("train", ["--lr", "nan"], "learning_rate must be finite and positive"),
+        ("train", ["--lr", "inf"], "learning_rate must be finite and positive"),
+        ("train", ["--gamma", "nan"], "gamma must be finite and >= 0"),
+        ("train", ["--gamma", "inf"], "gamma must be finite and >= 0"),
+        ("train", ["--sigma", "nan"], "sigma must be finite and positive"),
+        ("train", ["--sigma", "inf"], "sigma must be finite and positive"),
     ],
 )
 def test_setting_that_does_not_fit_writes_nothing(tmp_path, capsys, command, flags, message):
     out = tmp_path / "o"
     assert run_cli(command, "--synth", "3x8", *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_empty_view_file_is_one_error_line(tmp_path):
+    # in a fresh process, so that a numpy warning would reach stderr
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "manifest.txt").write_text("view a a.txt continuous\n")
+    (data_dir / "a.txt").write_text("")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slrl.cli", "train", "--data", str(data_dir), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {data_dir / 'a.txt'}: no values\n"
     assert not out.exists()
 
 

@@ -9,11 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slrl.data import MAGIC, MultiViewDataset, load_dataset, read_labels, read_matrix
+from slrl.data import (
+    MAGIC,
+    MultiViewDataset,
+    load_dataset,
+    read_labels,
+    read_matrix,
+    write_matrix,
+)
 from slrl.errors import FormatError
 
-# numpy warns on an empty text file and then returns an empty array, a value
-pytestmark = pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+# a reader answers bad input with a FormatError, never with a warning
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 # every example writes into its own fresh directory under the shared tmp_path
 FUZZ = settings(
@@ -127,3 +134,21 @@ def test_read_matrix_header_past_file_size_is_format_error(tmp_path, rows, cols)
     path.write_bytes(MAGIC + struct.pack("<QQ", rows, cols) + bytes(16))
     with pytest.raises(FormatError):
         read_matrix(path)
+
+
+def test_read_matrix_bytes_past_the_declared_block_are_format_error(tmp_path):
+    path = tmp_path / "m.mvm"
+    write_matrix(path, np.eye(2))
+    with open(path, "ab") as fh:
+        fh.write(bytes(24))
+    with pytest.raises(FormatError, match="2x2 matrix declared"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+@pytest.mark.parametrize("read", [read_matrix, read_labels])
+def test_text_file_without_values_is_format_error(tmp_path, text, read):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="no values"):
+        read(path)

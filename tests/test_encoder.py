@@ -19,25 +19,24 @@ from oracles import decode_oracle, reconstruction_oracle
 
 def small_problem(seed=0, n=6, f=4, dims=(3, 5)):
     rng = make_rng(seed)
-    state = init_latent(n, f, seed)
-    state.h = rng.normal(size=(n, f))  # move off the tiny init ball
+    h = rng.normal(size=(n, f))  # off the tiny ball init_latent draws from
     params = init_decoders(f, list(dims), seed + 1)
     ds = MultiViewDataset(views=[rng.normal(size=(n, d)) for d in dims])
-    return state, params, ds
+    return h, params, ds
 
 
 def test_init_latent_deterministic():
     a = init_latent(5, 8, seed=42)
     b = init_latent(5, 8, seed=42)
-    assert np.array_equal(a.h, b.h)
+    assert np.array_equal(a, b)
 
 
 def test_init_latent_shape():
-    assert init_latent(3, 64, seed=0).h.shape == (3, 64)
+    assert init_latent(3, 64, seed=0).shape == (3, 64)
 
 
 def test_init_latent_range():
-    h = init_latent(50, 16, seed=1).h
+    h = init_latent(50, 16, seed=1)
     assert np.all(h >= -0.05) and np.all(h <= 0.05)
 
 
@@ -68,62 +67,61 @@ def test_decode_identity_configuration_reproduces_input():
 
 
 def test_decode_matches_layerwise_oracle():
-    state, params, _ = small_problem(seed=3)
+    h, params, _ = small_problem(seed=3)
     theta = params[0]
-    got = decode(theta, state.h)
-    want = decode_oracle(theta.w1, theta.b1, theta.w2, theta.b2, state.h)
+    got = decode(theta, h)
+    want = decode_oracle(theta.w1, theta.b1, theta.w2, theta.b2, h)
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_reconstruction_loss_zero_at_perfect_fit():
-    state, params, _ = small_problem(seed=4)
-    views = [decode(theta, state.h) for theta in params]
+    h, params, _ = small_problem(seed=4)
+    views = [decode(theta, h) for theta in params]
     ds = MultiViewDataset(views=views)
-    assert reconstruction_loss(state, params, ds) == 0.0
+    assert reconstruction_loss(h, params, ds) == 0.0
 
 
 def test_reconstruction_loss_zero_decoder_analytic():
     # zero decoder output, one view with sum ||x_n||^2 = 5N gives loss 5
     n, f = 4, 3
-    state = init_latent(n, f, seed=0)
+    h = init_latent(n, f, seed=0)
     theta = DecoderParams(w1=np.zeros((6, f)), b1=np.zeros(6), w2=np.zeros((2, 6)), b2=np.zeros(2))
     x = np.zeros((n, 2))
     x[:, 0] = np.sqrt(5.0)
     ds = MultiViewDataset(views=[x])
-    assert reconstruction_loss(state, [theta], ds) == pytest.approx(5.0, abs=1e-12)
+    assert reconstruction_loss(h, [theta], ds) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_reconstruction_loss_matches_direct_oracle():
-    state, params, ds = small_problem(seed=5)
-    decoded = [decode(theta, state.h) for theta in params]
+    h, params, ds = small_problem(seed=5)
+    decoded = [decode(theta, h) for theta in params]
     want = reconstruction_oracle(decoded, ds.views)
-    assert reconstruction_loss(state, params, ds) == pytest.approx(want, rel=1e-12)
+    assert reconstruction_loss(h, params, ds) == pytest.approx(want, rel=1e-12)
 
 
 def test_reconstruction_loss_nonnegative():
     for seed in range(5):
-        state, params, ds = small_problem(seed=seed)
-        assert reconstruction_loss(state, params, ds) >= 0.0
+        h, params, ds = small_problem(seed=seed)
+        assert reconstruction_loss(h, params, ds) >= 0.0
 
 
 def test_grads_zero_at_perfect_fit():
-    state, params, _ = small_problem(seed=6)
-    ds = MultiViewDataset(views=[decode(theta, state.h) for theta in params])
-    grad_h, grads = reconstruction_grads(state, params, ds)
+    h, params, _ = small_problem(seed=6)
+    ds = MultiViewDataset(views=[decode(theta, h) for theta in params])
+    grad_h, grads = reconstruction_grads(h, params, ds)
     assert np.max(np.abs(grad_h)) == 0.0
     for g in grads:
         assert max(np.abs(g.w1).max(), np.abs(g.w2).max()) == 0.0
 
 
 def test_grads_match_finite_differences():
-    state, params, ds = small_problem(seed=7)
-    grad_h, grads = reconstruction_grads(state, params, ds)
+    h, params, ds = small_problem(seed=7)
+    grad_h, grads = reconstruction_grads(h, params, ds)
 
     def loss_of_h(vec):
-        s = type(state)(h=vec.reshape(state.h.shape))
-        return reconstruction_loss(s, params, ds)
+        return reconstruction_loss(vec.reshape(h.shape), params, ds)
 
-    num = finite_diff_grad(loss_of_h, state.h.ravel(), eps=1e-5)
+    num = finite_diff_grad(loss_of_h, h.ravel(), eps=1e-5)
     assert relative_error(grad_h.ravel(), num) < 1e-4
 
     theta = params[0]
@@ -139,7 +137,7 @@ def test_grads_match_finite_differences():
         pos += theta.w2.size
         b2 = vec[pos : pos + theta.b2.size]
         new = [DecoderParams(w1, b1, w2, b2)] + list(params[1:])
-        return reconstruction_loss(state, new, ds)
+        return reconstruction_loss(h, new, ds)
 
     analytic = np.concatenate(
         [grads[0].w1.ravel(), grads[0].b1, grads[0].w2.ravel(), grads[0].b2]
@@ -149,35 +147,34 @@ def test_grads_match_finite_differences():
 
 
 def test_grads_reject_a_decoder_count_mismatch():
-    state, params, ds = small_problem(seed=9)
+    h, params, ds = small_problem(seed=9)
     with pytest.raises(ShapeError):
-        reconstruction_grads(state, params[:1], ds)
+        reconstruction_grads(h, params[:1], ds)
 
 
 def test_grads_reject_a_non_finite_latent():
-    state, params, ds = small_problem(seed=10)
-    state.h[2, 1] = np.nan
+    h, params, ds = small_problem(seed=10)
+    h[2, 1] = np.nan
     with pytest.raises(NumericError):
-        reconstruction_grads(state, params, ds)
+        reconstruction_grads(h, params, ds)
 
 
 def test_grad_of_sample_independent_of_other_rows():
-    state, params, ds = small_problem(seed=8)
-    grad_h, _ = reconstruction_grads(state, params, ds)
+    h, params, ds = small_problem(seed=8)
+    grad_h, _ = reconstruction_grads(h, params, ds)
     views = [v.copy() for v in ds.views]
     views[0][3] += 2.5  # perturb a different sample's features
     perturbed = MultiViewDataset(views=views)
-    grad_h2, _ = reconstruction_grads(state, params, perturbed)
+    grad_h2, _ = reconstruction_grads(h, params, perturbed)
     assert np.array_equal(grad_h[0], grad_h2[0])
     assert not np.array_equal(grad_h[3], grad_h2[3])
 
 
 def test_per_sample_separability_under_permutation():
-    state, params, ds = small_problem(seed=9)
-    losses = per_sample_reconstruction(state, params, ds)
-    perm = make_rng(10).permutation(state.n)
-    permuted_state = type(state)(h=state.h[perm])
+    h, params, ds = small_problem(seed=9)
+    losses = per_sample_reconstruction(h, params, ds)
+    perm = make_rng(10).permutation(h.shape[0])
     permuted_ds = ds.take(perm)
-    permuted_losses = per_sample_reconstruction(permuted_state, params, permuted_ds)
+    permuted_losses = per_sample_reconstruction(h[perm], params, permuted_ds)
     assert np.max(np.abs(losses[perm] - permuted_losses)) < 1e-12
-    assert reconstruction_loss(state, params, ds) == pytest.approx(float(losses.mean()))
+    assert reconstruction_loss(h, params, ds) == pytest.approx(float(losses.mean()))

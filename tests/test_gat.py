@@ -6,6 +6,7 @@ import pytest
 from slrl import gat
 from slrl.errors import ShapeError
 from slrl.gat import (
+    LEAKY_SLOPE,
     GatParams,
     attention_coeffs,
     gat_backward,
@@ -65,7 +66,7 @@ def test_attention_matches_eq_oracle():
         indptr, indices = g.neighborhoods()
         got = attention_coeffs(params, 0, h, (indptr, indices))
         want = attention_oracle(
-            params.w[0], params.a[0], params.leaky_slope, h, neighborhood_lists(indptr, indices)
+            params.w[0], params.a[0], LEAKY_SLOPE, h, neighborhood_lists(indptr, indices)
         )
         for r_got, r_want in zip(got, want):
             assert np.max(np.abs(r_got - r_want)) < 1e-9
@@ -108,7 +109,7 @@ def test_forward_matches_transcription_oracle(combine, activation):
         want = gat_forward_oracle(
             params.w,
             params.a,
-            params.leaky_slope,
+            LEAKY_SLOPE,
             activation,
             combine,
             h,
@@ -276,7 +277,7 @@ def test_empty_neighborhoods_forward_matches_oracle(lists, combine, activation):
     h = make_rng(31).normal(size=(5, 3))
     nbhd = csr(lists)
     out = gat_forward(params, h, nbhd)
-    want = gat_forward_oracle(params.w, params.a, params.leaky_slope, activation, combine, h, lists)
+    want = gat_forward_oracle(params.w, params.a, LEAKY_SLOPE, activation, combine, h, lists)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - want)) < 1e-12
     act_zero = 0.5 if activation == "sigmoid" else 0.0

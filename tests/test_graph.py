@@ -82,6 +82,13 @@ def test_gaussian_degenerate_sigma_heuristic_rejected():
         build_gaussian(h, k=2)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_gaussian_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
+    h = make_rng(2).normal(size=(6, 2))
+    with pytest.raises(ParameterError, match="sigma must be finite and positive"):
+        build_gaussian(h, k=2, sigma=sigma)
+
+
 def test_dot_unit_vectors():
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g = build_dot(h, k=1)
