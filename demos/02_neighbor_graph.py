@@ -2,13 +2,14 @@
 """Neighbor-graph construction on a point cloud.
 
 Shows exact kNN selection with deterministic tie-breaking, the union
-symmetrization rule, and both edge-weight kernels (Gaussian with the
-median-distance sigma heuristic, and raw dot products).
+symmetrization rule, and both edge-weight kernels of ``build_graph``
+(Gaussian with the median-distance sigma heuristic, and raw dot products).
+The graph is stored as CSR arrays: ``indptr``, ``indices`` and ``weights``.
 """
 
 import numpy as np
 
-from slrl import build_dot, build_gaussian, knn_indices
+from slrl import build_graph, knn_indices
 from slrl.graph import dump_edges
 
 # five points on a line: node 2 is equidistant from 1 and 3, and the tie
@@ -22,19 +23,20 @@ h = np.vstack([
     rng.normal(size=(6, 2)) * 0.3 + [3.0, 0.0],
 ])
 
-g = build_gaussian(h, k=3)
+g = build_graph(h, k=3)
 print(f"\nGaussian graph: n={g.n}, k={g.k}, heuristic sigma={g.sigma:.4f}")
-degrees = [g.degree(i) for i in range(g.n)]
-print("degrees:", degrees)
-print("weight range: (%.4f, %.4f]" % (min(w.min() for w in g.wts), max(w.max() for w in g.wts)))
+print("degrees:", np.diff(g.indptr).tolist())
+print("weight range: (%.4f, %.4f]" % (g.weights.min(), g.weights.max()))
 
 # symmetry: each stored edge has the identical weight in both directions
-assert all(g.weight(i, j) == g.weight(j, i) for i in range(g.n) for j in g.nbrs[i])
+dense = np.zeros((g.n, g.n))
+dense[np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices] = g.weights
+assert np.array_equal(dense, dense.T)
 print("symmetric: yes")
 
-gd = build_dot(h, k=3)
+gd = build_graph(h, k=3, kernel="dot")
 print("\ndot-product weights may be negative:",
-      round(min(w.min() for w in gd.wts), 4), "to", round(max(w.max() for w in gd.wts), 4))
+      round(gd.weights.min(), 4), "to", round(gd.weights.max(), 4))
 
 print("\nedge dump (first 5 lines):")
 print("\n".join(dump_edges(g).splitlines()[:5]))

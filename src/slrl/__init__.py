@@ -74,8 +74,15 @@ from .encoder import (
     reconstruction_grads,
     reconstruction_loss,
 )
-from .gat import GatParams, attention_coeffs, gat_backward, gat_forward, init_gat, init_gat_stack
-from .graph import NeighborGraph, build_dot, build_gaussian, build_graph, knn_indices
+from .gat import (
+    GatParams,
+    attention_coeffs,
+    init_gat,
+    init_gat_stack,
+    stack_backward,
+    stack_forward,
+)
+from .graph import NeighborGraph, build_graph, knn_indices
 from .metrics import MetricsReport, accuracy, ari, evaluate, nmi, pair_f_score
 from .numerics import finite_diff_grad, make_rng, relative_error
 from .train import TrainConfig, TrainReport, ablate, gradcheck, total_loss, train
@@ -103,13 +110,11 @@ __all__ = [
     "reconstruction_loss",
     "GatParams",
     "attention_coeffs",
-    "gat_backward",
-    "gat_forward",
     "init_gat",
     "init_gat_stack",
+    "stack_backward",
+    "stack_forward",
     "NeighborGraph",
-    "build_dot",
-    "build_gaussian",
     "build_graph",
     "knn_indices",
     "MetricsReport",

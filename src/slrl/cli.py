@@ -40,7 +40,8 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .graph import dump_edges
+from .gat import ACTIVATIONS, COMBINES
+from .graph import KERNELS, dump_edges
 from .train import TrainConfig, TrainReport, ablate, check_fit
 from .train import gradcheck as run_gradcheck
 from .train import save_checkpoint
@@ -57,9 +58,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretrain-epochs", type=int, default=d.pretrain_epochs)
     p.add_argument("--heads", type=int, default=d.heads)
     p.add_argument("--layers", type=int, default=d.gat_layers)
-    p.add_argument("--activation", choices=["sigmoid", "elu"], default=d.activation)
-    p.add_argument("--combine", choices=["average", "concat"], default=d.combine)
-    p.add_argument("--kernel", choices=["gaussian", "dot"], default=d.kernel)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=d.activation)
+    p.add_argument("--combine", choices=COMBINES, default=d.combine)
+    p.add_argument("--kernel", choices=KERNELS, default=d.kernel)
     p.add_argument("--sigma", type=float, default=d.sigma)
     p.add_argument("--clusters", type=int, default=d.clusters)
     p.add_argument("--seed", type=int, default=d.seed)
@@ -377,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--gamma", type=float, default=10.0)
     p_grad.add_argument("--heads", type=int, default=2)
     p_grad.add_argument("--layers", type=int, default=1)
-    p_grad.add_argument("--activation", choices=["sigmoid", "elu"], default="sigmoid")
-    p_grad.add_argument("--combine", choices=["average", "concat"], default="average")
+    p_grad.add_argument("--activation", choices=ACTIVATIONS, default="sigmoid")
+    p_grad.add_argument("--combine", choices=COMBINES, default="average")
     p_grad.add_argument("--clusters", type=int, default=None)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--tol", type=float, default=1e-4)

@@ -248,8 +248,9 @@ def synth_multiview(
     view_dims = [int(d) for d in view_dims]
     if not view_dims or any(d < 2 for d in view_dims):
         raise ParameterError("each view needs dimension >= 2")
-    if noise < 0:
-        raise ParameterError("noise must be >= 0")
+    # written so that nan fails too: every comparison with nan is false
+    if not 0 <= noise < np.inf:
+        raise ParameterError("noise must be finite and >= 0")
     rng = make_rng(seed)
     gen_dim = max(2, min(view_dims))
     scale = 1.0 / np.sqrt(gen_dim)

@@ -30,17 +30,20 @@ from .errors import ParameterError, ShapeError
 from .numerics import as_matrix, make_rng
 
 __all__ = [
+    "ACTIVATIONS",
+    "COMBINES",
     "LEAKY_SLOPE",
     "GatParams",
     "init_gat",
     "init_gat_stack",
     "attention_coeffs",
-    "gat_forward",
-    "gat_backward",
     "stack_forward",
     "stack_backward",
 ]
 
+# layer activations and head-combine modes a GatParams accepts
+ACTIVATIONS = ("sigmoid", "elu")
+COMBINES = ("average", "concat")
 # negative-side slope of the LeakyReLU on attention scores, as in GAT
 LEAKY_SLOPE = 0.2
 # edges per gather in the backward pass's per-edge dot products
@@ -65,9 +68,9 @@ class GatParams:
                 raise ShapeError("heads must share the same W shape")
             if ak.shape != (2 * fp,):
                 raise ShapeError(f"scoring vector must have length {2 * fp}")
-        if self.activation not in ("sigmoid", "elu"):
+        if self.activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
-        if self.combine not in ("average", "concat"):
+        if self.combine not in COMBINES:
             raise ParameterError(f"unknown combine mode {self.combine!r}")
 
     @property
@@ -275,32 +278,9 @@ def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     return [hc.alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
 
 
-def gat_forward(params: GatParams, h, nbhd) -> np.ndarray:
-    """Structured representation: one attention layer applied to h."""
-    h = as_matrix(h, "h")
-    if h.shape[1] != params.f_in:
-        raise ShapeError(f"layer expects {params.f_in} features, got {h.shape[1]}")
-    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
-    out, _ = _layer_forward(params, h, indptr, indices)
-    return out
-
-
-def gat_backward(params: GatParams, h, nbhd, upstream):
-    """Gradients of sum(upstream * gat_forward(...)) for W^k, a^k, and h.
-
-    Returns (grad_w, grad_a, grad_h) with grad_w/grad_a as per-head lists.
-    """
-    h = as_matrix(h, "h")
-    upstream = as_matrix(upstream, "upstream")
-    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
-    out, cache = _layer_forward(params, h, indptr, indices)
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} does not match output {out.shape}")
-    return _layer_backward(params, cache, upstream)
-
-
 def stack_forward(stack: list, h, nbhd):
-    """Forward through a layer stack; identity for an empty stack.
+    """Forward through a layer stack (one layer is the stack ``[params]``);
+    identity for an empty stack.
 
     Returns (output, caches); caches feed ``stack_backward`` and expose the
     per-layer attention row sums.
@@ -322,11 +302,18 @@ def stack_forward(stack: list, h, nbhd):
 def stack_backward(stack: list, caches: list, upstream):
     """Backward through a layer stack; returns (per-layer grads, grad_h).
 
-    per-layer grads is a list of (grad_w, grad_a) matching ``stack`` order.
-    For an empty stack the upstream passes through unchanged.
+    ``caches`` come from the ``stack_forward`` call whose output ``upstream``
+    is the gradient of. per-layer grads is a list of (grad_w, grad_a) matching
+    ``stack`` order. For an empty stack the upstream passes through unchanged.
     """
+    upstream = as_matrix(upstream, "upstream")
+    if len(caches) != len(stack):
+        raise ShapeError(f"need one cache per layer: {len(stack)} layers, {len(caches)} caches")
     if not stack:
-        return [], np.asarray(upstream, dtype=np.float64)
+        return [], upstream
+    want = (caches[-1].h_in.shape[0], stack[-1].f_out)
+    if upstream.shape != want:
+        raise ShapeError(f"upstream shape {upstream.shape} does not match output {want}")
     grads = [None] * len(stack)
     g_out = upstream
     for idx in range(len(stack) - 1, -1, -1):

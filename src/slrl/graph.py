@@ -1,7 +1,8 @@
 """Symmetric k-nearest-neighbor graph over the latent representation.
 
 Edges follow the union rule: (i, j) is present iff i is among the k nearest
-neighbors of j or vice versa. Weights come from either a Gaussian kernel,
+neighbors of j or vice versa. ``build_graph`` builds every graph; its kernel
+only picks the edge values, either a Gaussian
 
     w_ij = exp(-||h_i - h_j||^2 / (2 sigma^2)),
 
@@ -35,14 +36,15 @@ from .errors import ParameterError
 from .numerics import as_matrix
 
 __all__ = [
+    "KERNELS",
     "NeighborGraph",
     "knn_indices",
-    "build_gaussian",
-    "build_dot",
     "build_graph",
     "dump_edges",
 ]
 
+# edge-value kernels of build_graph
+KERNELS = ("gaussian", "dot")
 _ROW_BLOCK = 256
 
 
@@ -52,7 +54,6 @@ class NeighborGraph:
 
     n: int
     k: int
-    kernel: str  # "gaussian" | "dot"
     sigma: float | None
     indptr: np.ndarray  # (n + 1,) int64 row offsets into indices
     indices: np.ndarray  # neighbor ids, ascending within each row, no self
@@ -62,22 +63,6 @@ class NeighborGraph:
     def nbrs(self) -> list:
         """Per-node neighbor id arrays (views of ``indices``)."""
         return np.split(self.indices, self.indptr[1:-1])
-
-    @property
-    def wts(self) -> list:
-        """Per-node weight arrays aligned with ``nbrs`` (views of ``weights``)."""
-        return np.split(self.weights, self.indptr[1:-1])
-
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def weight(self, i: int, j: int) -> float:
-        """Edge weight, 0.0 for absent pairs."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        pos = lo + np.searchsorted(self.indices[lo:hi], j)
-        if pos < hi and self.indices[pos] == j:
-            return float(self.weights[pos])
-        return 0.0
 
     def neighborhoods(self):
         """CSR (indptr, indices) with each node's own id inserted into its sorted row."""
@@ -118,7 +103,7 @@ def _nearest(h: np.ndarray, k: int):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _union(ids: np.ndarray, values: np.ndarray, **fields) -> NeighborGraph:
+def _union(ids: np.ndarray, values: np.ndarray, sigma: float | None) -> NeighborGraph:
     """Union-rule graph over the selections ``ids`` (N, k); an edge weighs
     ``values`` at the first selection of its pair in row order."""
     n, k = ids.shape
@@ -131,7 +116,7 @@ def _union(ids: np.ndarray, values: np.ndarray, **fields) -> NeighborGraph:
     rows, indices = np.divmod(codes, n)
     indptr = np.searchsorted(rows, np.arange(n + 1))
     weights = values.ravel()[first // 2]
-    return NeighborGraph(n=n, k=k, indptr=indptr, indices=indices, weights=weights, **fields)
+    return NeighborGraph(n=n, k=k, sigma=sigma, indptr=indptr, indices=indices, weights=weights)
 
 
 def knn_indices(h, k: int) -> list:
@@ -146,14 +131,19 @@ def knn_indices(h, k: int) -> list:
     return list(np.take_along_axis(ids, order, axis=1))
 
 
-def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
-    """Union-kNN graph with Gaussian kernel weights.
+def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:
+    """Union-kNN graph over the rows of h; ``kernel`` picks the edge values.
 
-    When ``sigma`` is not given it defaults to the median distance over all
-    selected kNN pairs; degenerate data (all points identical) makes that
-    heuristic collapse, in which case an explicit sigma is required.
+    Gaussian weights use ``sigma``, which defaults to the median distance
+    over all selected kNN pairs; degenerate data (all points identical) makes
+    that heuristic collapse, in which case an explicit sigma is required.
+    Dot-product weights may be negative and have no sigma.
     """
-    ids, dist, _ = _nearest(as_matrix(h, "h"), k)
+    if kernel not in KERNELS:
+        raise ParameterError(f"unknown kernel {kernel!r}")
+    ids, dist, dots = _nearest(as_matrix(h, "h"), k)
+    if kernel == "dot":
+        return _union(ids, dots, sigma=None)
     if sigma is None:
         sigma = float(np.median(np.sqrt(dist)))
         if sigma <= 0.0:
@@ -163,22 +153,7 @@ def build_gaussian(h, k: int, sigma: float | None = None) -> NeighborGraph:
             )
     elif not 0.0 < sigma < np.inf:  # false for nan too
         raise ParameterError("sigma must be finite and positive")
-    scale = 2.0 * sigma * sigma
-    return _union(ids, np.exp(-dist / scale), kernel="gaussian", sigma=float(sigma))
-
-
-def build_dot(h, k: int) -> NeighborGraph:
-    """Union-kNN graph with dot-product weights (may be negative)."""
-    ids, _, dots = _nearest(as_matrix(h, "h"), k)
-    return _union(ids, dots, kernel="dot", sigma=None)
-
-
-def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:
-    if kernel == "gaussian":
-        return build_gaussian(h, k, sigma)
-    if kernel == "dot":
-        return build_dot(h, k)
-    raise ParameterError(f"unknown kernel {kernel!r}")
+    return _union(ids, np.exp(-dist / (2.0 * sigma * sigma)), sigma=float(sigma))
 
 
 def dump_edges(g: NeighborGraph) -> str:

@@ -95,6 +95,12 @@ class TrainConfig:
             raise ParameterError("epoch counts must be >= 0")
         if self.heads < 1 or self.gat_layers < 0:
             raise ParameterError("need heads >= 1 and gat_layers >= 0")
+        if self.activation not in gt.ACTIVATIONS:
+            raise ParameterError(f"unknown activation {self.activation!r}")
+        if self.combine not in gt.COMBINES:
+            raise ParameterError(f"unknown combine mode {self.combine!r}")
+        if self.kernel is not None and self.kernel not in gr.KERNELS:
+            raise ParameterError(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass

@@ -94,7 +94,7 @@ def attention_oracle(w, a, slope, h, neighborhoods):
     return rows
 
 
-def gat_forward_oracle(ws, aas, slope, activation, combine, h, neighborhoods):
+def gat_layer_oracle(ws, aas, slope, activation, combine, h, neighborhoods):
     """Multi-head forward: per-head attention aggregation, then combine."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]

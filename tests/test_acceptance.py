@@ -12,8 +12,8 @@ import pytest
 
 from slrl.cluster import kl_loss, soft_assign, target_distribution
 from slrl.data import synth_multiview
-from slrl.gat import LEAKY_SLOPE, attention_coeffs, gat_forward, init_gat
-from slrl.graph import build_dot, build_gaussian
+from slrl.gat import LEAKY_SLOPE, attention_coeffs, init_gat, stack_forward
+from slrl.graph import build_graph
 from slrl.metrics import accuracy, ari, nmi, pair_f_score
 from slrl.numerics import make_rng
 from slrl.train import TrainConfig, ablate, gradcheck, train
@@ -24,7 +24,7 @@ from oracles import (
     attention_oracle,
     dot_adjacency,
     f_score_oracle,
-    gat_forward_oracle,
+    gat_layer_oracle,
     gaussian_adjacency,
     kl_oracle,
     nmi_oracle,
@@ -95,20 +95,18 @@ def test_criterion_oracle_equivalence():
         # neighbor-graph kernels
         h = rng.normal(size=(10, 3))
         sigma = 0.7 + 0.05 * seed
-        g = build_gaussian(h, k=3, sigma=sigma)
-        dense = np.zeros((10, 10))
-        for i in range(10):
-            dense[i, g.nbrs[i]] = g.wts[i]
-        track(dense, gaussian_adjacency(h, 3, sigma))
-        gd = build_dot(h, k=3)
-        dense_d = np.zeros((10, 10))
-        for i in range(10):
-            dense_d[i, gd.nbrs[i]] = gd.wts[i]
-        track(dense_d, dot_adjacency(h, 3))
+        for kernel, oracle in (
+            ("gaussian", gaussian_adjacency(h, 3, sigma)),
+            ("dot", dot_adjacency(h, 3)),
+        ):
+            g = build_graph(h, k=3, kernel=kernel, sigma=sigma)
+            dense = np.zeros((10, 10))
+            dense[np.repeat(np.arange(10), np.diff(g.indptr)), g.indices] = g.weights
+            track(dense, oracle)
 
         # attention coefficients and the full multi-head layer, both modes
         hg = rng.normal(size=(6, 4))
-        graph = build_gaussian(hg, k=2, sigma=1.0)
+        graph = build_graph(hg, k=2, sigma=1.0)
         indptr, indices = graph.neighborhoods()
         lists = [indices[indptr[i] : indptr[i + 1]] for i in range(6)]
         for combine in ("average", "concat"):
@@ -118,8 +116,8 @@ def test_criterion_oracle_equivalence():
             for got, want in zip(rows, want_rows):
                 track(got, want)
             track(
-                gat_forward(params, hg, (indptr, indices)),
-                gat_forward_oracle(
+                stack_forward([params], hg, (indptr, indices))[0],
+                gat_layer_oracle(
                     params.w, params.a, LEAKY_SLOPE, params.activation, combine, hg, lists
                 ),
             )

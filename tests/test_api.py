@@ -39,6 +39,19 @@ def test_every_exported_name_resolves(module):
         assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name!r}"
 
 
+# second entry points to the graph and attention stages, folded into
+# build_graph and stack_forward/stack_backward
+DELETED = ["build_gaussian", "build_dot", "gat_forward", "gat_backward"]
+
+
+def test_each_stage_has_one_entry_point():
+    for module in [None] + MODULES:
+        mod = slrl if module is None else importlib.import_module(f"slrl.{module}")
+        assert not set(DELETED) & set(mod.__all__), mod.__name__
+    assert not any(hasattr(slrl, name) for name in DELETED)
+    assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)
+
+
 def test_train_config_holds_exactly_the_settings_callers_set():
     assert [f.name for f in fields(TrainConfig)] == SETTINGS
 

@@ -199,6 +199,8 @@ def test_repeats_below_one_usage_error(tmp_path, capsys, command, repeats):
         ("train", ["--gamma", "inf"], "gamma must be finite and >= 0"),
         ("train", ["--sigma", "nan"], "sigma must be finite and positive"),
         ("train", ["--sigma", "inf"], "sigma must be finite and positive"),
+        ("train", ["--noise", "nan"], "noise must be finite and >= 0"),
+        ("train", ["--noise", "inf"], "noise must be finite and >= 0"),
     ],
 )
 def test_setting_that_does_not_fit_writes_nothing(tmp_path, capsys, command, flags, message):

@@ -9,17 +9,15 @@ from slrl.gat import (
     LEAKY_SLOPE,
     GatParams,
     attention_coeffs,
-    gat_backward,
-    gat_forward,
     init_gat,
     init_gat_stack,
     stack_backward,
     stack_forward,
 )
-from slrl.graph import build_gaussian
+from slrl.graph import build_graph
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
-from oracles import attention_oracle, gat_forward_oracle
+from oracles import attention_oracle, gat_layer_oracle
 
 
 def csr(neighborhoods):
@@ -38,7 +36,7 @@ def random_params(seed, f_in, f_prime, heads, **kw):
 
 def random_graph(seed, n, f, k=3):
     h = make_rng(seed).normal(size=(n, f))
-    return h, build_gaussian(h, k=k, sigma=1.0)
+    return h, build_graph(h, k=k, sigma=1.0)
 
 
 def test_singleton_neighborhood_gives_unit_alpha():
@@ -86,7 +84,7 @@ def test_forward_single_forced_neighbor():
     params = random_params(5, 3, 4, heads=1)
     h = make_rng(6).normal(size=(2, 3))
     nbhd = csr([[1], [0]])
-    out = gat_forward(params, h, nbhd)
+    out = stack_forward([params], h, nbhd)[0]
     expected = 1.0 / (1.0 + np.exp(-(params.w[0] @ h[1])))
     assert np.max(np.abs(out[0] - expected)) < 1e-12
 
@@ -94,7 +92,7 @@ def test_forward_single_forced_neighbor():
 def test_forward_zero_weights_sigmoid_half():
     params = GatParams(w=[np.zeros((4, 3))] * 2, a=[np.zeros(8)] * 2)
     h, g = random_graph(7, n=5, f=3)
-    out = gat_forward(params, h, g.neighborhoods())
+    out = stack_forward([params], h, g.neighborhoods())[0]
     assert np.max(np.abs(out - 0.5)) < 1e-12
 
 
@@ -105,8 +103,8 @@ def test_forward_matches_transcription_oracle(combine, activation):
         params = random_params(seed, 4, 3, heads=2, combine=combine, activation=activation)
         h, g = random_graph(seed + 50, n=6, f=4, k=2)
         indptr, indices = g.neighborhoods()
-        got = gat_forward(params, h, (indptr, indices))
-        want = gat_forward_oracle(
+        got = stack_forward([params], h, (indptr, indices))[0]
+        want = gat_layer_oracle(
             params.w,
             params.a,
             LEAKY_SLOPE,
@@ -122,7 +120,7 @@ def test_forward_matches_transcription_oracle(combine, activation):
 def test_sigmoid_output_range():
     params = random_params(8, 4, 4, heads=3)
     h, g = random_graph(9, n=8, f=4)
-    out = gat_forward(params, h, g.neighborhoods())
+    out = stack_forward([params], h, g.neighborhoods())[0]
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -130,32 +128,33 @@ def test_locality_of_forward():
     params = random_params(10, 3, 3, heads=2)
     h, g = random_graph(11, n=9, f=3, k=2)
     nbhd = g.neighborhoods()
-    out = gat_forward(params, h, nbhd)
+    out = stack_forward([params], h, nbhd)[0]
     target = 0
     neighborhood = set(g.nbrs[target].tolist()) | {target}
     outsider = next(i for i in range(g.n) if i not in neighborhood)
     h2 = h.copy()
     h2[outsider] += 1.7
-    out2 = gat_forward(params, h2, nbhd)
+    out2 = stack_forward([params], h2, nbhd)[0]
     assert np.array_equal(out[target], out2[target])
 
 
 def test_permutation_equivariance():
     params = random_params(12, 3, 4, heads=2)
     h, g = random_graph(13, n=7, f=3, k=2)
-    out = gat_forward(params, h, g.neighborhoods())
+    out = stack_forward([params], h, g.neighborhoods())[0]
     perm = make_rng(14).permutation(g.n)
     inv = np.argsort(perm)
     h_perm = h[perm]
-    g_perm = build_gaussian(h_perm, k=2, sigma=1.0)
-    out_perm = gat_forward(params, h_perm, g_perm.neighborhoods())
+    g_perm = build_graph(h_perm, k=2, sigma=1.0)
+    out_perm = stack_forward([params], h_perm, g_perm.neighborhoods())[0]
     assert np.max(np.abs(out_perm - out[perm])) < 1e-9
 
 
 def test_backward_zero_upstream():
     params = random_params(15, 4, 3, heads=2)
     h, g = random_graph(16, n=6, f=4)
-    grad_w, grad_a, grad_h = gat_backward(params, h, g.neighborhoods(), np.zeros((6, 3)))
+    _, caches = stack_forward([params], h, g.neighborhoods())
+    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, np.zeros((6, 3)))
     assert all(np.max(np.abs(gw)) == 0 for gw in grad_w)
     assert all(np.max(np.abs(ga)) == 0 for ga in grad_a)
     assert np.max(np.abs(grad_h)) == 0
@@ -169,10 +168,11 @@ def test_backward_matches_finite_differences(combine):
     f_out = params.f_out
     upstream = make_rng(19).normal(size=(5, f_out))
 
-    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream)
+    _, caches = stack_forward([params], h, nbhd)
+    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
 
     def scalar_of_h(vec):
-        return float(np.sum(upstream * gat_forward(params, vec.reshape(h.shape), nbhd)))
+        return float(np.sum(upstream * stack_forward([params], vec.reshape(h.shape), nbhd)[0]))
 
     assert relative_error(grad_h.ravel(), finite_diff_grad(scalar_of_h, h.ravel(), 1e-5)) < 1e-4
 
@@ -181,7 +181,7 @@ def test_backward_matches_finite_differences(combine):
             w = [m.copy() for m in params.w]
             w[k] = vec.reshape(params.w[k].shape)
             p = GatParams(w=w, a=params.a, activation=params.activation, combine=combine)
-            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
+            return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num = finite_diff_grad(scalar_of_w, params.w[k].ravel(), 1e-5)
         assert relative_error(grad_w[k].ravel(), num) < 1e-4
@@ -190,7 +190,7 @@ def test_backward_matches_finite_differences(combine):
             a = [v.copy() for v in params.a]
             a[k] = vec
             p = GatParams(w=params.w, a=a, activation=params.activation, combine=combine)
-            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
+            return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
         assert relative_error(grad_a[k], num_a) < 1e-4
@@ -204,7 +204,8 @@ def test_backward_locality():
     outsider = next(i for i in range(g.n) if i not in neighborhood)
     upstream = np.zeros((g.n, 3))
     upstream[target] = 1.0
-    _, _, grad_h = gat_backward(params, h, g.neighborhoods(), upstream)
+    _, caches = stack_forward([params], h, g.neighborhoods())
+    _, grad_h = stack_backward([params], caches, upstream)
     assert np.max(np.abs(grad_h[outsider])) == 0.0
 
 
@@ -222,14 +223,12 @@ BAD_PAIRS = {
 
 
 @pytest.mark.parametrize("pair", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
-@pytest.mark.parametrize("call", ["attention_coeffs", "gat_forward", "gat_backward", "stack"])
+@pytest.mark.parametrize("call", ["attention_coeffs", "stack"])
 def test_malformed_neighborhoods_raise_shape_error(pair, call):
     params = random_params(40, 3, 3, heads=2)
     h = make_rng(41).normal(size=(3, 3))
     run = {
         "attention_coeffs": lambda: attention_coeffs(params, 0, h, pair),
-        "gat_forward": lambda: gat_forward(params, h, pair),
-        "gat_backward": lambda: gat_backward(params, h, pair, np.ones((3, 3))),
         "stack": lambda: stack_forward([params], h, pair),
     }[call]
     with pytest.raises(ShapeError):
@@ -242,6 +241,29 @@ def test_stack_identity_when_empty():
     assert np.array_equal(out, h) and caches == []
     grads, grad_h = stack_backward([], [], np.ones_like(h))
     assert grads == [] and np.array_equal(grad_h, np.ones_like(h))
+
+
+# (upstream, caches kept) for one layer with output (6, 3): numpy would broadcast
+# the first four upstreams and fail inside einsum on the 3-d one
+BAD_BACKWARD_INPUTS = {
+    "column": (np.ones((6, 1)), 1),
+    "row": (np.ones((1, 3)), 1),
+    "vector": (np.ones(3), 1),
+    "scalar": (np.float64(1.0), 1),
+    "3-d": (np.ones((6, 1, 1)), 1),
+    "short-caches": (np.ones((6, 3)), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "upstream, kept", BAD_BACKWARD_INPUTS.values(), ids=BAD_BACKWARD_INPUTS.keys()
+)
+def test_stack_backward_rejects_bad_upstream(upstream, kept):
+    params = random_params(42, 4, 3, heads=2)
+    h, g = random_graph(43, n=6, f=4)
+    _, caches = stack_forward([params], h, g.neighborhoods())
+    with pytest.raises(ShapeError):
+        stack_backward([params], caches[:kept], upstream)
 
 
 def test_stack_two_layers_shapes():
@@ -276,8 +298,8 @@ def test_empty_neighborhoods_forward_matches_oracle(lists, combine, activation):
     params = random_params(30, 3, 4, heads=2, combine=combine, activation=activation)
     h = make_rng(31).normal(size=(5, 3))
     nbhd = csr(lists)
-    out = gat_forward(params, h, nbhd)
-    want = gat_forward_oracle(params.w, params.a, LEAKY_SLOPE, activation, combine, h, lists)
+    out = stack_forward([params], h, nbhd)[0]
+    want = gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, activation, combine, h, lists)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - want)) < 1e-12
     act_zero = 0.5 if activation == "sigmoid" else 0.0
@@ -292,12 +314,13 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
     h = make_rng(33).normal(size=(5, 3))
     nbhd = csr(lists)
     upstream = make_rng(34).normal(size=(5, 3))
-    grad_w, grad_a, grad_h = gat_backward(params, h, nbhd, upstream)
+    _, caches = stack_forward([params], h, nbhd)
+    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
     for grad in grad_w + grad_a + [grad_h]:
         assert np.all(np.isfinite(grad))
 
     def scalar_of_h(vec):
-        out = gat_forward(params, vec.reshape(h.shape), nbhd)
+        out = stack_forward([params], vec.reshape(h.shape), nbhd)[0]
         return float(np.sum(upstream * out))
 
     assert relative_error(grad_h.ravel(), finite_diff_grad(scalar_of_h, h.ravel(), 1e-5)) < 1e-4
@@ -306,7 +329,7 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
             a = [v.copy() for v in params.a]
             a[k] = vec
             p = GatParams(w=params.w, a=a)
-            return float(np.sum(upstream * gat_forward(p, h, nbhd)))
+            return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
         assert relative_error(grad_a[k], num_a) < 1e-4

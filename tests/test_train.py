@@ -65,6 +65,9 @@ def test_config_validation():
         (dict(k=18), "k=18 too large for 18 samples"),
         (dict(clusters=19), r"cluster count 19 outside \[2, 18\]"),
         (dict(clusters=1), r"cluster count 1 outside \[2, 18\]"),
+        (dict(kernel="bogus"), "unknown kernel 'bogus'"),
+        (dict(activation="bogus"), "unknown activation 'bogus'"),
+        (dict(combine="x"), "unknown combine mode 'x'"),
     ],
 )
 def test_settings_that_do_not_fit_fail_before_any_epoch(monkeypatch, fields, message):
