@@ -40,6 +40,7 @@ __all__ = [
     "NeighborGraph",
     "knn_indices",
     "build_graph",
+    "check_kernel",
     "dump_edges",
 ]
 
@@ -131,16 +132,27 @@ def knn_indices(h, k: int) -> list:
     return list(np.take_along_axis(ids, order, axis=1))
 
 
+def check_kernel(kernel: str, sigma: float | None) -> None:
+    """Raise ``ParameterError`` unless ``build_graph`` takes ``kernel`` with ``sigma``:
+    a known kernel, and a sigma that is None or, for the Gaussian, finite and positive."""
+    if kernel not in KERNELS:
+        raise ParameterError(f"unknown kernel {kernel!r}")
+    if kernel == "dot" and sigma is not None:
+        raise ParameterError("sigma applies only to the gaussian kernel, not to 'dot'")
+    if sigma is not None and not 0.0 < sigma < np.inf:  # false for nan too
+        raise ParameterError("sigma must be finite and positive")
+
+
 def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:
     """Union-kNN graph over the rows of h; ``kernel`` picks the edge values.
 
     Gaussian weights use ``sigma``, which defaults to the median distance
     over all selected kNN pairs; degenerate data (all points identical) makes
-    that heuristic collapse, in which case an explicit sigma is required.
-    Dot-product weights may be negative and have no sigma.
+    that heuristic collapse, in which case an explicit sigma is required. A
+    sigma so small that every selected weight underflows to 0 is an error
+    too. Dot-product weights may be negative and take no sigma.
     """
-    if kernel not in KERNELS:
-        raise ParameterError(f"unknown kernel {kernel!r}")
+    check_kernel(kernel, sigma)
     ids, dist, dots = _nearest(as_matrix(h, "h"), k)
     if kernel == "dot":
         return _union(ids, dots, sigma=None)
@@ -151,9 +163,14 @@ def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None)
                 "sigma heuristic degenerate (all selected neighbor distances are zero); "
                 "pass an explicit sigma"
             )
-    elif not 0.0 < sigma < np.inf:  # false for nan too
-        raise ParameterError("sigma must be finite and positive")
-    return _union(ids, np.exp(-dist / (2.0 * sigma * sigma)), sigma=float(sigma))
+    two_s2 = 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):  # far pairs may underflow to weight 0
+        weights = np.exp(-dist / two_s2) if two_s2 > 0.0 else np.zeros_like(dist)
+    if not weights.any():
+        raise ParameterError(
+            f"sigma={sigma:g} too small: every Gaussian edge weight underflows to 0"
+        )
+    return _union(ids, weights, sigma=float(sigma))
 
 
 def dump_edges(g: NeighborGraph) -> str:

@@ -80,6 +80,8 @@ class TrainConfig:
     early_stop_min_epochs: int = 20
 
     def validate(self) -> None:
+        """Raise ``ParameterError`` for a setting out of range on its own; ``check_fit``
+        checks kernel and sigma, since the kernel may come from the dataset."""
         if self.latent_dim < 2:
             raise ParameterError("latent_dim must be >= 2")
         if self.k < 1:
@@ -89,8 +91,6 @@ class TrainConfig:
             raise ParameterError("gamma must be finite and >= 0")
         if not 0 < self.learning_rate < np.inf:
             raise ParameterError("learning_rate must be finite and positive")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ParameterError("sigma must be finite and positive")
         if min(self.epochs, self.pretrain_epochs) < 0:
             raise ParameterError("epoch counts must be >= 0")
         if self.heads < 1 or self.gat_layers < 0:
@@ -99,8 +99,6 @@ class TrainConfig:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.combine not in gt.COMBINES:
             raise ParameterError(f"unknown combine mode {self.combine!r}")
-        if self.kernel is not None and self.kernel not in gr.KERNELS:
-            raise ParameterError(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass
@@ -169,8 +167,10 @@ def _resolve_clusters(ds: MultiViewDataset, cfg: TrainConfig) -> int:
 
 def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> None:
     """Raise ``ParameterError`` unless ``cfg`` is valid and fits ``ds``: k below the
-    sample count and between 2 and N clusters. ``train`` runs this first."""
+    sample count, between 2 and N clusters, and a sigma only for the Gaussian
+    kernel. ``train`` runs this first."""
     cfg.validate()
+    gr.check_kernel(_resolve_kernel(ds, cfg), cfg.sigma)
     n = ds.n_samples
     if cfg.k > n - 1:
         raise ParameterError(f"k={cfg.k} too large for {n} samples")

@@ -95,11 +95,11 @@ def test_criterion_oracle_equivalence():
         # neighbor-graph kernels
         h = rng.normal(size=(10, 3))
         sigma = 0.7 + 0.05 * seed
-        for kernel, oracle in (
-            ("gaussian", gaussian_adjacency(h, 3, sigma)),
-            ("dot", dot_adjacency(h, 3)),
+        for kernel, kernel_sigma, oracle in (
+            ("gaussian", sigma, gaussian_adjacency(h, 3, sigma)),
+            ("dot", None, dot_adjacency(h, 3)),
         ):
-            g = build_graph(h, k=3, kernel=kernel, sigma=sigma)
+            g = build_graph(h, k=3, kernel=kernel, sigma=kernel_sigma)
             dense = np.zeros((10, 10))
             dense[np.repeat(np.arange(10), np.diff(g.indptr)), g.indices] = g.weights
             track(dense, oracle)

@@ -347,9 +347,11 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
 
 
 def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
+    monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)  # only the CSR side gathers in chunks
     h, g = random_graph(23, 40, 5, k=4)
     stack = init_gat_stack(2, 5, 3, 2, seed=4, combine="concat", activation="elu")
     out, caches = stack_forward(stack, h, g.neighborhoods())
+    assert isinstance(caches[0].adj, gat._SparseAdjacency)
     upstream = make_rng(24).normal(size=out.shape)
     whole = stack_backward(stack, caches, upstream)
     monkeypatch.setattr(gat, "_EDGE_CHUNK", 7)  # many chunks, the last one partial
@@ -357,6 +359,29 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     assert np.array_equal(whole[1], chunked[1])
     for (w1, a1), (w2, a2) in zip(whole[0], chunked[0], strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(w1 + a1, w2 + a2, strict=True))
+
+
+# row 0 lists node 3 twice, and rows 2 and 5 are empty
+WITH_REPEAT = [[0, 3, 3, 1], [1, 0, 4], [], [3, 0, 1], [4, 1, 6], [], [6, 4, 0]]
+
+
+@pytest.mark.parametrize("activation, combine", [("sigmoid", "average"), ("elu", "concat")])
+def test_dense_and_csr_layouts_agree(monkeypatch, activation, combine):
+    stack = init_gat_stack(2, 4, 3, 2, seed=6, combine=combine, activation=activation)
+    h = make_rng(50).normal(size=(7, 4))
+    upstream = make_rng(51).normal(size=(7, stack[-1].f_out))
+    runs = {}
+    for layout, switch in (("dense", 7), ("csr", 6)):
+        monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
+        out, caches = stack_forward(stack, h, csr(WITH_REPEAT))
+        grads, grad_h = stack_backward(stack, caches, upstream)
+        flat = [g for grad_w, grad_a in grads for g in grad_w + grad_a]
+        runs[layout] = (type(caches[0].adj), [out, grad_h] + flat)
+    assert runs["dense"][0] is gat._DenseAdjacency
+    assert runs["csr"][0] is gat._SparseAdjacency
+    for dense, sparse in zip(runs["dense"][1], runs["csr"][1], strict=True):
+        assert dense.shape == sparse.shape
+        assert np.max(np.abs(dense - sparse)) < 1e-12
 
 
 def test_backward_holds_no_edge_by_feature_gather():

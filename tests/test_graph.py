@@ -81,6 +81,31 @@ def test_gaussian_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
         build_graph(h, k=2, sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+def test_gaussian_rejects_a_sigma_whose_weights_all_underflow(sigma, recwarn):
+    # 2 sigma^2 is subnormal at 1e-160 and 0 at 1e-300
+    h = make_rng(2).normal(size=(6, 2))
+    with pytest.raises(ParameterError, match=f"sigma={sigma:g} too small"):
+        build_graph(h, k=2, sigma=sigma)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_gaussian_keeps_a_graph_where_only_far_edges_underflow():
+    # two tight pairs 1000 apart: the union joins them, and the far edges weigh 0
+    h = np.array([[0.0], [0.1], [1000.0], [1000.1]])
+    g = build_graph(h, k=2, sigma=0.1)
+    dense = graph_to_dense(g)
+    assert dense[0, 1] == pytest.approx(np.exp(-0.5))
+    assert dense[2, 3] == pytest.approx(np.exp(-0.5))
+    assert dense[1, 2] == 0.0
+
+
+def test_dot_rejects_a_sigma():
+    h = make_rng(2).normal(size=(6, 2))
+    with pytest.raises(ParameterError, match="sigma applies only to the gaussian kernel"):
+        build_graph(h, k=2, kernel="dot", sigma=1.0)
+
+
 def test_dot_unit_vectors():
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g = build_graph(h, k=1, kernel="dot")

@@ -68,6 +68,7 @@ def test_config_validation():
         (dict(kernel="bogus"), "unknown kernel 'bogus'"),
         (dict(activation="bogus"), "unknown activation 'bogus'"),
         (dict(combine="x"), "unknown combine mode 'x'"),
+        (dict(kernel="dot", sigma=0.5), "sigma applies only to the gaussian kernel"),
     ],
 )
 def test_settings_that_do_not_fit_fail_before_any_epoch(monkeypatch, fields, message):
