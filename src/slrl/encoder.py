@@ -90,8 +90,11 @@ def decode(theta: DecoderParams, h) -> np.ndarray:
     """Forward pass of one view's decoder."""
     h = as_matrix(h, "h")
     theta.check_chain(h.shape[1])
-    pre = h @ theta.w1.T + theta.b1
-    return np.maximum(pre, 0.0) @ theta.w2.T + theta.b2
+    hid = h @ theta.w1.T
+    hid += theta.b1
+    out = np.maximum(hid, 0.0, out=hid) @ theta.w2.T
+    out += theta.b2
+    return out
 
 
 def _sample_count(h, params, ds: MultiViewDataset) -> int:
@@ -109,8 +112,10 @@ def per_sample_reconstruction(h, params, ds: MultiViewDataset) -> np.ndarray:
     n = _sample_count(h, params, ds)
     total = np.zeros(n)
     for theta, x in zip(params, ds.views):
-        err = decode(theta, h) - x
-        total += np.sum(err * err, axis=1)
+        err = decode(theta, h)
+        err -= x
+        err *= err
+        total += np.sum(err, axis=1)
     return total
 
 
@@ -130,19 +135,27 @@ def reconstruction_grads(h, params, ds: MultiViewDataset):
     grads = []
     for theta, x in zip(params, ds.views):
         theta.check_chain(h.shape[1])
-        pre = h @ theta.w1.T + theta.b1
-        hid = np.maximum(pre, 0.0)
-        out = hid @ theta.w2.T + theta.b2
-        d_out = (2.0 / n) * (out - x)
-        d_hid = d_out @ theta.w2
-        d_pre = d_hid * (pre > 0.0)
-        grads.append(
-            DecoderParams(
-                w1=d_pre.T @ h,
-                b1=d_pre.sum(axis=0),
-                w2=d_out.T @ hid,
-                b2=d_out.sum(axis=0),
-            )
-        )
-        grad_h += d_pre @ theta.w1
+        grad, grad_h_v = _view_grads(theta, h, x, n)
+        grads.append(grad)
+        grad_h += grad_h_v
     return grad_h, grads
+
+
+def _view_grads(theta: DecoderParams, h: np.ndarray, x: np.ndarray, n: int):
+    """One view's decoder gradients and its share of grad_h. The backward pass
+    runs in place, in two (N, hidden) buffers and one (N, d_v) buffer, which
+    are freed on return."""
+    hid = h @ theta.w1.T
+    hid += theta.b1
+    mask = hid > 0.0
+    np.maximum(hid, 0.0, out=hid)
+    d_out = hid @ theta.w2.T
+    d_out += theta.b2
+    d_out -= x
+    d_out *= 2.0 / n
+    grad_w2 = d_out.T @ hid
+    del hid
+    d_pre = d_out @ theta.w2
+    d_pre *= mask
+    grad = DecoderParams(w1=d_pre.T @ h, b1=d_pre.sum(axis=0), w2=grad_w2, b2=d_out.sum(axis=0))
+    return grad, d_pre @ theta.w1

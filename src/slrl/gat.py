@@ -15,7 +15,10 @@ N_i as given; an empty row aggregates to zero.
 
 The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
-suite checks it against central differences.
+suite checks it against central differences. A layer's cache keeps only
+what that pass reads: the layer input, the activation's input and output
+(the head mean, or the heads side by side), and per head W^k h, the edge
+scores and the coefficients. The per-head aggregates are not kept.
 
 Attention needs three products over the graph, each weighted by one head's
 coefficients: the aggregate sum_j alpha_ij z_j, its transpose, and the
@@ -250,17 +253,16 @@ def _adjacency(indptr, indices) -> _Adjacency:
 
 @dataclass(slots=True)
 class _HeadCache:
-    z: np.ndarray
-    t: np.ndarray
-    alpha: np.ndarray
-    agg: np.ndarray
+    z: np.ndarray  # W^k h
+    t: np.ndarray  # per-edge scores before the LeakyReLU
+    alpha: np.ndarray  # per-edge attention coefficients
 
 
 @dataclass(slots=True)
 class _LayerCache:
     adj: _Adjacency
     heads: list
-    pre_combine: np.ndarray | None
+    pre: np.ndarray  # the activation's input: the head mean, or the heads side by side
     out: np.ndarray  # the layer's activated output
     h_in: np.ndarray
 
@@ -287,18 +289,18 @@ def _head_forward(params: GatParams, k: int, h, adj: _Adjacency):
     e = np.where(t > 0, t, LEAKY_SLOPE * t)
     ex = np.exp(e - _segment_reduce(np.maximum, e, indptr)[row])
     alpha = ex / _segment_reduce(np.add, ex, indptr)[row]
-    return _HeadCache(z=z, t=t, alpha=alpha, agg=adj.aggregate(alpha, z))
+    return _HeadCache(z=z, t=t, alpha=alpha)
 
 
 def _layer_forward(params: GatParams, h, adj: _Adjacency):
     heads = [_head_forward(params, k, h, adj) for k in range(params.heads)]
+    aggs = (adj.aggregate(hc.alpha, hc.z) for hc in heads)
     if params.combine == "average":
-        pre = sum(hc.agg for hc in heads) / params.heads
-        out = _activate(params, pre)
+        pre = sum(aggs) / params.heads
     else:
-        pre = None
-        out = np.concatenate([_activate(params, hc.agg) for hc in heads], axis=1)
-    return out, _LayerCache(adj=adj, heads=heads, pre_combine=pre, out=out, h_in=h)
+        pre = np.concatenate(list(aggs), axis=1)
+    out = _activate(params, pre)
+    return out, _LayerCache(adj=adj, heads=heads, pre=pre, out=out, h_in=h)
 
 
 def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
@@ -307,14 +309,12 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     fp = params.f_prime
     grad_h = np.zeros_like(h)
     grad_w, grad_a = [], []
+    d_pre = upstream * _activate_deriv(params, cache.pre, cache.out)
     if params.combine == "average":
-        d_pre = upstream * _activate_deriv(params, cache.pre_combine, cache.out)
+        d_pre /= params.heads
     for k, hc in enumerate(cache.heads):
-        if params.combine == "average":
-            d_agg = d_pre / params.heads
-        else:
-            cols = slice(k * fp, (k + 1) * fp)
-            d_agg = upstream[:, cols] * _activate_deriv(params, hc.agg, cache.out[:, cols])
+        # each head's aggregate feeds the mean, or its own block of columns
+        d_agg = d_pre if params.combine == "average" else d_pre[:, k * fp : (k + 1) * fp]
         d_alpha = adj.edge_dots(d_agg, hc.z)
         dz = adj.aggregate_t(hc.alpha, d_agg)
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')

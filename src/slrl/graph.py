@@ -19,6 +19,10 @@ it computes the squared distances ``sq_I + sq - 2 h_I h^T`` and selects each
 row's k nearest with ``np.partition``; where the k-th distance ties past the
 k-th place, the smaller indices win. Only the k ids per row, their squared
 distances and their dot products are kept, so memory is O(N * _ROW_BLOCK).
+Every block works in one workspace the build allocates once: three
+(_ROW_BLOCK, N) slabs for the Gram block, the distances and a partitioned
+copy of the distances, which each block overwrites. Fresh arrays per block
+would each be returned to the kernel on free and faulted in again.
 The union is the sorted set of unique codes ``i * N + j`` over both
 directions of every selected pair, which is already the CSR order. Both
 directions of an edge take their weight from the pair's first selection in
@@ -74,16 +78,20 @@ class NeighborGraph:
         return self.indptr + np.arange(self.n + 1), indices
 
 
-def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int):
-    """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``; the block's (rows, N)
-    arrays are freed on return."""
-    gram2 = h[start : start + _ROW_BLOCK] @ h.T
+def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int, work: np.ndarray):
+    """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``, worked out in the
+    build's (3, B, N) workspace ``work``, which the next block overwrites."""
+    stop = min(start + _ROW_BLOCK, h.shape[0])
+    gram2, d, part = work[:, : stop - start]
+    np.matmul(h[start:stop], h.T, out=gram2)
     gram2 *= 2.0
-    d = np.add.outer(sq[start : start + _ROW_BLOCK], sq)
+    np.add.outer(sq[start:stop], sq, out=d)
     d -= gram2
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d[:, start:], np.inf)
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k].copy()
+    np.copyto(part, d)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1 : k]
     sel = d <= kth
     # rows where the k-th distance ties past the k-th place keep the smaller ids
     for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
@@ -100,7 +108,10 @@ def _nearest(h: np.ndarray, k: int):
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)
-    blocks = [_block_nearest(h, sq, s, k) for s in range(0, n, _ROW_BLOCK)]
+    # one workspace for every block: the Gram block, the distances and the
+    # partitioned copy of the distances
+    work = np.empty((3, min(_ROW_BLOCK, n), n))
+    blocks = [_block_nearest(h, sq, s, k, work) for s in range(0, n, _ROW_BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 

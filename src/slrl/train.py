@@ -30,6 +30,7 @@ walk that listing.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,7 +42,13 @@ from . import gat as gt
 from . import graph as gr
 from . import metrics as mt
 from .data import MultiViewDataset, read_matrix, write_matrix
-from .errors import FormatError, NumericError, ParameterError
+from .errors import (
+    DegenerateClusterError,
+    DivergenceError,
+    FormatError,
+    NumericError,
+    ParameterError,
+)
 from .numerics import finite_diff_grad, relative_error
 
 __all__ = [
@@ -236,14 +243,76 @@ def _named(h, decoders, gat, centroids=None) -> list:
     return out
 
 
-def _step(params, grads, scales: dict, where: str) -> None:
+def _step(params, grads, scales: dict) -> None:
     """Descend in place: each array moves by its group's scale times its gradient.
-    Nothing moves if a gradient is non-finite; the error names ``where``."""
+    Nothing moves if a gradient is non-finite.
+
+    Each gradient is scaled in place before it is subtracted, so every one must
+    be a fresh array that nothing else reads.
+    """
     for group, name, grad in grads:
         if not np.isfinite(grad).all():
-            raise NumericError(f"{where}: non-finite gradient in group {group!r} ({name})")
+            raise NumericError(f"non-finite gradient in group {group!r} ({name})")
     for (group, _, value), (_, _, grad) in zip(params, grads, strict=True):
-        value -= scales[group] * grad
+        grad *= scales[group]
+        value -= grad
+
+
+# the errors the kernels of a training epoch raise
+_KERNEL_ERRORS = (NumericError, ParameterError, DegenerateClusterError, DivergenceError)
+
+
+@contextmanager
+def _phase_errors(where: str):
+    """Re-raise a kernel error, of the same type, with ``where`` before its message,
+    so that a failure names the epoch whose step led to it."""
+    try:
+        yield
+    except _KERNEL_ERRORS as err:
+        raise type(err)(f"{where}: {err}") from err
+
+
+def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, report):
+    """One joint epoch of ``train`` on the neighborhoods ``nbhd``: attention, the
+    clustering head, the losses and metrics appended to ``report``, and one step
+    of ``model`` (h, decoders, attention stack) and the centroids.
+
+    Returns (loss, q, centroids). The attention caches and every gradient are
+    local, so none of them outlives the epoch.
+    """
+    h, decoders, stack = model
+    ht, caches = gt.stack_forward(stack, h, nbhd)
+    q = cl.soft_assign(ht, centroids)
+    try:
+        p = cl.target_distribution(q)
+    except cl.DegenerateClusterError:
+        warnings.warn("degenerate cluster during target refresh; re-seeding centroid")
+        centroids = _reseed_degenerate(ht, centroids, q)
+        q = cl.soft_assign(ht, centroids)
+        p = cl.target_distribution(q)
+
+    lr_value = enc.reconstruction_loss(h, decoders, ds)
+    lc_value = cl.kl_loss(p, q)
+    loss = total_loss(lr_value, lc_value, cfg.gamma)
+
+    report.lr_history.append(lr_value)
+    report.lc_history.append(lc_value)
+    report.loss_history.append(loss)
+    report.metrics_history.append(_epoch_metrics(q, ds.labels))
+    _update_invariant_gaps(report, q, p, caches)
+
+    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
+    grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
+    # shared parameters descend the mean per-sample loss, so the summed
+    # clustering gradients are scaled by gamma/N before stepping
+    upstream = (cfg.gamma / ds.n_samples) * grad_ht
+    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, upstream)
+    _step(
+        _named(h, decoders, _gat_pairs(stack), centroids),
+        _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
+        scales,
+    )
+    return loss, q, centroids
 
 
 # no numpy overflow/invalid warnings: _step, total_loss and as_matrix stop
@@ -264,59 +333,34 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # phase 1: reconstruction-only descent on H and the decoders
     for epoch in range(cfg.pretrain_epochs):
-        loss = enc.reconstruction_loss(h, decoders, ds)
-        grad_h, dec_grads = enc.reconstruction_grads(h, decoders, ds)
-        report.lr_history.append(loss)
-        report.lc_history.append(0.0)
-        report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
-        report.metrics_history.append(None)
-        where = f"pretrain epoch {epoch + 1}"
-        _step(_named(h, decoders, []), _named(grad_h, dec_grads, []), scales, where)
+        with _phase_errors(f"pretrain epoch {epoch + 1}"):
+            loss = enc.reconstruction_loss(h, decoders, ds)
+            grad_h, dec_grads = enc.reconstruction_grads(h, decoders, ds)
+            report.lr_history.append(loss)
+            report.lc_history.append(0.0)
+            report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
+            report.metrics_history.append(None)
+            _step(_named(h, decoders, []), _named(grad_h, dec_grads, []), scales)
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
-    # phase 2 setup: graph, structured representation, k-means centroids
+    # phase 2 setup: graph, structured representation, k-means centroids; the
+    # forward pass's caches are dropped at once
     nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
-    ht, caches = gt.stack_forward(stack, h, nbhd)
-    centroids = cl.init_centroids(ht, n_clusters, seed=cfg.seed + 3)
+    centroids = cl.init_centroids(gt.stack_forward(stack, h, nbhd)[0], n_clusters, cfg.seed + 3)
     best_loss = np.inf
     no_improve = 0
     prev_assign = None
     stable_assign = 0
 
     for epoch in range(cfg.epochs):
-        if epoch > 0:
-            nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
-        ht, caches = gt.stack_forward(stack, h, nbhd)
-        q = cl.soft_assign(ht, centroids)
-        try:
-            p = cl.target_distribution(q)
-        except cl.DegenerateClusterError:
-            warnings.warn("degenerate cluster during target refresh; re-seeding centroid")
-            centroids = _reseed_degenerate(ht, centroids, q)
-            q = cl.soft_assign(ht, centroids)
-            p = cl.target_distribution(q)
-
-        lr_value = enc.reconstruction_loss(h, decoders, ds)
-        lc_value = cl.kl_loss(p, q)
-        loss = total_loss(lr_value, lc_value, cfg.gamma)
-
-        report.lr_history.append(lr_value)
-        report.lc_history.append(lc_value)
-        report.loss_history.append(loss)
-        report.metrics_history.append(_epoch_metrics(q, ds.labels))
-        _update_invariant_gaps(report, q, p, caches)
-
-        grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
-        grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
-        # shared parameters descend the mean per-sample loss, so the summed
-        # clustering gradients are scaled by gamma/N before stepping
-        layer_grads, grad_h_gat = gt.stack_backward(stack, caches, (cfg.gamma / n) * grad_ht)
-        _step(
-            _named(h, decoders, _gat_pairs(stack), centroids),
-            _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
-            scales,
-            f"joint epoch {epoch + 1}",
-        )
+        with _phase_errors(f"joint epoch {epoch + 1}"):
+            # the first epoch attends over the setup graph
+            if nbhd is None:
+                nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+            loss, q, centroids = _joint_epoch(
+                ds, cfg, (h, decoders, stack), centroids, nbhd, scales, report
+            )
+        nbhd = None  # freed before the next build
         report.joint_epochs_run = epoch + 1
 
         # two convergence monitors, both gated behind a burn-in:
@@ -346,10 +390,10 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
                 break
 
     # final state under the last parameter values
-    g = gr.build_graph(h, cfg.k, kernel, cfg.sigma)
-    nbhd = g.neighborhoods()
-    ht, _ = gt.stack_forward(stack, h, nbhd)
-    q = cl.soft_assign(ht, centroids)
+    with _phase_errors(f"final state after {report.joint_epochs_run} joint epochs"):
+        g = gr.build_graph(h, cfg.k, kernel, cfg.sigma)
+        ht, _ = gt.stack_forward(stack, h, g.neighborhoods())
+        q = cl.soft_assign(ht, centroids)
     report.h = h
     report.ht = ht
     report.q = q

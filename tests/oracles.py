@@ -182,6 +182,25 @@ def reconstruction_oracle(decoded_views, views):
     return total / n
 
 
+def reconstruction_grads_reference(h, decoders, views):
+    """Gradients of the reconstruction loss in the plain out-of-place form, one
+    fresh array per expression. ``decoders`` holds (w1, b1, w2, b2) per view;
+    returns (grad_h, [(w1, b1, w2, b2) gradients per view])."""
+    n = h.shape[0]
+    grad_h = np.zeros_like(h)
+    grads = []
+    for (w1, b1, w2, b2), x in zip(decoders, views):
+        pre = h @ w1.T + b1
+        hid = np.maximum(pre, 0.0)
+        out = hid @ w2.T + b2
+        d_out = (2.0 / n) * (out - x)
+        d_hid = d_out @ w2
+        d_pre = d_hid * (pre > 0.0)
+        grads.append((d_pre.T @ h, d_pre.sum(axis=0), d_out.T @ hid, d_out.sum(axis=0)))
+        grad_h += d_pre @ w1
+    return grad_h, grads
+
+
 # ----------------------------------------------------------------- metrics
 
 def acc_bruteforce(pred, truth):

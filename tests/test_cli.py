@@ -351,6 +351,14 @@ def test_diverging_run_is_a_clean_error(tmp_path, capsys, recwarn):
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_overflowing_run_is_one_error_line_naming_the_epoch(tmp_path, capsys, recwarn):
+    out = str(tmp_path / "x")
+    assert run_cli("train", "--synth", "3x20", "--k", "3", "--gamma", "1e300", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: joint epoch \d+: ht contains non-finite entries\n", err)
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 @pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])
 def test_training_failures_map_to_exit_2(tmp_path, capsys, monkeypatch, exc):
     def fail(ds, cfg):

@@ -14,7 +14,7 @@ from slrl.encoder import (
 from slrl.errors import NumericError, ParameterError, ShapeError
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
-from oracles import decode_oracle, reconstruction_oracle
+from oracles import decode_oracle, reconstruction_grads_reference, reconstruction_oracle
 
 
 def small_problem(seed=0, n=6, f=4, dims=(3, 5)):
@@ -144,6 +144,42 @@ def test_grads_match_finite_differences():
     )
     num_theta = finite_diff_grad(loss_of_theta, packed, eps=1e-5)
     assert relative_error(analytic, num_theta) < 1e-4
+
+
+def kinked_problem():
+    """Integer inputs and weights with zero biases: many pre-activations are exactly 0."""
+    rng = make_rng(14)
+    h = rng.integers(-1, 2, size=(7, 4)).astype(float)
+    params = init_decoders(4, [3, 5], 15)
+    for theta in params:
+        theta.w1 = rng.integers(-1, 2, size=theta.w1.shape).astype(float)
+    ds = MultiViewDataset(views=[rng.normal(size=(7, d)) for d in (3, 5)])
+    return h, params, ds
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["hidden 2F above d_v", "d_v 512 above 2F", "one sample", "pre-activations at the kink"],
+)
+def test_grads_equal_the_out_of_place_reference_bit_for_bit(case):
+    if case == "hidden 2F above d_v":
+        h, params, ds = small_problem(seed=10, n=9, f=6, dims=(3, 5))
+    elif case == "d_v 512 above 2F":
+        h, params, ds = small_problem(seed=11, n=12, f=8, dims=(512, 7))
+    elif case == "one sample":
+        h, params, ds = small_problem(seed=12, n=1, f=4, dims=(3, 9))
+    else:
+        h, params, ds = kinked_problem()
+        pre = [h @ theta.w1.T + theta.b1 for theta in params]
+        assert all(np.any(x == 0.0) for x in pre)
+    grad_h, grads = reconstruction_grads(h, params, ds)
+    decoders = [(t.w1, t.b1, t.w2, t.b2) for t in params]
+    want_h, want = reconstruction_grads_reference(h, decoders, ds.views)
+    got = [grad_h] + [x for g in grads for x in (g.w1, g.b1, g.w2, g.b2)]
+    ref = [want_h] + [x for g in want for x in g]
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # signed zeros too
 
 
 def test_grads_reject_a_decoder_count_mismatch():

@@ -218,6 +218,20 @@ def test_knn_across_row_blocks_matches_oracle():
     assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, 2.0))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [graph._ROW_BLOCK // 2, graph._ROW_BLOCK + 1])
+def test_knn_ties_in_a_partial_workspace_match_oracle(n):
+    # a single block smaller than the workspace's row count, and a last block of one row
+    k = 3
+    h = grid_points(n, 7, seed=20)
+    assert straddling_rows(h, k)[-1] == n - 1  # the last row splits a tie
+    for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
+        assert np.array_equal(got, want)
+    dense_g = graph_to_dense(build_graph(h, k, sigma=1.3))
+    dense_d = graph_to_dense(build_graph(h, k, "dot"))
+    assert np.max(np.abs(dense_g - gaussian_adjacency(h, k, 1.3))) < 1e-12
+    assert np.max(np.abs(dense_d - dot_adjacency(h, k))) < 1e-12
+
+
 def edge_set(nbrs):
     return {(i, int(j)) for i, ids in enumerate(nbrs) for j in ids}
 

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from dataclasses import replace
 from slrl.data import synth_multiview
 import slrl.cluster
 import slrl.encoder
+import slrl.gat
+import slrl.graph
 from slrl.errors import FormatError, NumericError, ParameterError
 from slrl.train import (
     TrainConfig,
@@ -292,3 +297,58 @@ def test_early_stop_fields_consistent():
     assert rep.early_stop_reason in ("loss", "assignments")
     assert rep.joint_epochs_run == rep.early_stopped_at
     assert rep.joint_epochs_run < 200
+
+
+@pytest.mark.parametrize(
+    "epochs, where", [(200, r"joint epoch \d+"), (1, "final state after 1 joint epochs")]
+)
+def test_overflowing_run_names_the_epoch(epochs, where):
+    # a clustering weight this large overflows the first step's result
+    ds = synth_multiview(3, 20, [8, 8], noise=0.05, seed=0)
+    with pytest.raises(NumericError, match=f"^{where}: ht contains non-finite entries$"):
+        train(ds, TrainConfig(k=3, gamma=1e300, epochs=epochs))
+
+
+def test_step_gets_fresh_gradients(monkeypatch):
+    # _step scales every gradient in place, so none may alias a parameter or a cache
+    train_mod = sys.modules["slrl.train"]
+    cached, checked = [], []
+    forward, step = slrl.gat.stack_forward, train_mod._step
+
+    def recording_forward(stack, h, nbhd):
+        out, caches = forward(stack, h, nbhd)
+        for c in caches:
+            cached.extend([c.pre, c.out, *(x for hc in c.heads for x in (hc.z, hc.t, hc.alpha))])
+        return out, caches
+
+    def checking_step(params, grads, scales):
+        arrays = [g for _, _, g in grads]
+        for i, g in enumerate(arrays):
+            others = [p for _, _, p in params] + cached + arrays[:i] + arrays[i + 1 :]
+            assert not any(np.shares_memory(g, x) for x in others)
+        checked.append(len(arrays))
+        step(params, grads, scales)
+
+    monkeypatch.setattr(slrl.gat, "stack_forward", recording_forward)
+    monkeypatch.setattr(train_mod, "_step", checking_step)
+    train(small_ds(), small_cfg(epochs=3, pretrain_epochs=2))
+    assert len(checked) == 5 and cached
+
+
+def test_one_set_of_attention_caches_lives_at_a_time(monkeypatch):
+    # no cache of an earlier forward pass is reachable at a graph build or a forward pass
+    live = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, slrl.gat._LayerCache) for o in gc.get_objects()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(slrl.graph, "build_graph", counting(slrl.graph.build_graph))
+    monkeypatch.setattr(slrl.gat, "stack_forward", counting(slrl.gat.stack_forward))
+    report = train(small_ds(), small_cfg(epochs=4, gat_layers=2))
+    assert report.joint_epochs_run == 4
+    assert live == [0] * (2 * 4 + 3)
