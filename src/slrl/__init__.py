@@ -63,7 +63,6 @@ from .data import (
     load_dataset,
     normalize,
     save_dataset,
-    split,
     synth_multiview,
 )
 from .encoder import (
@@ -100,7 +99,6 @@ __all__ = [
     "load_dataset",
     "normalize",
     "save_dataset",
-    "split",
     "synth_multiview",
     "DecoderParams",
     "decode",

@@ -30,7 +30,6 @@ from .data import (
     normalize,
     read_labels,
     save_dataset,
-    split,
     synth_multiview,
 )
 from .errors import (
@@ -74,12 +73,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--view-dims", type=str, default=None, help="comma list of view dims for --synth")
     p.add_argument("--noise", type=float, default=0.05, help="observation noise for --synth")
     p.add_argument("--no-normalize", action="store_true", help="skip min-max normalization of --data")
-    p.add_argument(
-        "--split",
-        type=float,
-        default=None,
-        help="train on this fraction of the samples (transductive; the rest is held out)",
-    )
 
 
 def _comma_list(flag: str, text: str, kind) -> list:
@@ -143,9 +136,6 @@ def _load_input(args, seed: int) -> tuple[MultiViewDataset, dict]:
             "noise": args.noise,
             "seed": seed,
         }
-    if getattr(args, "split", None) is not None:
-        ds, _held_out = split(ds, args.split, seed)
-        spec["split"] = args.split
     return ds, spec
 
 
@@ -405,7 +395,7 @@ def main(argv=None) -> int:
     except (
         ParameterError,
         FormatError,
-        FileNotFoundError,
+        OSError,
         NumericError,
         DegenerateClusterError,
         DivergenceError,

@@ -1,4 +1,4 @@
-"""Multi-view datasets: container, on-disk format, normalization, synthesis, split.
+"""Multi-view datasets: container, on-disk format, normalization, synthesis.
 
 A dataset is V feature matrices over one shared sample index (row i of every
 view describes the same object) plus optional ground-truth labels.
@@ -38,7 +38,6 @@ __all__ = [
     "write_matrix",
     "normalize",
     "synth_multiview",
-    "split",
 ]
 
 MAGIC = b"MVM1"
@@ -97,16 +96,6 @@ class MultiViewDataset:
 
     def n_clusters(self) -> int | None:
         return int(np.unique(self.labels).size) if self.labels is not None else None
-
-    def take(self, idx) -> "MultiViewDataset":
-        """Dataset restricted to the given row indices (in the given order)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        return MultiViewDataset(
-            views=[v[idx] for v in self.views],
-            labels=self.labels[idx] if self.labels is not None else None,
-            view_names=list(self.view_names),
-            kinds=list(self.kinds),
-        )
 
 
 def write_matrix(path, m: np.ndarray) -> None:
@@ -282,22 +271,3 @@ def synth_multiview(
         view_names=[f"view{i}" for i in range(len(view_dims))],
         kinds=["continuous"] * len(view_dims),
     )
-
-
-def split(ds: MultiViewDataset, fraction: float, seed: int):
-    """Disjoint row partition of sizes round(fraction*N) and the remainder.
-
-    Every view (and the labels) is split by the same index set; indices are
-    kept in original order within each part. Raises if either part would be
-    empty.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ParameterError("fraction must lie in (0, 1)")
-    n = ds.n_samples
-    n_first = int(round(fraction * n))
-    if n_first < 1 or n - n_first < 1:
-        raise ParameterError(f"split {fraction} of {n} samples leaves an empty part")
-    perm = make_rng(seed).permutation(n)
-    first = np.sort(perm[:n_first])
-    second = np.sort(perm[n_first:])
-    return ds.take(first), ds.take(second)

@@ -16,9 +16,10 @@ N_i as given; an empty row aggregates to zero.
 The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
 suite checks it against central differences. A layer's cache keeps only
-what that pass reads: the layer input, the activation's input and output
-(the head mean, or the heads side by side), and per head W^k h, the edge
-scores and the coefficients. The per-head aggregates are not kept.
+what that pass reads: the layer input, the activated output (both
+activations' derivatives are functions of it), and per head W^k h, the edge
+scores and the coefficients. The per-head aggregates and the activation's
+input are not kept.
 
 Attention needs three products over the graph, each weighted by one head's
 coefficients: the aggregate sum_j alpha_ij z_j, its transpose, and the
@@ -166,11 +167,13 @@ def _activate(params: GatParams, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
 
 
-def _activate_deriv(params: GatParams, x: np.ndarray, act: np.ndarray) -> np.ndarray:
-    """Derivative at pre-activation ``x``, whose activation ``act`` the forward pass kept."""
+def _activate_deriv(params: GatParams, act: np.ndarray) -> np.ndarray:
+    """Derivative in terms of the activation ``act`` the forward pass kept:
+    act (1 - act) for the sigmoid; for the ELU 1 where act > 0 (exactly where
+    its input is), else exp(x) = act + 1."""
     if params.activation == "sigmoid":
         return act * (1.0 - act)
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.where(act > 0, 1.0, act + 1.0)
 
 
 def _check_neighborhoods(nbhd, n: int):
@@ -262,7 +265,6 @@ class _HeadCache:
 class _LayerCache:
     adj: _Adjacency
     heads: list
-    pre: np.ndarray  # the activation's input: the head mean, or the heads side by side
     out: np.ndarray  # the layer's activated output
     h_in: np.ndarray
 
@@ -300,7 +302,7 @@ def _layer_forward(params: GatParams, h, adj: _Adjacency):
     else:
         pre = np.concatenate(list(aggs), axis=1)
     out = _activate(params, pre)
-    return out, _LayerCache(adj=adj, heads=heads, pre=pre, out=out, h_in=h)
+    return out, _LayerCache(adj=adj, heads=heads, out=out, h_in=h)
 
 
 def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
@@ -309,7 +311,7 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     fp = params.f_prime
     grad_h = np.zeros_like(h)
     grad_w, grad_a = [], []
-    d_pre = upstream * _activate_deriv(params, cache.pre, cache.out)
+    d_pre = upstream * _activate_deriv(params, cache.out)
     if params.combine == "average":
         d_pre /= params.heads
     for k, hc in enumerate(cache.heads):

@@ -1,8 +1,10 @@
 """Clustering agreement metrics: ACC, NMI, pairwise F-score, ARI.
 
-All four are label-permutation invariant and operate on integer label
-vectors. The library returns fractions in [0, 1] (ARI in [-1, 1]);
-percentages only appear in reports.
+Every score is a function of one contingency table, the count of samples
+in each (pred cluster, truth cluster) pair; ``evaluate`` builds it once.
+No score depends on the table's row or column order, so all four are
+label-permutation invariant. The library returns fractions in [0, 1]
+(ARI in [-1, 1]); percentages only appear in reports.
 
 Conventions pinned here so numbers are reproducible:
   * ACC uses an optimal one-to-one cluster mapping, not a greedy mapping.
@@ -45,13 +47,13 @@ def _check_labels(pred, truth, min_len: int = 1):
     return pred, truth
 
 
-def _contingency(pred, truth):
-    """Contingency matrix C[i, j] = #{samples in pred cluster i and truth cluster j}."""
-    pi, pred_ids = np.unique(pred, return_inverse=True)
-    ti, truth_ids = np.unique(truth, return_inverse=True)
-    table = np.zeros((pi.size, ti.size), dtype=np.int64)
-    np.add.at(table, (pred_ids, truth_ids), 1)
-    return table
+def _table(pred, truth) -> np.ndarray:
+    """Contingency table: ``[i, j]`` counts the samples in pred cluster i and truth cluster j."""
+    pred_labels, pred_ids = np.unique(pred, return_inverse=True)
+    truth_labels, truth_ids = np.unique(truth, return_inverse=True)
+    c_pred, c_true = pred_labels.size, truth_labels.size
+    cells = np.bincount(pred_ids * c_true + truth_ids, minlength=c_pred * c_true)
+    return cells.reshape(c_pred, c_true)
 
 
 def _partitions_identical(table: np.ndarray) -> bool:
@@ -108,67 +110,39 @@ def _max_matched(table: np.ndarray) -> int:
     return -int(a[owner[cols], cols].sum())
 
 
-def accuracy(pred, truth) -> float:
-    """Best agreement fraction over one-to-one mappings of cluster ids.
-
-    When the partitions have different numbers of clusters the contingency
-    matrix is rectangular; the assignment simply leaves the surplus ids
-    unmatched (equivalent to padding with zero rows/columns).
-    """
-    pred, truth = _check_labels(pred, truth)
-    table = _contingency(pred, truth)
-    return _max_matched(table) / pred.shape[0]
+def _sum_in_order(terms: np.ndarray) -> float:
+    # one addition after another, left to right; np.sum adds pairwise from
+    # 8 terms on, which would move the last bits
+    return float(np.add.accumulate(terms)[-1])
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by the arithmetic mean of entropies."""
-    pred, truth = _check_labels(pred, truth)
-    table = _contingency(pred, truth)
-    n = pred.shape[0]
-    a = table.sum(axis=1)
-    b = table.sum(axis=0)
+def _nmi(table: np.ndarray, n: int) -> float:
+    a, b = table.sum(axis=1), table.sum(axis=0)
     # Entropy written as sum (c/n) log(n/c) so that identical partitions give
-    # MI and entropy as the same floating-point summation.
-    h_pred = float(sum((c / n) * np.log(n / c) for c in a if c > 0))
-    h_truth = float(sum((c / n) * np.log(n / c) for c in b if c > 0))
+    # MI and entropy as the same floating-point summation. Every label occurs,
+    # so every marginal count is positive.
+    h_pred, h_truth = (_sum_in_order((m / n) * np.log(n / m)) for m in (a, b))
     if h_pred == 0.0 or h_truth == 0.0:
         return 1.0 if _partitions_identical(table) else 0.0
-    mi = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            c = table[i, j]
-            if c > 0:
-                mi += (c / n) * np.log(n * c / (a[i] * b[j]))
+    i, j = np.nonzero(table)  # the nonzero cells in row-major order
+    c = table[i, j]
+    mi = _sum_in_order((c / n) * np.log(n * c / (a[i] * b[j])))
     value = 2.0 * mi / (h_pred + h_truth)
     return float(min(1.0, max(0.0, value)))
 
 
-def _pair_counts(pred, truth):
-    """Co-membership pair counts over the C(N,2) sample pairs.
-
-    Returns (n11, n10, n01, n00): pairs co-clustered in (both, pred only,
-    truth only, neither). Computed from the contingency table.
-    """
-    table = _contingency(pred, truth)
-    n = int(table.sum())
-
-    def choose2(x):
-        return int(np.sum(x.astype(np.int64) * (x.astype(np.int64) - 1) // 2))
-
-    n11 = choose2(table)
-    pairs_pred = choose2(table.sum(axis=1))
-    pairs_truth = choose2(table.sum(axis=0))
-    total = n * (n - 1) // 2
-    n10 = pairs_pred - n11
-    n01 = pairs_truth - n11
-    n00 = total - n11 - n10 - n01
-    return n11, n10, n01, n00
+def _pairs(table: np.ndarray, n: int) -> tuple:
+    """Co-membership counts over the C(n,2) sample pairs: (n11, n10, n01, n00)
+    are the pairs co-clustered in both, pred only, truth only and neither."""
+    n11 = int((table * (table - 1)).sum()) // 2
+    a, b = table.sum(axis=1), table.sum(axis=0)
+    n10 = int((a * (a - 1)).sum()) // 2 - n11
+    n01 = int((b * (b - 1)).sum()) // 2 - n11
+    return n11, n10, n01, n * (n - 1) // 2 - n11 - n10 - n01
 
 
-def pair_f_score(pred, truth) -> float:
-    """Harmonic mean of pairwise precision and recall; 0 when undefined."""
-    pred, truth = _check_labels(pred, truth, min_len=2)
-    n11, n10, n01, _ = _pair_counts(pred, truth)
+def _f_score(pairs: tuple) -> float:
+    n11, n10, n01, _ = pairs
     if n11 + n10 == 0 or n11 + n01 == 0:
         return 0.0
     precision = n11 / (n11 + n10)
@@ -178,18 +152,46 @@ def pair_f_score(pred, truth) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _ari(table: np.ndarray, pairs: tuple) -> float:
+    n11, n10, n01, n00 = pairs
+    denom = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
+    if denom == 0:
+        return 1.0 if _partitions_identical(table) else 0.0
+    return 2.0 * (n11 * n00 - n10 * n01) / denom
+
+
+def accuracy(pred, truth) -> float:
+    """Best agreement fraction over one-to-one mappings of cluster ids.
+
+    When the partitions have different numbers of clusters the contingency
+    matrix is rectangular; the assignment simply leaves the surplus ids
+    unmatched (equivalent to padding with zero rows/columns).
+    """
+    pred, truth = _check_labels(pred, truth)
+    return _max_matched(_table(pred, truth)) / pred.shape[0]
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by the arithmetic mean of entropies."""
+    pred, truth = _check_labels(pred, truth)
+    return _nmi(_table(pred, truth), pred.shape[0])
+
+
+def pair_f_score(pred, truth) -> float:
+    """Harmonic mean of pairwise precision and recall; 0 when undefined."""
+    pred, truth = _check_labels(pred, truth, min_len=2)
+    return _f_score(_pairs(_table(pred, truth), pred.shape[0]))
+
+
 def ari(pred, truth) -> float:
-    """Adjusted Rand index from the contingency table.
+    """Adjusted Rand index from the pair counts.
 
     Degenerate inputs (both partitions all singletons or both one cluster)
     are defined as 1 for identical partitions and 0 otherwise.
     """
     pred, truth = _check_labels(pred, truth, min_len=2)
-    n11, n10, n01, n00 = _pair_counts(pred, truth)
-    denom = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
-    if denom == 0:
-        return 1.0 if _partitions_identical(_contingency(pred, truth)) else 0.0
-    return 2.0 * (n11 * n00 - n10 * n01) / denom
+    table = _table(pred, truth)
+    return _ari(table, _pairs(table, pred.shape[0]))
 
 
 @dataclass
@@ -227,16 +229,20 @@ class MetricsReport:
 
 
 def evaluate(pred, truth) -> MetricsReport:
-    """All four metrics in one report."""
+    """All four metrics in one report, from one contingency table."""
     pred, truth = _check_labels(pred, truth)
+    table = _table(pred, truth)
+    n = pred.shape[0]
+    c_pred, c_true = table.shape
+    pairs = _pairs(table, n)
     return MetricsReport(
-        acc=accuracy(pred, truth),
-        nmi=nmi(pred, truth),
-        f_score=pair_f_score(pred, truth) if pred.shape[0] >= 2 else 1.0,
-        ari=ari(pred, truth) if pred.shape[0] >= 2 else 1.0,
-        n=int(pred.shape[0]),
-        c_pred=int(np.unique(pred).size),
-        c_true=int(np.unique(truth).size),
+        acc=_max_matched(table) / n,
+        nmi=_nmi(table, n),
+        f_score=_f_score(pairs) if n >= 2 else 1.0,
+        ari=_ari(table, pairs) if n >= 2 else 1.0,
+        n=n,
+        c_pred=c_pred,
+        c_true=c_true,
     )
 
 

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 # ------------------------------------------------------------------- graph
@@ -287,6 +288,96 @@ def ari_oracle(pred, truth):
                 return 0.0
         return 1.0
     return 2.0 * (n11 * n00 - n10 * n01) / denom
+
+
+def _contingency_reference(pred, truth):
+    pi, pred_ids = np.unique(pred, return_inverse=True)
+    ti, truth_ids = np.unique(truth, return_inverse=True)
+    table = np.zeros((pi.size, ti.size), dtype=np.int64)
+    np.add.at(table, (pred_ids, truth_ids), 1)
+    return table
+
+
+def _partitions_identical_reference(table):
+    nz = table > 0
+    return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
+
+
+def _pair_counts_reference(pred, truth):
+    table = _contingency_reference(pred, truth)
+    n = int(table.sum())
+
+    def choose2(x):
+        return int(np.sum(x.astype(np.int64) * (x.astype(np.int64) - 1) // 2))
+
+    n11 = choose2(table)
+    pairs_pred = choose2(table.sum(axis=1))
+    pairs_truth = choose2(table.sum(axis=0))
+    total = n * (n - 1) // 2
+    n10 = pairs_pred - n11
+    n01 = pairs_truth - n11
+    n00 = total - n11 - n10 - n01
+    return n11, n10, n01, n00
+
+
+def metrics_reference(pred, truth):
+    """The four scores and the report fields as the one-table rewrite of
+    ``slrl.metrics`` must reproduce them bit for bit: a copy of the earlier
+    per-metric code, in which every metric built its own contingency table,
+    entropies and mutual information were summed one cell at a time in a
+    Python loop, and ``evaluate`` called the four public functions. The
+    matching there was an exact integer assignment, so scipy's assignment on
+    the same table gives the same matched count. Returns the dict of
+    ``MetricsReport.as_dict()``."""
+    pred = np.asarray(pred).ravel()
+    truth = np.asarray(truth).ravel()
+    n = pred.shape[0]
+    table = _contingency_reference(pred, truth)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    acc = int(table[rows, cols].sum()) / n
+
+    a = table.sum(axis=1)
+    b = table.sum(axis=0)
+    h_pred = float(sum((c / n) * np.log(n / c) for c in a if c > 0))
+    h_truth = float(sum((c / n) * np.log(n / c) for c in b if c > 0))
+    if h_pred == 0.0 or h_truth == 0.0:
+        nmi = 1.0 if _partitions_identical_reference(table) else 0.0
+    else:
+        mi = 0.0
+        for i in range(table.shape[0]):
+            for j in range(table.shape[1]):
+                c = table[i, j]
+                if c > 0:
+                    mi += (c / n) * np.log(n * c / (a[i] * b[j]))
+        value = 2.0 * mi / (h_pred + h_truth)
+        nmi = float(min(1.0, max(0.0, value)))
+
+    f_score = ari = 1.0
+    if n >= 2:
+        n11, n10, n01, n00 = _pair_counts_reference(pred, truth)
+        if n11 + n10 == 0 or n11 + n01 == 0:
+            f_score = 0.0
+        else:
+            precision = n11 / (n11 + n10)
+            recall = n11 / (n11 + n01)
+            if precision + recall == 0.0:
+                f_score = 0.0
+            else:
+                f_score = 2.0 * precision * recall / (precision + recall)
+        denom = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
+        if denom == 0:
+            ari = 1.0 if _partitions_identical_reference(table) else 0.0
+        else:
+            ari = 2.0 * (n11 * n00 - n10 * n01) / denom
+    return {
+        "acc": acc,
+        "nmi": nmi,
+        "f_score": f_score,
+        "ari": ari,
+        "n": int(n),
+        "c_pred": int(np.unique(pred).size),
+        "c_true": int(np.unique(truth).size),
+    }
 
 
 def partitions_up_to(n, max_blocks):

@@ -8,7 +8,7 @@ from dataclasses import fields
 import pytest
 
 import slrl
-from slrl.cli import main
+from slrl.cli import build_parser, main
 from slrl.train import TrainConfig
 
 MODULES = ["cluster", "data", "encoder", "gat", "graph", "metrics", "numerics", "train"]
@@ -40,15 +40,19 @@ def test_every_exported_name_resolves(module):
 
 
 # second entry points to the graph and attention stages, folded into
-# build_graph and stack_forward/stack_backward
-DELETED = ["build_gaussian", "build_dot", "gat_forward", "gat_backward"]
+# build_graph and stack_forward/stack_backward; and the train/held-out split,
+# whose held-out part nothing scored
+DELETED = ["build_gaussian", "build_dot", "gat_forward", "gat_backward", "split"]
 
 
 def test_each_stage_has_one_entry_point():
     for module in [None] + MODULES:
         mod = slrl if module is None else importlib.import_module(f"slrl.{module}")
         assert not set(DELETED) & set(mod.__all__), mod.__name__
-    assert not any(hasattr(slrl, name) for name in DELETED)
+        assert not any(hasattr(mod, name) for name in DELETED), mod.__name__
+    assert not hasattr(slrl.MultiViewDataset, "take")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--synth", "3x6", "--split", "0.8"])
     assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)
 
 

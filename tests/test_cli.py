@@ -212,6 +212,20 @@ def test_setting_that_does_not_fit_writes_nothing(tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, out", [
+    ("train", ["--k", "3"], "file"),  # the run directory is a file
+    ("synth", [], "file/x"),  # a parent of the dataset directory is a file
+])
+def test_out_that_cannot_be_made_is_one_error_line(tmp_path, capsys, command, flags, out):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    assert run_cli(command, "--synth", "3x10", *flags, "--out", str(tmp_path / out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("sigma", ["1e-160", "1e-300"])
 def test_sigma_whose_weights_all_underflow_is_one_error_line(tmp_path, capsys, recwarn, sigma):
     out = str(tmp_path / "o")
@@ -310,20 +324,6 @@ def test_train_dumps_graph_and_distributions(tmp_path):
     for line in (out / "graph.txt").read_text().strip().splitlines():
         i, j, _ = line.split()
         assert int(i) < int(j)
-
-
-def test_train_split_fraction(tmp_path):
-    out = tmp_path / "run"
-    code = run_cli(
-        "train", "--synth", "3x10", "--views", "2", "--seed", "2", "--split", "0.8",
-        "--latent-dim", "8", "--epochs", "4", "--pretrain-epochs", "2",
-        "--k", "3", "--heads", "2", "--out", str(out),
-    )
-    assert code == 0
-    preds = np.loadtxt(out / "predictions.txt")
-    assert preds.shape[0] == 24  # 80% of 30
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["dataset"]["split"] == 0.8
 
 
 def test_projection_csv_shape(tmp_path):

@@ -8,7 +8,6 @@ from slrl.data import (
     normalize,
     read_matrix,
     save_dataset,
-    split,
     synth_multiview,
     write_matrix,
 )
@@ -149,37 +148,10 @@ def test_synth_validates_arguments():
         synth_multiview(3, 5, [4], noise=-0.1, seed=0)
 
 
-def test_split_sizes():
-    ds = synth_multiview(2, 5, [3], noise=0.1, seed=1)  # N = 10
-    train_part, test_part = split(ds, 0.8, seed=0)
-    assert train_part.n_samples == 8 and test_part.n_samples == 2
-
-
-def test_split_rejects_empty_part():
-    ds = synth_multiview(2, 3, [3], noise=0.1, seed=1)
-    ds = ds.take(np.arange(5))  # N = 5
-    with pytest.raises(ParameterError):
-        split(ds, 0.99, seed=0)
-
-
-def test_split_deterministic_and_reassembles():
-    ds = synth_multiview(3, 7, [4, 2], noise=0.2, seed=6)
-    a1, b1 = split(ds, 0.7, seed=3)
-    a2, b2 = split(ds, 0.7, seed=3)
-    assert np.array_equal(a1.views[0], a2.views[0])
-    assert np.array_equal(b1.labels, b2.labels)
-    # parts reassemble to the original sample multiset
-    merged = np.vstack([a1.views[0], b1.views[0]])
-    original = ds.views[0]
-    order_m = np.lexsort(merged.T)
-    order_o = np.lexsort(original.T)
-    assert np.array_equal(merged[order_m], original[order_o])
-
-
 def test_joint_row_permutation_permutes_outputs():
     ds = synth_multiview(2, 6, [3, 4], noise=0.1, seed=8)
     perm = np.random.default_rng(0).permutation(ds.n_samples)
-    permuted = ds.take(perm)
+    permuted = MultiViewDataset(views=[v[perm] for v in ds.views], labels=ds.labels[perm])
     base = normalize(ds)
     out = normalize(permuted)
     for v_base, v_out in zip(base.views, out.views):

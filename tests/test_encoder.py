@@ -210,7 +210,7 @@ def test_per_sample_separability_under_permutation():
     h, params, ds = small_problem(seed=9)
     losses = per_sample_reconstruction(h, params, ds)
     perm = make_rng(10).permutation(h.shape[0])
-    permuted_ds = ds.take(perm)
+    permuted_ds = MultiViewDataset(views=[v[perm] for v in ds.views])
     permuted_losses = per_sample_reconstruction(h[perm], params, permuted_ds)
     assert np.max(np.abs(losses[perm] - permuted_losses)) < 1e-12
     assert reconstruction_loss(h, params, ds) == pytest.approx(float(losses.mean()))

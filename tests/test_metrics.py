@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import slrl.metrics
 from slrl.errors import ParameterError
 from slrl.metrics import _max_matched, accuracy, aggregate_rows, ari, evaluate, nmi, pair_f_score
 from slrl.numerics import make_rng
 
-from oracles import acc_bruteforce, ari_oracle, f_score_oracle, nmi_oracle, partitions_up_to
+from oracles import (
+    acc_bruteforce,
+    ari_oracle,
+    f_score_oracle,
+    metrics_reference,
+    nmi_oracle,
+    partitions_up_to,
+)
 
 
 def test_accuracy_identical():
@@ -160,6 +168,53 @@ def test_exhaustive_small_partitions(n):
                     f_score_oracle(pred, truth), abs=1e-10
                 )
                 assert ari(pred, truth) == pytest.approx(ari_oracle(pred, truth), abs=1e-10)
+
+
+def _bits(value):
+    return (type(value), np.float64(value).tobytes() if isinstance(value, float) else value)
+
+
+def assert_bitwise_as_reference(pred, truth):
+    """``evaluate`` and each public metric give the reference's values bit for bit."""
+    want = {key: _bits(value) for key, value in metrics_reference(pred, truth).items()}
+    assert {key: _bits(value) for key, value in evaluate(pred, truth).as_dict().items()} == want
+    public = {"acc": accuracy, "nmi": nmi}
+    if len(pred) >= 2:
+        public.update(f_score=pair_f_score, ari=ari)
+    for key, fn in public.items():
+        assert _bits(fn(pred, truth)) == want[key], (key, pred, truth)
+
+
+def test_metrics_bitwise_as_reference_on_every_small_pair():
+    # every pair of partitions of N <= 6 samples into at most 3 clusters, as in
+    # the acceptance check; the random labels below take both orientations
+    for n in range(1, 7):
+        parts = [np.array(p) for p in partitions_up_to(n, 3)]
+        for i, pred in enumerate(parts):
+            for truth in parts[i:]:
+                assert_bitwise_as_reference(pred, truth)
+
+
+def test_metrics_bitwise_as_reference_on_random_labels():
+    # up to 25 x 25 tables, so NMI sums well past the 8 terms from which
+    # np.sum would add pairwise; labels are not contiguous, and pred has negative ones
+    rng = make_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(2, 401))
+        pred_labels = rng.choice(1000, size=int(rng.integers(1, 26)), replace=False) - 500
+        truth_labels = rng.choice(1000, size=int(rng.integers(1, 26)), replace=False)
+        pred, truth = rng.choice(pred_labels, size=n), rng.choice(truth_labels, size=n)
+        assert_bitwise_as_reference(pred, truth)
+        # pred a coarsening of truth: every truth cluster sits in one pred cluster
+        assert_bitwise_as_reference(truth % int(rng.integers(1, 6)), truth)
+
+
+def test_evaluate_builds_one_table(monkeypatch):
+    calls = []
+    table = slrl.metrics._table
+    monkeypatch.setattr(slrl.metrics, "_table", lambda p, t: calls.append(1) or table(p, t))
+    evaluate([0, 0, 1, 1, 2], [1, 1, 0, 2, 2])
+    assert len(calls) == 1
 
 
 def test_evaluate_report_fields():
