@@ -140,12 +140,7 @@ class TrainReport:
         return self.loss_history[self.pretrain_epochs_run :]
 
     def final_metrics(self):
-        if self.final_eval is not None:
-            return self.final_eval
-        for m in reversed(self.metrics_history):
-            if m is not None:
-                return m
-        return None
+        return self.final_eval
 
 
 def total_loss(lr_value: float, lc_value: float, gamma: float) -> float:
@@ -301,18 +296,22 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
     report.metrics_history.append(_epoch_metrics(q, ds.labels))
     _update_invariant_gaps(report, q, p, caches)
 
-    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
-    grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
-    upstream = (cfg.gamma / ds.n_samples) * grad_ht
-    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, upstream)
-    _step(
-        _named(h, decoders, _gat_pairs(stack), centroids),
-        _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu),
-        scales,
-    )
+    grads = _joint_grads(ds, model, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
+    _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
     return loss, q, centroids
+
+
+def _joint_grads(ds, model, centroids, ht, caches, p, weight: float) -> list:
+    """Gradients of the joint loss as ``_named`` lists them, the clustering loss
+    weighted by ``weight`` through the attention stack. The centroid gradient is
+    left unweighted."""
+    h, decoders, stack = model
+    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
+    grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
+    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, weight * grad_ht)
+    return _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu)
 
 
 # no numpy overflow/invalid warnings: _step, total_loss and as_matrix stop
@@ -501,12 +500,10 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
     centroids = cl.init_centroids(ht, n_clusters, seed=seed + 3)
     p = cl.target_distribution(cl.soft_assign(ht, centroids))
 
-    # analytic gradients, assembled exactly like one training step
-    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
-    grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
-    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, cfg.gamma * grad_ht)
+    # analytic gradients of L_r + gamma * L_c, assembled by the training step's code
     params = _named(h, decoders, _gat_pairs(stack), centroids)
-    grads = _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, cfg.gamma * grad_mu)
+    grads = _joint_grads(ds, (h, decoders, stack), centroids, ht, caches, p, cfg.gamma)
+    grads[-1][2][...] *= cfg.gamma  # the centroid gradient, weighted like the rest
 
     errors = {}
     for group in _GROUPS:
@@ -567,7 +564,7 @@ def write_loss_log(report: TrainReport, path) -> None:
     """Per-epoch delimited log: epoch, L_r, L_c, L, ACC, NMI, F, ARI."""
     lines = ["epoch,L_r,L_c,L,ACC,NMI,F,ARI"]
     for i in range(len(report.loss_history)):
-        m = report.metrics_history[i] if i < len(report.metrics_history) else None
+        m = report.metrics_history[i]
         cells = [
             str(i),
             f"{report.lr_history[i]:.9g}",

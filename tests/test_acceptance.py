@@ -134,6 +134,7 @@ def test_criterion_oracle_equivalence():
     announce("oracle-equivalence", worst < 1e-9, f"worst |diff| {worst:.2e} over 20 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_metrics_exhaustive():
     # hand-verifiable anchors first
     assert accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == 0.75

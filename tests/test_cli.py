@@ -1,19 +1,21 @@
+import argparse
 import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slrl.cli
-from slrl.cli import main
+from slrl.cli import build_parser, main
 from slrl.data import load_dataset, save_dataset, synth_multiview
 from slrl.errors import DegenerateClusterError, DivergenceError, NumericError
+from slrl.train import TrainConfig
 
 SRC = str(Path(slrl.cli.__file__).resolve().parents[1])
 
@@ -304,6 +306,144 @@ def test_gradcheck_exit_code_zero():
 def test_gradcheck_threshold_controls_exit():
     # an absurdly tight tolerance must flip the exit code
     assert run_cli("gradcheck", "--seed", "0", "--tol", "1e-16") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+def test_gradcheck_bad_tol_is_one_error_line(capsys, monkeypatch, tol):
+    # rejected before any gradient is computed, not reported as a failed check
+    def no_gradients(*args):
+        raise AssertionError("gradcheck ran")
+
+    monkeypatch.setattr(slrl.cli, "run_gradcheck", no_gradients)
+    assert run_cli("gradcheck", f"--tol={tol}") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --tol must be finite and positive, got {float(tol):g}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "gradcheck", "synth"])
+@pytest.mark.parametrize("views, view_dims", [("3", "4,4"), ("1", "4,4"), ("0", "4,4,4")])
+def test_views_that_disagree_with_view_dims_is_one_error_line(
+    tmp_path, capsys, command, views, view_dims
+):
+    out = tmp_path / "o"
+    out_flag = [] if command == "gradcheck" else ["--out", str(out)]
+    code = run_cli(command, "--synth", "3x5", "--views", views, "--view-dims", view_dims, *out_flag)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --views {views} disagrees with --view-dims {view_dims}\n"
+    assert not out.exists()
+
+
+def test_view_dims_alone_set_the_view_count(tmp_path, capsys):
+    assert run_cli("synth", "--synth", "3x5", "--view-dims", "4,5,6",
+                   "--out", str(tmp_path / "d")) == 0
+    assert load_dataset(tmp_path / "d").dims == [4, 5, 6]
+    out = tmp_path / "run"
+    assert run_cli("train", "--synth", "3x6", "--view-dims", "4,4,4", "--latent-dim", "4",
+                   "--k", "2", "--heads", "1", "--pretrain-epochs", "1", "--epochs", "1",
+                   "--out", str(out)) == 0
+    dataset = json.loads((out / "run_manifest.json").read_text())["dataset"]
+    assert (dataset["views"], dataset["view_dims"]) == (3, "4,4,4")
+    # an explicit count that agrees is accepted
+    assert run_cli("synth", "--synth", "3x5", "--views", "2", "--view-dims", "4,4",
+                   "--out", str(tmp_path / "e")) == 0
+
+
+@pytest.mark.parametrize("views", ["0", "-1"])
+def test_zero_views_usage_error(tmp_path, capsys, views):
+    out = tmp_path / "o"
+    assert run_cli("train", "--synth", "3x5", "--views", views, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: each view needs dimension >= 2\n"
+    assert not out.exists()
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices[command]
+
+
+CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
+MODEL_FLAGS = {
+    "--latent-dim": "latent_dim", "--k": "k", "--gamma": "gamma", "--heads": "heads",
+    "--layers": "gat_layers", "--activation": "activation", "--combine": "combine",
+    "--clusters": "clusters", "--seed": "seed",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_every_config_field_has_one_run_flag(command):
+    dests = [action.dest for action in _subparser(command)._actions]
+    for name in CONFIG_FIELDS - {"early_stop_min_epochs"}:
+        assert dests.count(name) == 1, name
+    assert "early_stop_min_epochs" not in dests
+
+
+def test_gradcheck_takes_exactly_the_model_flags():
+    config_flags = {
+        action.option_strings[0]: action.dest
+        for action in _subparser("gradcheck")._actions
+        if action.dest in CONFIG_FIELDS
+    }
+    assert config_flags == MODEL_FLAGS
+
+
+MODEL_ARGV = [
+    "--latent-dim", "7", "--k", "4", "--gamma", "2.5", "--heads", "3", "--layers", "2",
+    "--activation", "elu", "--combine", "concat", "--clusters", "5", "--seed", "11",
+]
+RUN_ARGV = [
+    "--lr", "0.03", "--epochs", "17", "--pretrain-epochs", "6", "--kernel", "dot",
+    "--sigma", "0.7", "--repeats", "2", "--out", "o",
+]
+MODEL_CONFIG = TrainConfig(
+    latent_dim=7, k=4, gamma=2.5, heads=3, gat_layers=2, activation="elu",
+    combine="concat", clusters=5, seed=11,
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["train", *MODEL_ARGV, *RUN_ARGV], None),
+        (["ablate", *RUN_ARGV, *MODEL_ARGV], None),
+        (["sweep", *MODEL_ARGV, *RUN_ARGV, "--gamma-grid", "1", "--k-grid", "3"], None),
+        (["gradcheck", *MODEL_ARGV, "--tol", "1e-3"], MODEL_CONFIG),
+        (["gradcheck"], TrainConfig(latent_dim=5, k=3, heads=2)),
+        (["train"], TrainConfig()),
+    ],
+)
+def test_flags_parse_to_the_config(argv, expected):
+    if expected is None:
+        expected = replace(
+            MODEL_CONFIG, learning_rate=0.03, epochs=17, pretrain_epochs=6, kernel="dot",
+            sigma=0.7,
+        )
+    assert slrl.cli._config_from_args(build_parser().parse_args(argv)) == expected
+
+
+def _projection_reference(proj, labels) -> str:
+    # the row-by-row writer that _write_projection replaced
+    lines = ["x,y" + (",label" if labels is not None else "")]
+    for i in range(proj.shape[0]):
+        row = f"{proj[i, 0]:.9g},{proj[i, 1]:.9g}"
+        if labels is not None:
+            row += f",{int(labels[i])}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def test_projection_bytes_match_the_row_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        n = int(rng.integers(3, 30))
+        x = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-12, 12)
+        labels = None if trial % 2 else rng.integers(-3, 1000, size=n)
+        path = tmp_path / f"p{trial}.csv"
+        slrl.cli._write_projection(path, x, labels)
+        assert path.read_text() == _projection_reference(slrl.cli._pca_2d(x), labels)
 
 
 def test_bad_synth_spec_usage_error(tmp_path):
