@@ -2,8 +2,10 @@
 
 One flag table feeds ``TrainConfig``: each flag's ``dest`` is the field it
 sets, and the config is read from the parsed flags by field name. gradcheck
-takes the model flags only, with a small instance's defaults; train, ablate
-and sweep add the run flags.
+takes the model flags only, with a small instance's defaults, and a 3x4
+``--synth`` dataset unless told otherwise; train, ablate and sweep add the run
+flags. A data flag of the other source (``--view-dims``/``--noise`` with
+``--data``, ``--no-normalize`` with ``--synth``) is an error.
 
 train, ablate and sweep share one run lifecycle. It checks the settings
 against the data (``train.check_fit``, for every sweep grid cell), so a
@@ -11,10 +13,8 @@ setting that does not fit exits 2 and writes nothing. Then it writes a
 JSON manifest into the output directory before any training starts, so a run
 is reproducible from the manifest alone, and stamps it complete after the
 command's body. Plot emission is data-only (CSV loss curves, metric grids,
-2-D PCA projections); rendering is left to external tools.
-
-The environment variable ``SLRL_THREADS`` caps BLAS worker parallelism; the
-package applies it on import, before numpy loads (see ``slrl.apply_thread_cap``).
+2-D PCA projections); rendering is left to external tools. BLAS threads
+follow the BLAS's own variables, such as ``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", type=str, default=None, help="dataset directory with manifest.txt")
     p.add_argument("--synth", type=str, default=None, help="synthetic spec CLUSTERSxPER, e.g. 3x50")
-    # None: 2 views, or as many as --view-dims lists
-    p.add_argument("--views", type=int, default=None, help="view count for --synth")
+    # None: not given, so a --data run can tell these apart from their defaults
     p.add_argument("--view-dims", type=str, default=None, help="comma list of view dims for --synth")
-    p.add_argument("--noise", type=float, default=0.05, help="observation noise for --synth")
+    p.add_argument("--noise", type=float, default=None, help="observation noise for --synth")
     p.add_argument("--no-normalize", action="store_true", help="skip min-max normalization of --data")
 
 
@@ -108,36 +107,32 @@ def _config_from_args(args) -> TrainConfig:
     return TrainConfig(**{f.name: given[f.name] for f in fields(TrainConfig) if f.name in given})
 
 
-def _parse_synth_spec(spec: str, views: int | None, view_dims: str | None, noise: float, seed: int):
-    try:
-        clusters_s, per_s = spec.lower().split("x")
-        clusters, per = int(clusters_s), int(per_s)
-    except ValueError:
-        raise ParameterError(f"bad --synth spec {spec!r}, expected CLUSTERSxPER like 3x50")
-    if view_dims:
-        dims = _comma_list("--view-dims", view_dims, int)
-        if views not in (None, len(dims)):
-            raise ParameterError(f"--views {views} disagrees with --view-dims {view_dims}")
-    else:
-        dims = [8] * (2 if views is None else views)
-    return synth_multiview(clusters, per, dims, noise=noise, seed=seed)
-
-
 def _load_input(args, seed: int) -> tuple[MultiViewDataset, dict]:
     if (args.data is None) == (args.synth is None):
         raise ParameterError("exactly one of --data or --synth is required")
+    if args.data is not None and (args.view_dims, args.noise) != (None, None):
+        flag = "--view-dims" if args.view_dims is not None else "--noise"
+        raise ParameterError(f"{flag} applies only to --synth")
+    if args.synth is not None and args.no_normalize:
+        raise ParameterError("--no-normalize applies only to --data")
     if args.data is not None:
         ds = load_dataset(args.data)
         if not args.no_normalize:
             ds = normalize(ds)
         spec = {"path": str(args.data), "normalized": not args.no_normalize}
     else:
-        ds = _parse_synth_spec(args.synth, args.views, args.view_dims, args.noise, seed)
+        try:
+            clusters, per = map(int, args.synth.lower().split("x"))
+        except ValueError:
+            raise ParameterError(f"bad --synth spec {args.synth!r}, expected CLUSTERSxPER like 3x50")
+        dims = _comma_list("--view-dims", args.view_dims, int) if args.view_dims else [8, 8]
+        noise = 0.05 if args.noise is None else args.noise
+        ds = synth_multiview(clusters, per, dims, noise=noise, seed=seed)
         spec = {
             "synth": args.synth,
             "views": ds.n_views,
             "view_dims": args.view_dims,
-            "noise": args.noise,
+            "noise": noise,
             "seed": seed,
         }
     return ds, spec
@@ -298,11 +293,12 @@ def cmd_gradcheck(args, argv) -> int:
     # written so that nan fails too: every comparison with nan is false
     if not 0 < args.tol < np.inf:
         raise ParameterError(f"--tol must be finite and positive, got {args.tol:g}")
+    if args.data is None:
+        # a small instance, so that the central differences stay cheap
+        args.synth, args.view_dims = args.synth or "3x4", args.view_dims or "4,3"
+        args.noise = 0.1 if args.noise is None else args.noise
     cfg = _config_from_args(args)
-    if args.synth or args.data:
-        ds, _ = _load_input(args, cfg.seed)
-    else:
-        ds = synth_multiview(3, 4, [4, 3], noise=0.1, seed=cfg.seed)
+    ds, _ = _load_input(args, cfg.seed)
     report = run_gradcheck(ds, cfg)
     print(report.to_text(), end="")
     if report.ok(args.tol):
@@ -313,7 +309,7 @@ def cmd_gradcheck(args, argv) -> int:
 
 
 def cmd_synth(args, argv) -> int:
-    ds = _parse_synth_spec(args.synth or "3x50", args.views, args.view_dims, args.noise, args.seed)
+    ds, _ = _load_input(args, args.seed)
     save_dataset(ds, args.out)
     dims = "x".join(str(d) for d in ds.dims)
     print(f"wrote {ds.n_samples} samples, {ds.n_views} views ({dims}) to {args.out}")
@@ -356,12 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate and save a synthetic dataset")
     p_synth.add_argument("--synth", type=str, default="3x50")
-    p_synth.add_argument("--views", type=int, default=None)
     p_synth.add_argument("--view-dims", type=str, default=None)
-    p_synth.add_argument("--noise", type=float, default=0.05)
+    p_synth.add_argument("--noise", type=float, default=None)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", type=str, default="slrl_out")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, data=None, no_normalize=False)
     return parser
 
 

@@ -138,9 +138,12 @@ def read_labels(path) -> np.ndarray:
     """One integer label per line."""
     with _values_required(path):
         try:
-            return np.loadtxt(path, dtype=np.int64, ndmin=1)
+            labels = np.loadtxt(path, dtype=np.int64, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: labels must be integers ({exc})") from None
+    if labels.shape[1] != 1:
+        raise FormatError(f"{path}: {labels.shape[1]} values on a line, expected one label")
+    return labels[:, 0]
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
@@ -24,6 +24,8 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: equal seeds give equal draw sequences."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

@@ -106,6 +106,8 @@ class TrainConfig:
             raise ParameterError(f"unknown activation {self.activation!r}")
         if self.combine not in gt.COMBINES:
             raise ParameterError(f"unknown combine mode {self.combine!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """The public surface: every exported name resolves, and the settings are exactly
 the ones some caller sets."""
 
+import ast
 import importlib
 import json
+import re
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +44,12 @@ def test_every_exported_name_resolves(module):
 
 
 # second entry points to the graph and attention stages, folded into
-# build_graph and stack_forward/stack_backward; and the train/held-out split,
-# whose held-out part nothing scored
-DELETED = ["build_gaussian", "build_dot", "gat_forward", "gat_backward", "split"]
+# build_graph and stack_forward/stack_backward; the train/held-out split,
+# whose held-out part nothing scored; and the package's own thread cap,
+# which restated the BLAS's thread variables
+DELETED = [
+    "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap"
+]
 
 
 def test_each_stage_has_one_entry_point():
@@ -54,6 +61,37 @@ def test_each_stage_has_one_entry_point():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--synth", "3x6", "--split", "0.8"])
     assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "gradcheck", "synth"])
+def test_view_count_is_only_the_length_of_view_dims(command):
+    # --views restated the length of --view-dims
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--synth", "3x6", "--views", "2"])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_packages() -> set:
+    """Top-level names of every module ``src/slrl`` imports, lazy imports included."""
+    names = set()
+    for path in (ROOT / "src" / "slrl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_dependencies_are_exactly_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    third_party = _imported_packages() - set(sys.stdlib_module_names) - {"slrl"}
+    assert declared == third_party
 
 
 def test_train_config_holds_exactly_the_settings_callers_set():

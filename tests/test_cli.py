@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import os
 import re
@@ -27,7 +26,7 @@ def run_cli(*args):
 def test_train_synth_smoke(tmp_path):
     out = tmp_path / "run"
     code = run_cli(
-        "train", "--synth", "3x10", "--views", "2", "--seed", "7",
+        "train", "--synth", "3x10", "--seed", "7",
         "--latent-dim", "8", "--epochs", "10", "--pretrain-epochs", "5",
         "--k", "3", "--heads", "2", "--out", str(out),
     )
@@ -44,7 +43,7 @@ def test_train_synth_smoke(tmp_path):
 
 def test_train_rerun_reproduces_metrics(tmp_path):
     args = (
-        "train", "--synth", "3x10", "--views", "2", "--seed", "3",
+        "train", "--synth", "3x10", "--seed", "3",
         "--latent-dim", "8", "--epochs", "8", "--pretrain-epochs", "4",
         "--k", "3", "--heads", "2",
     )
@@ -63,7 +62,7 @@ def test_train_requires_exactly_one_source(tmp_path):
 
 def test_synth_then_train_from_directory(tmp_path):
     data_dir = tmp_path / "data"
-    assert run_cli("synth", "--synth", "3x8", "--views", "2", "--seed", "1",
+    assert run_cli("synth", "--synth", "3x8", "--seed", "1",
                    "--out", str(data_dir)) == 0
     ds = load_dataset(data_dir)
     assert ds.n_samples == 24 and ds.labels is not None
@@ -119,7 +118,7 @@ def test_ablate_missing_dataset_usage_error(tmp_path):
 def test_ablate_emits_three_rows(tmp_path):
     out = tmp_path / "ab"
     code = run_cli(
-        "ablate", "--synth", "3x8", "--views", "2", "--seed", "2",
+        "ablate", "--synth", "3x8", "--seed", "2",
         "--latent-dim", "8", "--epochs", "8", "--pretrain-epochs", "4",
         "--k", "3", "--heads", "2", "--out", str(out),
     )
@@ -134,7 +133,7 @@ def test_ablate_emits_three_rows(tmp_path):
 
 def test_sweep_single_cell_matches_train(tmp_path):
     common = (
-        "--synth", "3x10", "--views", "2", "--seed", "5", "--latent-dim", "8",
+        "--synth", "3x10", "--seed", "5", "--latent-dim", "8",
         "--epochs", "8", "--pretrain-epochs", "4", "--k", "3", "--heads", "2",
     )
     assert run_cli("sweep", *common, "--gamma-grid", "10", "--k-grid", "3",
@@ -321,20 +320,6 @@ def test_gradcheck_bad_tol_is_one_error_line(capsys, monkeypatch, tol):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "gradcheck", "synth"])
-@pytest.mark.parametrize("views, view_dims", [("3", "4,4"), ("1", "4,4"), ("0", "4,4,4")])
-def test_views_that_disagree_with_view_dims_is_one_error_line(
-    tmp_path, capsys, command, views, view_dims
-):
-    out = tmp_path / "o"
-    out_flag = [] if command == "gradcheck" else ["--out", str(out)]
-    code = run_cli(command, "--synth", "3x5", "--views", views, "--view-dims", view_dims, *out_flag)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --views {views} disagrees with --view-dims {view_dims}\n"
-    assert not out.exists()
-
-
 def test_view_dims_alone_set_the_view_count(tmp_path, capsys):
     assert run_cli("synth", "--synth", "3x5", "--view-dims", "4,5,6",
                    "--out", str(tmp_path / "d")) == 0
@@ -345,15 +330,12 @@ def test_view_dims_alone_set_the_view_count(tmp_path, capsys):
                    "--out", str(out)) == 0
     dataset = json.loads((out / "run_manifest.json").read_text())["dataset"]
     assert (dataset["views"], dataset["view_dims"]) == (3, "4,4,4")
-    # an explicit count that agrees is accepted
-    assert run_cli("synth", "--synth", "3x5", "--views", "2", "--view-dims", "4,4",
-                   "--out", str(tmp_path / "e")) == 0
 
 
-@pytest.mark.parametrize("views", ["0", "-1"])
-def test_zero_views_usage_error(tmp_path, capsys, views):
+@pytest.mark.parametrize("view_dims", ["0,4", "1,4"])
+def test_zero_views_usage_error(tmp_path, capsys, view_dims):
     out = tmp_path / "o"
-    assert run_cli("train", "--synth", "3x5", "--views", views, "--out", str(out)) == 2
+    assert run_cli("train", "--synth", "3x5", "--view-dims", view_dims, "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: each view needs dimension >= 2\n"
     assert not out.exists()
 
@@ -453,7 +435,7 @@ def test_bad_synth_spec_usage_error(tmp_path):
 def test_train_dumps_graph_and_distributions(tmp_path):
     out = tmp_path / "run"
     run_cli(
-        "train", "--synth", "3x6", "--views", "2", "--seed", "1",
+        "train", "--synth", "3x6", "--seed", "1",
         "--latent-dim", "8", "--epochs", "4", "--pretrain-epochs", "2",
         "--k", "3", "--heads", "2", "--out", str(out),
     )
@@ -469,7 +451,7 @@ def test_train_dumps_graph_and_distributions(tmp_path):
 def test_projection_csv_shape(tmp_path):
     out = tmp_path / "run"
     run_cli(
-        "train", "--synth", "3x6", "--views", "2", "--seed", "9",
+        "train", "--synth", "3x6", "--seed", "9",
         "--latent-dim", "8", "--epochs", "4", "--pretrain-epochs", "2",
         "--k", "3", "--heads", "2", "--out", str(out),
     )
@@ -510,46 +492,112 @@ def test_training_failures_map_to_exit_2(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err == "error: training failed\n"
 
 
-# Prints {library: thread count in force} for every OpenBLAS mapped into the
-# process, asking each through the getter the numpy and scipy builds export.
-_THREAD_PROBE = """
-import ctypes, json, os
-{pre}
-import slrl.cli, scipy.linalg
-getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-           "openblas_get_num_threads64_", "openblas_get_num_threads")
-counts = {{}}
-for path in sorted({{line.split()[-1] for line in open("/proc/self/maps")}}):
-    if "openblas" in os.path.basename(path).lower():
-        lib = ctypes.CDLL(path)
-        getter = next(getattr(lib, g) for g in getters if hasattr(lib, g))
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        counts[os.path.basename(path)] = getter()
-print(json.dumps(counts))
+@pytest.fixture
+def data_dir(tmp_path):
+    path = tmp_path / "data"
+    save_dataset(synth_multiview(3, 5, [4, 4], seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, flag, source",
+    [
+        (["train", "--data", "DATA", "--view-dims", "3,3", "--noise", "5"], "--view-dims", "--synth"),
+        (["train", "--data", "DATA", "--noise", "5"], "--noise", "--synth"),
+        (["ablate", "--data", "DATA", "--view-dims", "4,4"], "--view-dims", "--synth"),
+        (["sweep", "--data", "DATA", "--noise", "0.05"], "--noise", "--synth"),
+        (["gradcheck", "--data", "DATA", "--view-dims", "4,4"], "--view-dims", "--synth"),
+        (["train", "--synth", "3x6", "--no-normalize"], "--no-normalize", "--data"),
+        (["gradcheck", "--no-normalize"], "--no-normalize", "--data"),
+    ],
+)
+def test_data_flag_of_the_other_source_is_one_error_line(
+    tmp_path, capsys, data_dir, argv, flag, source
+):
+    out = tmp_path / "o"
+    argv = [str(data_dir) if a == "DATA" else a for a in argv]
+    out_flag = [] if argv[0] == "gradcheck" else ["--out", str(out)]
+    assert run_cli(*argv, *out_flag) == 2
+    assert capsys.readouterr().err == f"error: {flag} applies only to {source}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--synth", "3x5"],
+        ["train", "--data", "DATA"],
+        ["ablate", "--data", "DATA"],
+        ["synth"],
+        ["gradcheck"],
+    ],
+)
+def test_negative_seed_is_one_error_line(tmp_path, capsys, data_dir, argv):
+    out = tmp_path / "o"
+    argv = [str(data_dir) if a == "DATA" else a for a in argv]
+    out_flag = [] if argv[0] == "gradcheck" else ["--out", str(out)]
+    assert run_cli(*argv, "--seed", "-1", *out_flag) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+class _Checked(Exception):
+    """Carries the dataset gradcheck was handed."""
+
+
+def test_gradcheck_instance_takes_the_synthetic_flags(monkeypatch):
+    def capture(ds, cfg):
+        raise _Checked(ds)
+
+    monkeypatch.setattr(slrl.cli, "run_gradcheck", capture)
+    for argv, expected in [
+        (["--seed", "2"], synth_multiview(3, 4, [4, 3], noise=0.1, seed=2)),
+        (["--view-dims", "5,5,5", "--noise", "0.2"], synth_multiview(3, 4, [5, 5, 5], noise=0.2)),
+        (["--synth", "2x5"], synth_multiview(2, 5, [4, 3], noise=0.1)),
+    ]:
+        with pytest.raises(_Checked) as checked:
+            run_cli("gradcheck", *argv)
+        ds = checked.value.args[0]
+        assert ds.dims == expected.dims, argv
+        for got, want in zip(ds.views, expected.views):
+            assert np.array_equal(got, want), argv
+
+
+@pytest.mark.parametrize("noise, recorded", [([], 0.05), (["--noise", "0.2"], 0.2)])
+def test_manifest_records_the_noise_in_force(tmp_path, noise, recorded):
+    out = tmp_path / "run"
+    assert run_cli("train", "--synth", "3x6", *noise, "--latent-dim", "4", "--k", "2",
+                   "--heads", "1", "--pretrain-epochs", "0", "--epochs", "0",
+                   "--out", str(out)) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["dataset"]["noise"] == recorded
+
+
+def test_eval_several_labels_on_a_line_is_one_error_line(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_text("0 1\n1 0\n")
+    truth.write_text("0\n1\n1\n0\n")
+    out = tmp_path / "m"
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {pred}: 2 values on a line, expected one label\n"
+    assert not out.exists()
+
+
+# Prints the environment variables that `import slrl` added, removed or changed.
+_ENV_PROBE = """
+import json, os
+before = dict(os.environ)
+import slrl
+print(json.dumps(sorted(set(os.environ.items()) ^ set(before.items()))))
 """
 
 
-def _probe_threads(pre=""):
+def test_import_sets_no_environment_variable():
+    # a thread cap is the BLAS's own variable; the package sets none
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.update(SLRL_THREADS="1", PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE.format(pre=pre)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", _ENV_PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout)
-    if not counts:
-        pytest.skip("no OpenBLAS library is loaded")
-    return counts, proc.stderr
-
-
-def test_slrl_threads_caps_openblas_before_numpy_loads():
-    counts, _ = _probe_threads()
-    assert set(counts.values()) == {1}, counts
-
-
-def test_slrl_threads_warns_when_it_cannot_apply():
-    if importlib.util.find_spec("threadpoolctl") is not None:
-        pytest.skip("threadpoolctl can apply the cap after numpy has loaded")
-    _, err = _probe_threads(pre="import numpy")
-    assert "warning: SLRL_THREADS=1 not applied" in err
+    assert json.loads(proc.stdout) == []

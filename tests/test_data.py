@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def test_non_integer_label_is_format_error(tmp_path):
     (tmp_path / "labels.txt").write_text("0\n1\nbanana\n")
     (tmp_path / "manifest.txt").write_text("view a a.txt continuous\nlabels labels.txt\n")
     with pytest.raises(FormatError):
+        load_dataset(tmp_path)
+
+
+def test_several_labels_on_a_line_is_format_error(tmp_path):
+    # four values for four samples, but two per line: not one label per sample
+    write_text_matrix(tmp_path / "a.txt", np.zeros((4, 2)))
+    (tmp_path / "labels.txt").write_text("0 1\n1 0\n")
+    (tmp_path / "manifest.txt").write_text("view a a.txt continuous\nlabels labels.txt\n")
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "labels.txt"))):
         load_dataset(tmp_path)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slrl.errors import ParameterError
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
 
@@ -12,6 +13,11 @@ def test_rng_reproducible_first_10k_draws():
 
 def test_rng_different_seeds_differ():
     assert not np.array_equal(make_rng(1).random(10), make_rng(2).random(10))
+
+
+def test_rng_rejects_a_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        make_rng(-1)
 
 
 def test_finite_diff_square():

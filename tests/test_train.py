@@ -74,6 +74,7 @@ def test_config_validation():
         (dict(activation="bogus"), "unknown activation 'bogus'"),
         (dict(combine="x"), "unknown combine mode 'x'"),
         (dict(kernel="dot", sigma=0.5), "sigma applies only to the gaussian kernel"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ],
 )
 def test_settings_that_do_not_fit_fail_before_any_epoch(monkeypatch, fields, message):
