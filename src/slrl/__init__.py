@@ -24,9 +24,9 @@ from .data import (
 )
 from .encoder import (
     DecoderParams,
-    decode,
     init_decoders,
     init_latent,
+    reconstruct,
     reconstruction_grads,
     reconstruction_loss,
 )
@@ -58,9 +58,9 @@ __all__ = [
     "save_dataset",
     "synth_multiview",
     "DecoderParams",
-    "decode",
     "init_decoders",
     "init_latent",
+    "reconstruct",
     "reconstruction_grads",
     "reconstruction_loss",
     "GatParams",

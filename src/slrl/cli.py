@@ -316,8 +316,16 @@ def cmd_synth(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line on stderr and exit status 2, like every
+    other CLI error; the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="slrl", description=__doc__)
+    parser = _Parser(prog="slrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run the full pipeline")

@@ -72,7 +72,9 @@ class MultiViewDataset:
         if n < 1:
             raise FormatError("dataset has no samples")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+            if self.labels.ndim != 1:
+                raise FormatError(f"labels must be a vector, got shape {self.labels.shape}")
             if self.labels.shape[0] != n:
                 raise FormatError(f"{self.labels.shape[0]} labels for {n} samples")
         if not self.view_names:

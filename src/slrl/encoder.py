@@ -13,6 +13,14 @@ squared errors over views and averages over samples,
 so its value is comparable across dataset sizes. Gradients are exact
 (hand-derived backward pass), which the test suite verifies against
 central differences.
+
+One decoder forward pass serves both: ``reconstruct`` fills a
+``Reconstruction`` with every view's ReLU layer and residual f_v(H) - X_v,
+``reconstruction_loss`` reduces the residuals, and ``reconstruction_grads``
+runs the backward pass in place over them, into the workspace's gradient
+arrays. Passing an earlier ``Reconstruction`` back to ``reconstruct`` as
+``out`` reuses all of its arrays, so a loop of forward and backward passes
+needs them only once.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ __all__ = [
     "init_latent",
     "init_decoder",
     "init_decoders",
-    "decode",
+    "Reconstruction",
+    "reconstruct",
     "reconstruction_loss",
-    "per_sample_reconstruction",
     "reconstruction_grads",
 ]
 
@@ -86,76 +94,82 @@ def init_decoders(f: int, dims, seed: int) -> list:
     return [init_decoder(f, d_v, rng) for d_v in dims]
 
 
-def decode(theta: DecoderParams, h) -> np.ndarray:
-    """Forward pass of one view's decoder."""
-    h = as_matrix(h, "h")
-    theta.check_chain(h.shape[1])
-    hid = h @ theta.w1.T
-    hid += theta.b1
-    out = np.maximum(hid, 0.0, out=hid) @ theta.w2.T
-    out += theta.b2
-    return out
+@dataclass
+class Reconstruction:
+    """Every view's decoder forward pass at one latent matrix, as ``reconstruct``
+    leaves it, and the arrays its backward pass writes. ``reconstruction_loss``
+    reads it; ``reconstruction_grads`` spends it, overwriting ``res`` with the
+    output gradients and ``hid`` with the pre-activation ones."""
+
+    hid: list  # per view, (N, hidden): the ReLU layer
+    res: list  # per view, (N, d_v): the residual f_v(h) - x
+    grads: list  # per view, a DecoderParams of gradients
+    spent: bool = False
 
 
-def _sample_count(h, params, ds: MultiViewDataset) -> int:
-    """The row count of h, checked to be one row per sample and one decoder per view."""
+def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = None):
+    """The forward pass of every view's decoder: its ReLU layer and its residual
+    f_v(h) - x. Passing an earlier return value as ``out`` reuses its arrays."""
     n = np.shape(h)[0]
     if ds.n_samples != n:
         raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {n}")
     if len(params) != ds.n_views:
         raise ShapeError(f"{len(params)} decoders for {ds.n_views} views")
-    return n
-
-
-def per_sample_reconstruction(h, params, ds: MultiViewDataset) -> np.ndarray:
-    """Vector of per-sample reconstruction errors sum_v ||f_v(h_n) - x_n^(v)||^2."""
-    n = _sample_count(h, params, ds)
-    total = np.zeros(n)
-    for theta, x in zip(params, ds.views):
-        err = decode(theta, h)
-        err -= x
-        err *= err
-        total += np.sum(err, axis=1)
-    return total
-
-
-def reconstruction_loss(h, params, ds: MultiViewDataset) -> float:
-    """Mean over samples of the summed per-view squared errors."""
-    return float(per_sample_reconstruction(h, params, ds).mean())
-
-
-def reconstruction_grads(h, params, ds: MultiViewDataset):
-    """Exact gradients of ``reconstruction_loss`` for H and every decoder.
-
-    Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients.
-    """
-    n = _sample_count(h, params, ds)
     h = as_matrix(h, "h")
-    grad_h = np.zeros_like(h)
-    grads = []
-    for theta, x in zip(params, ds.views):
+    for theta in params:
         theta.check_chain(h.shape[1])
-        grad, grad_h_v = _view_grads(theta, h, x, n)
-        grads.append(grad)
-        grad_h += grad_h_v
-    return grad_h, grads
+    if out is None:
+        out = Reconstruction(
+            [np.empty((n, theta.w1.shape[0])) for theta in params],
+            [np.empty((n, theta.w2.shape[0])) for theta in params],
+            [DecoderParams(*map(np.empty_like, vars(theta).values())) for theta in params],
+        )
+    for theta, x, hid, res in zip(params, ds.views, out.hid, out.res, strict=True):
+        np.matmul(h, theta.w1.T, out=hid)
+        hid += theta.b1
+        np.maximum(hid, 0.0, out=hid)
+        np.matmul(hid, theta.w2.T, out=res)
+        res += theta.b2
+        res -= x
+    out.spent = False
+    return out
 
 
-def _view_grads(theta: DecoderParams, h: np.ndarray, x: np.ndarray, n: int):
-    """One view's decoder gradients and its share of grad_h. The backward pass
-    runs in place, in two (N, hidden) buffers and one (N, d_v) buffer, which
-    are freed on return."""
-    hid = h @ theta.w1.T
-    hid += theta.b1
-    mask = hid > 0.0
-    np.maximum(hid, 0.0, out=hid)
-    d_out = hid @ theta.w2.T
-    d_out += theta.b2
-    d_out -= x
-    d_out *= 2.0 / n
-    grad_w2 = d_out.T @ hid
-    del hid
-    d_pre = d_out @ theta.w2
-    d_pre *= mask
-    grad = DecoderParams(w1=d_pre.T @ h, b1=d_pre.sum(axis=0), w2=grad_w2, b2=d_out.sum(axis=0))
-    return grad, d_pre @ theta.w1
+def _unspent(rec: Reconstruction) -> int:
+    """The sample count of ``rec``, checked to be unspent."""
+    if rec.spent:
+        raise ParameterError("reconstruction already spent by its backward pass; reconstruct again")
+    return rec.res[0].shape[0]
+
+
+def reconstruction_loss(rec: Reconstruction) -> float:
+    """Mean over samples of the summed per-view squared errors."""
+    total = np.zeros(_unspent(rec))
+    for res in rec.res:
+        total += np.sum(res * res, axis=1)
+    return float(total.mean())
+
+
+def reconstruction_grads(h, params, rec: Reconstruction):
+    """Exact gradients of ``reconstruction_loss`` for H and every decoder, at the
+    ``h`` and ``params`` that ``rec`` was made from.
+
+    Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients. The
+    backward pass runs in place over ``rec``, which it spends; grads are
+    ``rec``'s own arrays, and grad_h is a fresh one.
+    """
+    n = _unspent(rec)
+    rec.spent = True
+    grad_h = np.zeros_like(h)
+    for theta, hid, d_out, grad in zip(params, rec.hid, rec.res, rec.grads, strict=True):
+        d_out *= 2.0 / n
+        np.matmul(d_out.T, hid, out=grad.w2)
+        # after the ReLU, hid > 0 exactly where the pre-activation is
+        mask = hid > 0.0
+        d_pre = np.matmul(d_out, theta.w2, out=hid)
+        d_pre *= mask
+        np.matmul(d_pre.T, h, out=grad.w1)
+        np.sum(d_pre, axis=0, out=grad.b1)
+        np.sum(d_out, axis=0, out=grad.b2)
+        grad_h += d_pre @ theta.w1
+    return grad_h, rec.grads

@@ -274,8 +274,8 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
     clustering head, the losses and metrics appended to ``report``, and one step
     of ``model`` (h, decoders, attention stack) and the centroids.
 
-    Returns (loss, q, centroids). The attention caches and every gradient are
-    local, so none of them outlives the epoch.
+    Returns (loss, q, centroids). The decoders' workspace, the attention caches
+    and every gradient are local, so none of them outlives the epoch.
     """
     h, decoders, stack = model
     ht, caches = gt.stack_forward(stack, h, nbhd)
@@ -288,7 +288,8 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
         q = cl.soft_assign(ht, centroids)
         p = cl.target_distribution(q)
 
-    lr_value = enc.reconstruction_loss(h, decoders, ds)
+    rec = enc.reconstruct(h, decoders, ds)
+    lr_value = enc.reconstruction_loss(rec)
     lc_value = cl.kl_loss(p, q)
     loss = total_loss(lr_value, lc_value, cfg.gamma)
 
@@ -300,17 +301,19 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
 
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
-    grads = _joint_grads(ds, model, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
+    rec_grads = enc.reconstruction_grads(h, decoders, rec)
+    del rec  # the decoders' forward state goes before the attention backward pass
+    grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
     _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
     return loss, q, centroids
 
 
-def _joint_grads(ds, model, centroids, ht, caches, p, weight: float) -> list:
-    """Gradients of the joint loss as ``_named`` lists them, the clustering loss
-    weighted by ``weight`` through the attention stack. The centroid gradient is
-    left unweighted."""
-    h, decoders, stack = model
-    grad_h_rec, dec_grads = enc.reconstruction_grads(h, decoders, ds)
+def _joint_grads(stack, rec_grads, centroids, ht, caches, p, weight: float) -> list:
+    """Gradients of the joint loss as ``_named`` lists them, from the
+    ``reconstruction_grads`` pair ``rec_grads`` and the clustering loss weighted
+    by ``weight`` through the attention stack. The centroid gradient is left
+    unweighted."""
+    grad_h_rec, dec_grads = rec_grads
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     layer_grads, grad_h_gat = gt.stack_backward(stack, caches, weight * grad_ht)
     return _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu)
@@ -332,16 +335,21 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     # latent rows step on their per-sample gradient, N times the mean one
     scales = {"h": lr * float(n), "decoders": lr, "gat": lr, "centroids": lr * (cfg.gamma / n)}
 
-    # phase 1: reconstruction-only descent on H and the decoders
+    # phase 1: reconstruction-only descent on H and the decoders, every epoch
+    # in the one workspace; no gradient is kept past its step
+    rec = None
     for epoch in range(cfg.pretrain_epochs):
         with _phase_errors(f"pretrain epoch {epoch + 1}"):
-            loss = enc.reconstruction_loss(h, decoders, ds)
-            grad_h, dec_grads = enc.reconstruction_grads(h, decoders, ds)
+            rec = enc.reconstruct(h, decoders, ds, out=rec)
+            loss = enc.reconstruction_loss(rec)
             report.lr_history.append(loss)
             report.lc_history.append(0.0)
             report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
             report.metrics_history.append(None)
-            _step(_named(h, decoders, []), _named(grad_h, dec_grads, []), scales)
+            grads = _named(*enc.reconstruction_grads(h, decoders, rec), [])
+            _step(_named(h, decoders, []), grads, scales)
+            del grads
+    del rec  # each joint epoch makes its own
     report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids; the
@@ -504,7 +512,8 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
 
     # analytic gradients of L_r + gamma * L_c, assembled by the training step's code
     params = _named(h, decoders, _gat_pairs(stack), centroids)
-    grads = _joint_grads(ds, (h, decoders, stack), centroids, ht, caches, p, cfg.gamma)
+    rec_grads = enc.reconstruction_grads(h, decoders, enc.reconstruct(h, decoders, ds))
+    grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma)
     grads[-1][2][...] *= cfg.gamma  # the centroid gradient, weighted like the rest
 
     errors = {}
@@ -520,7 +529,8 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
                 pos += live.size
             ht_now, _ = gt.stack_forward(stack, h, nbhd)
             lc_value = cl.kl_loss(p, cl.soft_assign(ht_now, centroids))
-            return total_loss(enc.reconstruction_loss(h, decoders, ds), lc_value, cfg.gamma)
+            lr_value = enc.reconstruction_loss(enc.reconstruct(h, decoders, ds))
+            return total_loss(lr_value, lc_value, cfg.gamma)
 
         x0 = _flat(params[i][2] for i in idx)
         analytic = _flat(grads[i][2] for i in idx)

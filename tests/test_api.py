@@ -46,9 +46,11 @@ def test_every_exported_name_resolves(module):
 # second entry points to the graph and attention stages, folded into
 # build_graph and stack_forward/stack_backward; the train/held-out split,
 # whose held-out part nothing scored; and the package's own thread cap,
-# which restated the BLAS's thread variables
+# which restated the BLAS's thread variables; and the decoder forward passes
+# that ``reconstruct`` replaced
 DELETED = [
-    "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap"
+    "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
+    "decode", "per_sample_reconstruction",
 ]
 
 

@@ -601,3 +601,28 @@ def test_import_sets_no_environment_variable():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--k", "x"], "error: slrl train: argument --k: invalid int value: 'x'"),
+    (["train", "--bogus"], "error: slrl: unrecognized arguments: --bogus"),
+    ([], "error: slrl: the following arguments are required: command"),
+], ids=["bad value", "unknown flag", "no subcommand"])
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    argv = argv + ["--out", str(out)] if argv else argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_is_the_usage_block(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: slrl") and captured.err == ""

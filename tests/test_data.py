@@ -71,6 +71,13 @@ def test_several_labels_on_a_line_is_format_error(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], [[0], [1], [1], [0]], 3])
+def test_labels_that_are_not_a_vector_are_a_format_error(labels):
+    # a 2x2 or 4x1 array over 4 samples used to pass, flattened, as four labels
+    with pytest.raises(FormatError, match="labels must be a vector, got shape"):
+        MultiViewDataset(views=[np.zeros((4, 2))], labels=np.array(labels))
+
+
 def test_truncated_binary_header_is_format_error(tmp_path):
     (tmp_path / "m.mvm").write_bytes(b"MVM1" + b"\x03\x00\x00")
     with pytest.raises(FormatError):

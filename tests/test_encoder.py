@@ -4,10 +4,9 @@ import pytest
 from slrl.data import MultiViewDataset
 from slrl.encoder import (
     DecoderParams,
-    decode,
     init_decoders,
     init_latent,
-    per_sample_reconstruction,
+    reconstruct,
     reconstruction_grads,
     reconstruction_loss,
 )
@@ -23,6 +22,20 @@ def small_problem(seed=0, n=6, f=4, dims=(3, 5)):
     params = init_decoders(f, list(dims), seed + 1)
     ds = MultiViewDataset(views=[rng.normal(size=(n, d)) for d in dims])
     return h, params, ds
+
+
+def loss(h, params, ds):
+    return reconstruction_loss(reconstruct(h, params, ds))
+
+
+def grads_of(h, params, ds):
+    return reconstruction_grads(h, params, reconstruct(h, params, ds))
+
+
+def decoded(h, params):
+    """Every decoder's output: the residuals against all-zero views."""
+    zeros = MultiViewDataset(views=[np.zeros((len(h), theta.b2.size)) for theta in params])
+    return reconstruct(h, params, zeros).res
 
 
 def test_init_latent_deterministic():
@@ -49,8 +62,10 @@ def test_init_latent_validation():
 
 def test_decode_zero_params_zero_output():
     theta = DecoderParams(w1=np.zeros((8, 4)), b1=np.zeros(8), w2=np.zeros((3, 8)), b2=np.zeros(3))
-    out = decode(theta, make_rng(0).normal(size=(5, 4)))
-    assert np.array_equal(out, np.zeros((5, 3)))
+    rng = make_rng(0)
+    x = rng.normal(size=(5, 3))
+    rec = reconstruct(rng.normal(size=(5, 4)), [theta], MultiViewDataset(views=[x]))
+    assert np.array_equal(rec.res[0] + x, np.zeros((5, 3)))
 
 
 def test_decode_identity_configuration_reproduces_input():
@@ -62,23 +77,25 @@ def test_decode_identity_configuration_reproduces_input():
         w2=np.hstack([np.eye(f), -np.eye(f)]),
         b2=np.zeros(f),
     )
-    h = make_rng(1).normal(size=(6, f))
-    assert np.max(np.abs(decode(theta, h) - h)) < 1e-12
+    rng = make_rng(1)
+    h = rng.normal(size=(6, f))
+    x = rng.normal(size=(6, f))
+    rec = reconstruct(h, [theta], MultiViewDataset(views=[x]))
+    assert np.max(np.abs(rec.res[0] + x - h)) < 1e-12
 
 
 def test_decode_matches_layerwise_oracle():
-    h, params, _ = small_problem(seed=3)
-    theta = params[0]
-    got = decode(theta, h)
-    want = decode_oracle(theta.w1, theta.b1, theta.w2, theta.b2, h)
-    assert np.max(np.abs(got - want)) < 1e-9
+    h, params, ds = small_problem(seed=3)
+    rec = reconstruct(h, params, ds)
+    for theta, x, res in zip(params, ds.views, rec.res, strict=True):
+        want = decode_oracle(theta.w1, theta.b1, theta.w2, theta.b2, h)
+        assert np.max(np.abs(res + x - want)) < 1e-9
 
 
 def test_reconstruction_loss_zero_at_perfect_fit():
     h, params, _ = small_problem(seed=4)
-    views = [decode(theta, h) for theta in params]
-    ds = MultiViewDataset(views=views)
-    assert reconstruction_loss(h, params, ds) == 0.0
+    ds = MultiViewDataset(views=decoded(h, params))
+    assert loss(h, params, ds) == 0.0
 
 
 def test_reconstruction_loss_zero_decoder_analytic():
@@ -89,26 +106,25 @@ def test_reconstruction_loss_zero_decoder_analytic():
     x = np.zeros((n, 2))
     x[:, 0] = np.sqrt(5.0)
     ds = MultiViewDataset(views=[x])
-    assert reconstruction_loss(h, [theta], ds) == pytest.approx(5.0, abs=1e-12)
+    assert loss(h, [theta], ds) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_reconstruction_loss_matches_direct_oracle():
     h, params, ds = small_problem(seed=5)
-    decoded = [decode(theta, h) for theta in params]
-    want = reconstruction_oracle(decoded, ds.views)
-    assert reconstruction_loss(h, params, ds) == pytest.approx(want, rel=1e-12)
+    want = reconstruction_oracle(decoded(h, params), ds.views)
+    assert loss(h, params, ds) == pytest.approx(want, rel=1e-12)
 
 
 def test_reconstruction_loss_nonnegative():
     for seed in range(5):
         h, params, ds = small_problem(seed=seed)
-        assert reconstruction_loss(h, params, ds) >= 0.0
+        assert loss(h, params, ds) >= 0.0
 
 
 def test_grads_zero_at_perfect_fit():
     h, params, _ = small_problem(seed=6)
-    ds = MultiViewDataset(views=[decode(theta, h) for theta in params])
-    grad_h, grads = reconstruction_grads(h, params, ds)
+    ds = MultiViewDataset(views=decoded(h, params))
+    grad_h, grads = grads_of(h, params, ds)
     assert np.max(np.abs(grad_h)) == 0.0
     for g in grads:
         assert max(np.abs(g.w1).max(), np.abs(g.w2).max()) == 0.0
@@ -116,10 +132,10 @@ def test_grads_zero_at_perfect_fit():
 
 def test_grads_match_finite_differences():
     h, params, ds = small_problem(seed=7)
-    grad_h, grads = reconstruction_grads(h, params, ds)
+    grad_h, grads = grads_of(h, params, ds)
 
     def loss_of_h(vec):
-        return reconstruction_loss(vec.reshape(h.shape), params, ds)
+        return loss(vec.reshape(h.shape), params, ds)
 
     num = finite_diff_grad(loss_of_h, h.ravel(), eps=1e-5)
     assert relative_error(grad_h.ravel(), num) < 1e-4
@@ -137,7 +153,7 @@ def test_grads_match_finite_differences():
         pos += theta.w2.size
         b2 = vec[pos : pos + theta.b2.size]
         new = [DecoderParams(w1, b1, w2, b2)] + list(params[1:])
-        return reconstruction_loss(h, new, ds)
+        return loss(h, new, ds)
 
     analytic = np.concatenate(
         [grads[0].w1.ravel(), grads[0].b1, grads[0].w2.ravel(), grads[0].b2]
@@ -157,60 +173,94 @@ def kinked_problem():
     return h, params, ds
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["hidden 2F above d_v", "d_v 512 above 2F", "one sample", "pre-activations at the kink"],
-)
+# the four shapes on which the in-place backward pass must match the reference bitwise
+BIT_FOR_BIT_CASES = {
+    "hidden 2F above d_v": lambda: small_problem(seed=10, n=9, f=6, dims=(3, 5)),
+    "d_v 512 above 2F": lambda: small_problem(seed=11, n=12, f=8, dims=(512, 7)),
+    "one sample": lambda: small_problem(seed=12, n=1, f=4, dims=(3, 9)),
+    "pre-activations at the kink": kinked_problem,
+}
+
+
+def flat_grads(grad_h, grads) -> list:
+    return [grad_h] + [x for g in grads for x in (g.w1, g.b1, g.w2, g.b2)]
+
+
+@pytest.mark.parametrize("case", list(BIT_FOR_BIT_CASES))
 def test_grads_equal_the_out_of_place_reference_bit_for_bit(case):
-    if case == "hidden 2F above d_v":
-        h, params, ds = small_problem(seed=10, n=9, f=6, dims=(3, 5))
-    elif case == "d_v 512 above 2F":
-        h, params, ds = small_problem(seed=11, n=12, f=8, dims=(512, 7))
-    elif case == "one sample":
-        h, params, ds = small_problem(seed=12, n=1, f=4, dims=(3, 9))
-    else:
-        h, params, ds = kinked_problem()
+    h, params, ds = BIT_FOR_BIT_CASES[case]()
+    if case == "pre-activations at the kink":
         pre = [h @ theta.w1.T + theta.b1 for theta in params]
         assert all(np.any(x == 0.0) for x in pre)
-    grad_h, grads = reconstruction_grads(h, params, ds)
+    grad_h, grads = grads_of(h, params, ds)
     decoders = [(t.w1, t.b1, t.w2, t.b2) for t in params]
     want_h, want = reconstruction_grads_reference(h, decoders, ds.views)
-    got = [grad_h] + [x for g in grads for x in (g.w1, g.b1, g.w2, g.b2)]
+    got = flat_grads(grad_h, grads)
     ref = [want_h] + [x for g in want for x in g]
     for a, b in zip(got, ref, strict=True):
         assert np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()  # signed zeros too
 
 
+@pytest.mark.parametrize("case", list(BIT_FOR_BIT_CASES))
+def test_a_reused_workspace_gives_the_fresh_bits(case):
+    h, params, ds = BIT_FOR_BIT_CASES[case]()
+    want_loss = loss(h, params, ds)
+    want = [g.copy() for g in flat_grads(*grads_of(h, params, ds))]
+    # spend the workspace at another latent matrix, then scale its gradients in
+    # place as the optimizer step does, so that any array not rewritten shows
+    spent = reconstruct(h + 0.5, params, ds)
+    for g in flat_grads(*reconstruction_grads(h + 0.5, params, spent)):
+        g *= np.nan
+    rec = reconstruct(h, params, ds, out=spent)
+    assert rec is spent
+    assert reconstruction_loss(rec) == want_loss
+    got = flat_grads(*reconstruction_grads(h, params, rec))
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_spent_reconstruction_is_refused_until_reconstructed():
+    h, params, ds = small_problem(seed=13)
+    rec = reconstruct(h, params, ds)
+    reconstruction_grads(h, params, rec)
+    with pytest.raises(ParameterError, match="spent"):
+        reconstruction_loss(rec)
+    with pytest.raises(ParameterError, match="spent"):
+        reconstruction_grads(h, params, rec)
+    reconstruction_loss(reconstruct(h, params, ds, out=rec))
+
+
 def test_grads_reject_a_decoder_count_mismatch():
     h, params, ds = small_problem(seed=9)
     with pytest.raises(ShapeError):
-        reconstruction_grads(h, params[:1], ds)
+        reconstruct(h, params[:1], ds)
 
 
 def test_grads_reject_a_non_finite_latent():
     h, params, ds = small_problem(seed=10)
     h[2, 1] = np.nan
     with pytest.raises(NumericError):
-        reconstruction_grads(h, params, ds)
+        reconstruct(h, params, ds)
 
 
 def test_grad_of_sample_independent_of_other_rows():
     h, params, ds = small_problem(seed=8)
-    grad_h, _ = reconstruction_grads(h, params, ds)
+    grad_h, _ = grads_of(h, params, ds)
     views = [v.copy() for v in ds.views]
     views[0][3] += 2.5  # perturb a different sample's features
     perturbed = MultiViewDataset(views=views)
-    grad_h2, _ = reconstruction_grads(h, params, perturbed)
+    grad_h2, _ = grads_of(h, params, perturbed)
     assert np.array_equal(grad_h[0], grad_h2[0])
     assert not np.array_equal(grad_h[3], grad_h2[3])
 
 
 def test_per_sample_separability_under_permutation():
     h, params, ds = small_problem(seed=9)
-    losses = per_sample_reconstruction(h, params, ds)
     perm = make_rng(10).permutation(h.shape[0])
     permuted_ds = MultiViewDataset(views=[v[perm] for v in ds.views])
-    permuted_losses = per_sample_reconstruction(h[perm], params, permuted_ds)
-    assert np.max(np.abs(losses[perm] - permuted_losses)) < 1e-12
-    assert reconstruction_loss(h, params, ds) == pytest.approx(float(losses.mean()))
+    # permuting the samples permutes every residual row and leaves the mean alone
+    rec, permuted = reconstruct(h, params, ds), reconstruct(h[perm], params, permuted_ds)
+    for res, permuted_res in zip(rec.res, permuted.res, strict=True):
+        assert np.max(np.abs(res[perm] - permuted_res)) < 1e-12
+    assert reconstruction_loss(permuted) == pytest.approx(reconstruction_loss(rec), rel=1e-12)

@@ -353,3 +353,40 @@ def test_one_set_of_attention_caches_lives_at_a_time(monkeypatch):
     report = train(small_ds(), small_cfg(epochs=4, gat_layers=2))
     assert report.joint_epochs_run == 4
     assert live == [0] * (2 * 4 + 3)
+
+
+def test_each_epoch_makes_one_decoder_forward_pass(monkeypatch):
+    names = ("reconstruct", "reconstruction_loss", "reconstruction_grads")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(slrl.encoder, name, counting(name, getattr(slrl.encoder, name)))
+    report = train(small_ds(), small_cfg(pretrain_epochs=4, epochs=6, early_stop_min_epochs=10**9))
+    assert report.joint_epochs_run == 6
+    assert calls == dict.fromkeys(names, 4 + 6)
+
+
+def test_no_decoder_workspace_lives_at_a_graph_build_or_an_attention_backward_pass(monkeypatch):
+    # the pretrain workspace ends with its phase; a joint epoch's goes before stack_backward
+    live = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, slrl.encoder.Reconstruction) for o in gc.get_objects()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(slrl.graph, "build_graph", counting(slrl.graph.build_graph))
+    monkeypatch.setattr(slrl.gat, "stack_backward", counting(slrl.gat.stack_backward))
+    report = train(small_ds(), small_cfg(epochs=4, early_stop_min_epochs=10**9))
+    assert report.joint_epochs_run == 4
+    assert live == [0] * (4 + 1 + 4)
