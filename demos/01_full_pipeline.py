@@ -29,7 +29,7 @@ for i in range(pre, len(report.loss_history), max(1, report.joint_epochs_run // 
 if report.early_stopped_at:
     print(f"  stopped at joint epoch {report.early_stopped_at} ({report.early_stop_reason})")
 
-m = report.final_metrics()
+m = report.final_eval
 print(f"\nfinal: ACC {m.acc:.3f}  NMI {m.nmi:.3f}  F {m.f_score:.3f}  ARI {m.ari:.3f}")
 
 sizes = np.bincount(report.labels_pred)

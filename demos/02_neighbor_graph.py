@@ -2,8 +2,8 @@
 """Neighbor-graph construction on a point cloud.
 
 Shows exact kNN selection with deterministic tie-breaking, the union
-symmetrization rule, and both edge-weight kernels of ``build_graph``
-(Gaussian with the median-distance sigma heuristic, and raw dot products).
+symmetrization rule, and the Gaussian edge weights of ``build_graph`` at the
+median-distance sigma.
 The graph is stored as CSR arrays: ``indptr``, ``indices`` and ``weights``.
 """
 
@@ -33,10 +33,6 @@ dense = np.zeros((g.n, g.n))
 dense[np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices] = g.weights
 assert np.array_equal(dense, dense.T)
 print("symmetric: yes")
-
-gd = build_graph(h, k=3, kernel="dot")
-print("\ndot-product weights may be negative:",
-      round(gd.weights.min(), 4), "to", round(gd.weights.max(), 4))
 
 print("\nedge dump (first 5 lines):")
 print("\n".join(dump_edges(g).splitlines()[:5]))

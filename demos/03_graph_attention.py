@@ -15,7 +15,7 @@ from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
 rng = make_rng(3)
 h = rng.normal(size=(7, 4))
-nbhd = build_graph(h, k=2, sigma=1.0).neighborhoods()  # CSR rows with self loops
+nbhd = build_graph(h, k=2).neighborhoods()  # CSR rows with self loops
 
 params = init_gat(f_in=4, f_prime=4, heads=2, rng=make_rng(0))
 alphas = attention_coeffs(params, head=0, h=h, nbhd=nbhd)

@@ -17,7 +17,7 @@ for seed in range(3):
     ds = synth_multiview(3, 50, [8, 8], noise=0.3, seed=seed)
     reports = ablate(ds, TrainConfig(seed=seed))
     for mode, rep in reports.items():
-        rows[mode].append(rep.final_metrics().acc)
+        rows[mode].append(rep.final_eval.acc)
 
 labels = {"a": "(a) latent only", "b": "(b) latent + attention", "c": "(c) full model"}
 for mode in "abc":

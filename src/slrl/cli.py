@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
 )
 from .gat import ACTIVATIONS, COMBINES
-from .graph import KERNELS, dump_edges
+from .graph import dump_edges
 from .train import TrainConfig, TrainReport, ablate, check_fit, save_checkpoint, write_loss_log
 from .train import gradcheck as run_gradcheck
 from .train import train as run_train
@@ -76,8 +76,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     flag("--lr", dest="learning_rate", metavar="LR", type=float)
     flag("--epochs", type=int)
     flag("--pretrain-epochs", type=int)
-    flag("--kernel", choices=KERNELS)
-    flag("--sigma", type=float)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", type=str, default="slrl_out")
 
@@ -204,9 +202,8 @@ def _run_one(ds: MultiViewDataset, cfg: TrainConfig, out: Path) -> TrainReport:
     np.savetxt(out / "q.csv", report.q, fmt="%.9g", delimiter=",")
     np.savetxt(out / "p.csv", target_distribution(report.q), fmt="%.9g", delimiter=",")
     (out / "graph.txt").write_text(dump_edges(report.graph))
-    final = report.final_metrics()
-    if final is not None:
-        (out / "metrics.txt").write_text(final.to_text())
+    if report.final_eval is not None:
+        (out / "metrics.txt").write_text(report.final_eval.to_text())
     return report
 
 
@@ -217,7 +214,7 @@ def cmd_train(args, argv) -> int:
             run_cfg = replace(cfg, seed=cfg.seed + r)
             run_out = out if args.repeats == 1 else out / f"run{r}"
             reports.append(_run_one(ds, run_cfg, run_out))
-        finals = [rep.final_metrics() for rep in reports if rep.final_metrics() is not None]
+        finals = [rep.final_eval for rep in reports if rep.final_eval is not None]
         if len(finals) > 1:
             (out / "metrics_aggregate.csv").write_text(mt.aggregate_rows(finals))
         if finals:
@@ -245,7 +242,7 @@ def cmd_ablate(args, argv) -> int:
         rows = {"a": [], "b": [], "c": []}
         for r in range(args.repeats):
             for mode, rep in ablate(ds, replace(cfg, seed=cfg.seed + r)).items():
-                final = rep.final_metrics()
+                final = rep.final_eval
                 rows[mode].append(final.acc if final is not None else float("nan"))
         labels = {"a": "(a) X-H", "b": "(b) X-H-Ht", "c": "(c) X-H-Ht-P"}
         lines = ["mode,acc_mean,acc_std"]
@@ -277,7 +274,7 @@ def cmd_sweep(args, argv) -> int:
         lines = ["gamma,k,acc_mean,acc_std,nmi_mean,nmi_std,f_mean,f_std,ari_mean,ari_std"]
         for cell in cells:
             finals = [
-                run_train(ds, replace(cell, seed=cell.seed + r)).final_metrics()
+                run_train(ds, replace(cell, seed=cell.seed + r)).final_eval
                 for r in range(args.repeats)
             ]
             scores = np.array([[m.acc, m.nmi, m.f_score, m.ari] for m in finals], dtype=np.float64)

@@ -8,6 +8,9 @@ On-disk layout, rooted at a directory:
         view <name> <relative-path> <continuous|discrete>
     and an optional line
         labels <relative-path>
+    A view name is printable and has no spaces. The kind is recorded and
+    round-tripped, but nothing in training reads it. ``save_dataset`` writes
+    view i to ``view<i>.mvm``.
   * matrix files either as whitespace/comma-delimited text or as binary
     blocks: magic ``MVM1``, rows (u64 LE), cols (u64 LE), then rows*cols
     float64 LE values in row-major order, up to the end of the file
@@ -42,6 +45,7 @@ __all__ = [
 
 MAGIC = b"MVM1"
 MANIFEST = "manifest.txt"
+KINDS = ("continuous", "discrete")
 # smallest pairwise distance between the scaled cluster centers of synth_multiview
 _MIN_SEPARATION = 0.5
 
@@ -83,6 +87,13 @@ class MultiViewDataset:
             self.kinds = ["continuous"] * len(self.views)
         if len(self.view_names) != len(self.views) or len(self.kinds) != len(self.views):
             raise FormatError("view metadata length mismatch")
+        # the manifest holds each name as one whitespace-free field
+        for name in self.view_names:
+            if not (isinstance(name, str) and name and name.isprintable() and " " not in name):
+                raise FormatError(f"view name {name!r} is not one printable word")
+        for kind in self.kinds:
+            if kind not in KINDS:
+                raise FormatError(f"view kind {kind!r} is not one of {', '.join(KINDS)}")
 
     @property
     def n_samples(self) -> int:
@@ -169,7 +180,7 @@ def load_dataset(path) -> MultiViewDataset:
     views, names, kinds = [], [], []
     labels = None
     try:
-        text = manifest.read_text()
+        text = manifest.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{manifest}: not text ({exc})") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -178,7 +189,7 @@ def load_dataset(path) -> MultiViewDataset:
             continue
         parts = line.split()
         if parts[0] == "view":
-            if len(parts) != 4 or parts[3] not in ("continuous", "discrete"):
+            if len(parts) != 4 or parts[3] not in KINDS:
                 raise FormatError(f"{manifest}:{lineno}: bad view line")
             names.append(parts[1])
             kinds.append(parts[3])
@@ -199,14 +210,14 @@ def save_dataset(ds: MultiViewDataset, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = []
-    for name, kind, view in zip(ds.view_names, ds.kinds, ds.views):
-        fname = f"{name}.mvm"
+    for i, (name, kind, view) in enumerate(zip(ds.view_names, ds.kinds, ds.views)):
+        fname = f"view{i}.mvm"
         write_matrix(root / fname, view)
         lines.append(f"view {name} {fname} {kind}")
     if ds.labels is not None:
         np.savetxt(root / "labels.txt", ds.labels, fmt="%d")
         lines.append("labels labels.txt")
-    (root / MANIFEST).write_text("\n".join(lines) + "\n")
+    (root / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def normalize(ds: MultiViewDataset) -> MultiViewDataset:

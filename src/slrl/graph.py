@@ -1,13 +1,14 @@
 """Symmetric k-nearest-neighbor graph over the latent representation.
 
 Edges follow the union rule: (i, j) is present iff i is among the k nearest
-neighbors of j or vice versa. ``build_graph`` builds every graph; its kernel
-only picks the edge values, either a Gaussian
+neighbors of j or vice versa. ``build_graph`` builds every graph, with
+Gaussian edge weights
 
     w_ij = exp(-||h_i - h_j||^2 / (2 sigma^2)),
 
-or the raw dot product h_j^T h_i. The attention layer consumes only the
-edge set; weights are retained for inspection and debugging dumps.
+where sigma is the median distance over all selected kNN pairs. The
+attention layer consumes only the edge set; weights are retained for
+inspection and debugging dumps.
 
 A graph is stored once, as CSR arrays with rows and the ids within each row
 in ascending order (no self loops); ``neighborhoods()`` inserts the self
@@ -17,17 +18,19 @@ Neighbor search is exact and deterministic, and no build holds an N x N
 array. It works through blocks of at most ``_ROW_BLOCK`` rows: for a block I
 it computes the squared distances ``sq_I + sq - 2 h_I h^T`` and selects each
 row's k nearest with ``np.partition``; where the k-th distance ties past the
-k-th place, the smaller indices win. Only the k ids per row, their squared
-distances and their dot products are kept, so memory is O(N * _ROW_BLOCK).
-Every block works in one workspace the build allocates once: three
-(_ROW_BLOCK, N) slabs for the Gram block, the distances and a partitioned
-copy of the distances, which each block overwrites. Fresh arrays per block
-would each be returned to the kernel on free and faulted in again.
+k-th place, the smaller indices win. Only the k ids per row and their squared
+distances are kept, so memory is O(N * _ROW_BLOCK). Every block works in one
+workspace the build allocates once: two (_ROW_BLOCK, N) slabs for the
+distances and a partitioned copy of them, which each block overwrites. Fresh
+arrays per block would each be returned to the kernel on free and faulted in
+again. Rows so large that a squared distance could overflow are a
+``NumericError``: an infinite or nan distance would select a node as its own
+neighbor.
 The union is the sorted set of unique codes ``i * N + j`` over both
 directions of every selected pair, which is already the CSR order. Both
 directions of an edge take their weight from the pair's first selection in
-row order, so the adjacency is exactly symmetric. The default sigma and the
-weights come from the kept values, with no second distance pass.
+row order, so the adjacency is exactly symmetric. Sigma and the weights come
+from the kept distances, with no second distance pass.
 """
 
 from __future__ import annotations
@@ -36,21 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .numerics import as_matrix
 
-__all__ = [
-    "KERNELS",
-    "NeighborGraph",
-    "knn_indices",
-    "build_graph",
-    "check_kernel",
-    "dump_edges",
-]
+__all__ = ["NeighborGraph", "knn_indices", "build_graph", "dump_edges"]
 
-# edge-value kernels of build_graph
-KERNELS = ("gaussian", "dot")
 _ROW_BLOCK = 256
+# the largest squared row norm whose squared distances stay finite
+_SQ_MAX = np.finfo(np.float64).max / 4.0
 
 
 @dataclass
@@ -59,7 +55,7 @@ class NeighborGraph:
 
     n: int
     k: int
-    sigma: float | None
+    sigma: float
     indptr: np.ndarray  # (n + 1,) int64 row offsets into indices
     indices: np.ndarray  # neighbor ids, ascending within each row, no self
     weights: np.ndarray  # edge weights aligned with indices
@@ -80,13 +76,13 @@ class NeighborGraph:
 
 def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int, work: np.ndarray):
     """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``, worked out in the
-    build's (3, B, N) workspace ``work``, which the next block overwrites."""
+    build's (2, B, N) workspace ``work``, which the next block overwrites."""
     stop = min(start + _ROW_BLOCK, h.shape[0])
-    gram2, d, part = work[:, : stop - start]
-    np.matmul(h[start:stop], h.T, out=gram2)
-    gram2 *= 2.0
-    np.add.outer(sq[start:stop], sq, out=d)
-    d -= gram2
+    d, part = work[:, : stop - start]
+    # -2 h_i.h_j + (sq_i + sq_j), bit for bit (sq_i + sq_j) - 2 h_i.h_j
+    np.matmul(h[start:stop], h.T, out=d)
+    d *= -2.0
+    d += np.add.outer(sq[start:stop], sq, out=part)
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d[:, start:], np.inf)
     np.copyto(part, d)
@@ -98,24 +94,26 @@ def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int, work: np.n
         ties = np.flatnonzero(d[i] == kth[i])
         sel[i, ties[k - np.count_nonzero(d[i] < kth[i]) :]] = False
     ids = np.flatnonzero(sel).reshape(-1, k) % sel.shape[1]
-    return ids, np.take_along_axis(d, ids, axis=1), np.take_along_axis(gram2, ids, axis=1) / 2.0
+    return ids, np.take_along_axis(d, ids, axis=1)
 
 
 def _nearest(h: np.ndarray, k: int):
     """Each row's k nearest other rows, the smaller id winning a tie: ids (N, k),
-    ascending within a row, with their squared distances and dot products."""
+    ascending within a row, and their squared distances (N, k)."""
     n = h.shape[0]
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)
-    # one workspace for every block: the Gram block, the distances and the
-    # partitioned copy of the distances
-    work = np.empty((3, min(_ROW_BLOCK, n), n))
+    # no term of sq_i + sq_j - 2 h_i.h_j exceeds 4 max(sq)
+    if not sq.max() <= _SQ_MAX:
+        raise NumericError("h is too large: its squared distances overflow")
+    # one workspace for every block: the distances and their partitioned copy
+    work = np.empty((2, min(_ROW_BLOCK, n), n))
     blocks = [_block_nearest(h, sq, s, k, work) for s in range(0, n, _ROW_BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _union(ids: np.ndarray, values: np.ndarray, sigma: float | None) -> NeighborGraph:
+def _union(ids: np.ndarray, values: np.ndarray, sigma: float) -> NeighborGraph:
     """Union-rule graph over the selections ``ids`` (N, k); an edge weighs
     ``values`` at the first selection of its pair in row order."""
     n, k = ids.shape
@@ -137,51 +135,30 @@ def knn_indices(h, k: int) -> list:
     Ties are broken toward the smaller index. Returns a list of int64 arrays
     in ascending-distance order.
     """
-    ids, dist, _ = _nearest(as_matrix(h, "h"), k)
+    ids, dist = _nearest(as_matrix(h, "h"), k)
     # ids ascend within each row, so a stable sort by distance keeps index order on ties
     order = np.argsort(dist, axis=1, kind="stable")
     return list(np.take_along_axis(ids, order, axis=1))
 
 
-def check_kernel(kernel: str, sigma: float | None) -> None:
-    """Raise ``ParameterError`` unless ``build_graph`` takes ``kernel`` with ``sigma``:
-    a known kernel, and a sigma that is None or, for the Gaussian, finite and positive."""
-    if kernel not in KERNELS:
-        raise ParameterError(f"unknown kernel {kernel!r}")
-    if kernel == "dot" and sigma is not None:
-        raise ParameterError("sigma applies only to the gaussian kernel, not to 'dot'")
-    if sigma is not None and not 0.0 < sigma < np.inf:  # false for nan too
-        raise ParameterError("sigma must be finite and positive")
+def build_graph(h, k: int) -> NeighborGraph:
+    """Union-kNN graph over the rows of h, with Gaussian edge weights at the
+    median distance over all selected kNN pairs.
 
-
-def build_graph(h, k: int, kernel: str = "gaussian", sigma: float | None = None) -> NeighborGraph:
-    """Union-kNN graph over the rows of h; ``kernel`` picks the edge values.
-
-    Gaussian weights use ``sigma``, which defaults to the median distance
-    over all selected kNN pairs; degenerate data (all points identical) makes
-    that heuristic collapse, in which case an explicit sigma is required. A
-    sigma so small that every selected weight underflows to 0 is an error
-    too. Dot-product weights may be negative and take no sigma.
+    Data whose median selected distance is zero (say, all points identical)
+    has no such sigma, and is an error.
     """
-    check_kernel(kernel, sigma)
-    ids, dist, dots = _nearest(as_matrix(h, "h"), k)
-    if kernel == "dot":
-        return _union(ids, dots, sigma=None)
-    if sigma is None:
-        sigma = float(np.median(np.sqrt(dist)))
-        if sigma <= 0.0:
-            raise ParameterError(
-                "sigma heuristic degenerate (all selected neighbor distances are zero); "
-                "pass an explicit sigma"
-            )
+    ids, dist = _nearest(as_matrix(h, "h"), k)
+    sigma = float(np.median(np.sqrt(dist)))
     two_s2 = 2.0 * sigma * sigma
-    with np.errstate(over="ignore"):  # far pairs may underflow to weight 0
-        weights = np.exp(-dist / two_s2) if two_s2 > 0.0 else np.zeros_like(dist)
-    if not weights.any():
+    if two_s2 <= 0.0:  # a sigma under about 1e-162 squares to 0 too
         raise ParameterError(
-            f"sigma={sigma:g} too small: every Gaussian edge weight underflows to 0"
+            "degenerate neighbor distances: the median selected distance, "
+            f"sigma={sigma:g}, is zero or squares to zero"
         )
-    return _union(ids, weights, sigma=float(sigma))
+    with np.errstate(over="ignore"):  # far pairs may underflow to weight 0
+        weights = np.exp(-dist / two_s2)
+    return _union(ids, weights, sigma=sigma)
 
 
 def dump_edges(g: NeighborGraph) -> str:

@@ -81,14 +81,12 @@ class TrainConfig:
     combine: str = "average"
     pretrain_epochs: int = 50
     seed: int = 0
-    kernel: str | None = None  # None: pick from the dataset's view kinds
-    sigma: float | None = None
     clusters: int | None = None  # None: take the ground-truth label count
     early_stop_min_epochs: int = 20
 
     def validate(self) -> None:
         """Raise ``ParameterError`` for a setting out of range on its own; ``check_fit``
-        checks kernel and sigma, since the kernel may come from the dataset."""
+        also checks the settings against the dataset."""
         if self.latent_dim < 2:
             raise ParameterError("latent_dim must be >= 2")
         if self.k < 1:
@@ -137,13 +135,6 @@ class TrainReport:
     alpha_rowsum_gap: float = 0.0
     lc_min: float = np.inf
 
-    @property
-    def joint_losses(self) -> list:
-        return self.loss_history[self.pretrain_epochs_run :]
-
-    def final_metrics(self):
-        return self.final_eval
-
 
 def total_loss(lr_value: float, lc_value: float, gamma: float) -> float:
     """Joint objective: reconstruction loss plus gamma-weighted clustering loss."""
@@ -151,13 +142,6 @@ def total_loss(lr_value: float, lc_value: float, gamma: float) -> float:
     if not np.isfinite(value):
         raise NumericError(f"non-finite total loss: lr={lr_value}, lc={lc_value}")
     return value
-
-
-def _resolve_kernel(ds: MultiViewDataset, cfg: TrainConfig) -> str:
-    if cfg.kernel is not None:
-        return cfg.kernel
-    discrete = sum(1 for kind in ds.kinds if kind == "discrete")
-    return "dot" if discrete > ds.n_views - discrete else "gaussian"
 
 
 def _resolve_clusters(ds: MultiViewDataset, cfg: TrainConfig) -> int:
@@ -171,10 +155,8 @@ def _resolve_clusters(ds: MultiViewDataset, cfg: TrainConfig) -> int:
 
 def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> None:
     """Raise ``ParameterError`` unless ``cfg`` is valid and fits ``ds``: k below the
-    sample count, between 2 and N clusters, and a sigma only for the Gaussian
-    kernel. ``train`` runs this first."""
+    sample count and between 2 and N clusters. ``train`` runs this first."""
     cfg.validate()
-    gr.check_kernel(_resolve_kernel(ds, cfg), cfg.sigma)
     n = ds.n_samples
     if cfg.k > n - 1:
         raise ParameterError(f"k={cfg.k} too large for {n} samples")
@@ -326,7 +308,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
     check_fit(ds, cfg)
     n = ds.n_samples
-    kernel = _resolve_kernel(ds, cfg)
     n_clusters = _resolve_clusters(ds, cfg)
 
     h, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
@@ -354,7 +335,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # phase 2 setup: graph, structured representation, k-means centroids; the
     # forward pass's caches are dropped at once
-    nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+    nbhd = gr.build_graph(h, cfg.k).neighborhoods()
     centroids = cl.init_centroids(gt.stack_forward(stack, h, nbhd)[0], n_clusters, cfg.seed + 3)
     best_loss = np.inf
     no_improve = 0
@@ -365,7 +346,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         with _phase_errors(f"joint epoch {epoch + 1}"):
             # the first epoch attends over the setup graph
             if nbhd is None:
-                nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+                nbhd = gr.build_graph(h, cfg.k).neighborhoods()
             loss, q, centroids = _joint_epoch(
                 ds, cfg, (h, decoders, stack), centroids, nbhd, scales, report
             )
@@ -400,7 +381,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
 
     # final state under the last parameter values
     with _phase_errors(f"final state after {report.joint_epochs_run} joint epochs"):
-        g = gr.build_graph(h, cfg.k, kernel, cfg.sigma)
+        g = gr.build_graph(h, cfg.k)
         ht, _ = gt.stack_forward(stack, h, g.neighborhoods())
         q = cl.soft_assign(ht, centroids)
     report.h = h
@@ -496,12 +477,11 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
     if n > 30:
         raise ParameterError(f"gradcheck needs N <= 30, got {n}")
     n_clusters = _resolve_clusters(ds, cfg)
-    kernel = _resolve_kernel(ds, cfg)
 
     seed = cfg.seed
     for _ in range(50):
         h, decoders, stack = _init_model(n, ds.dims, cfg, seed)
-        nbhd = gr.build_graph(h, cfg.k, kernel, cfg.sigma).neighborhoods()
+        nbhd = gr.build_graph(h, cfg.k).neighborhoods()
         ht, caches = gt.stack_forward(stack, h, nbhd)
         if _kink_margin(h, decoders, caches) > 1e-4:
             break

@@ -41,20 +41,6 @@ def gaussian_adjacency(h, k, sigma):
     return a
 
 
-def dot_adjacency(h, k):
-    """Dense dot-product adjacency under the union kNN rule."""
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    nn = knn_bruteforce(h, k)
-    sets = [set(ids.tolist()) for ids in nn]
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and (j in sets[i] or i in sets[j]):
-                a[i, j] = float(np.dot(h[j], h[i]))
-    return a
-
-
 def neighborhoods_oracle(nbrs, include_self):
     """CSR (indptr, indices) built row by row, inserting each node into its own list."""
     lists = []

@@ -29,8 +29,6 @@ SETTINGS = [
     "combine",
     "pretrain_epochs",
     "seed",
-    "kernel",
-    "sigma",
     "clusters",
     "early_stop_min_epochs",
 ]
@@ -46,11 +44,14 @@ def test_every_exported_name_resolves(module):
 # second entry points to the graph and attention stages, folded into
 # build_graph and stack_forward/stack_backward; the train/held-out split,
 # whose held-out part nothing scored; and the package's own thread cap,
-# which restated the BLAS's thread variables; and the decoder forward passes
-# that ``reconstruct`` replaced
+# which restated the BLAS's thread variables; the decoder forward passes
+# that ``reconstruct`` replaced; the edge kernel and sigma settings, which
+# changed only the weights that nothing but graph.txt reads; and the report's
+# second names for ``final_eval`` and a slice of ``loss_history``
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
-    "decode", "per_sample_reconstruction",
+    "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
+    "final_metrics", "joint_losses",
 ]
 
 
@@ -60,6 +61,7 @@ def test_each_stage_has_one_entry_point():
         assert not set(DELETED) & set(mod.__all__), mod.__name__
         assert not any(hasattr(mod, name) for name in DELETED), mod.__name__
     assert not hasattr(slrl.MultiViewDataset, "take")
+    assert not any(hasattr(slrl.TrainReport, name) for name in DELETED)
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--synth", "3x6", "--split", "0.8"])
     assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)

@@ -198,12 +198,10 @@ def test_repeats_below_one_usage_error(tmp_path, capsys, command, repeats):
         ("train", ["--lr", "inf"], "learning_rate must be finite and positive"),
         ("train", ["--gamma", "nan"], "gamma must be finite and >= 0"),
         ("train", ["--gamma", "inf"], "gamma must be finite and >= 0"),
-        ("train", ["--sigma", "nan"], "sigma must be finite and positive"),
-        ("train", ["--sigma", "inf"], "sigma must be finite and positive"),
+        ("train", ["--heads", "0"], "need heads >= 1 and gat_layers >= 0"),
+        ("train", ["--latent-dim", "1"], "latent_dim must be >= 2"),
         ("train", ["--noise", "nan"], "noise must be finite and >= 0"),
         ("train", ["--noise", "inf"], "noise must be finite and >= 0"),
-        ("train", ["--kernel", "dot", "--sigma", "0.5"],
-         "sigma applies only to the gaussian kernel, not to 'dot'"),
     ],
 )
 def test_setting_that_does_not_fit_writes_nothing(tmp_path, capsys, command, flags, message):
@@ -225,15 +223,6 @@ def test_out_that_cannot_be_made_is_one_error_line(tmp_path, capsys, command, fl
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text() == "kept\n"
-
-
-@pytest.mark.parametrize("sigma", ["1e-160", "1e-300"])
-def test_sigma_whose_weights_all_underflow_is_one_error_line(tmp_path, capsys, recwarn, sigma):
-    out = str(tmp_path / "o")
-    assert run_cli("train", "--synth", "3x10", "--k", "3", "--sigma", sigma, "--out", out) == 2
-    message = f"sigma={float(sigma):g} too small: every Gaussian edge weight underflows to 0"
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_empty_view_file_is_one_error_line(tmp_path):
@@ -377,8 +366,7 @@ MODEL_ARGV = [
     "--activation", "elu", "--combine", "concat", "--clusters", "5", "--seed", "11",
 ]
 RUN_ARGV = [
-    "--lr", "0.03", "--epochs", "17", "--pretrain-epochs", "6", "--kernel", "dot",
-    "--sigma", "0.7", "--repeats", "2", "--out", "o",
+    "--lr", "0.03", "--epochs", "17", "--pretrain-epochs", "6", "--repeats", "2", "--out", "o",
 ]
 MODEL_CONFIG = TrainConfig(
     latent_dim=7, k=4, gamma=2.5, heads=3, gat_layers=2, activation="elu",
@@ -399,10 +387,7 @@ MODEL_CONFIG = TrainConfig(
 )
 def test_flags_parse_to_the_config(argv, expected):
     if expected is None:
-        expected = replace(
-            MODEL_CONFIG, learning_rate=0.03, epochs=17, pretrain_epochs=6, kernel="dot",
-            sigma=0.7,
-        )
+        expected = replace(MODEL_CONFIG, learning_rate=0.03, epochs=17, pretrain_epochs=6)
     assert slrl.cli._config_from_args(build_parser().parse_args(argv)) == expected
 
 
@@ -477,7 +462,8 @@ def test_overflowing_run_is_one_error_line_naming_the_epoch(tmp_path, capsys, re
     out = str(tmp_path / "x")
     assert run_cli("train", "--synth", "3x20", "--k", "3", "--gamma", "1e300", "--out", out) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: joint epoch \d+: ht contains non-finite entries\n", err)
+    message = "h is too large: its squared distances overflow"
+    assert re.fullmatch(rf"error: joint epoch \d+: {message}\n", err)
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -616,6 +602,19 @@ def test_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+@pytest.mark.parametrize("flag, value", [("--kernel", "dot"), ("--sigma", "0.5")])
+def test_kernel_and_sigma_flags_are_gone(tmp_path, capsys, command, flag, value):
+    # every graph has Gaussian weights at the median-distance sigma
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--synth", "3x8", flag, value, "--out", str(out))
+    assert exc.value.code == 2
+    message = f"error: slrl: unrecognized arguments: {flag} {value}\n"
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

@@ -104,6 +104,32 @@ def test_synth_save_load_round_trip(tmp_path):
     for a, b in zip(ds.views, back.views):
         assert np.max(np.abs(a - b)) < 1e-12
     assert np.array_equal(back.labels, ds.labels)
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "labels.txt", "manifest.txt", "view0.mvm", "view1.mvm",
+    ]
+
+
+@pytest.mark.parametrize("names", [["a", "a"], ["x/y", "../z"], ["#", "\u00e9t\u00e9"]])
+def test_view_files_are_named_by_index(tmp_path, names):
+    # repeated names, and names that are no file name, keep their views apart
+    views = [np.full((2, 1), 1.0), np.full((2, 3), 2.0)]
+    ds = MultiViewDataset(views=views, view_names=names, kinds=["discrete", "continuous"])
+    save_dataset(ds, tmp_path / "d")
+    back = load_dataset(tmp_path / "d")
+    assert back.view_names == names and back.kinds == ["discrete", "continuous"]
+    assert all(np.array_equal(a, b) for a, b in zip(back.views, views, strict=True))
+
+
+@pytest.mark.parametrize("meta, message", [
+    (dict(view_names=["a b"]), "view name 'a b' is not one printable word"),
+    (dict(view_names=[""]), "view name '' is not one printable word"),
+    (dict(view_names=["a\tb"]), "view name 'a\\tb' is not one printable word"),
+    (dict(view_names=[3]), "view name 3 is not one printable word"),
+    (dict(kinds=["sparse"]), "view kind 'sparse' is not one of continuous, discrete"),
+])
+def test_view_metadata_the_manifest_cannot_hold_is_a_format_error(meta, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        MultiViewDataset(views=[np.ones((2, 2))], **meta)
 
 
 def test_normalize_column_scaling():

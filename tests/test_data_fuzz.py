@@ -15,6 +15,7 @@ from slrl.data import (
     load_dataset,
     read_labels,
     read_matrix,
+    save_dataset,
     write_matrix,
 )
 from slrl.errors import FormatError
@@ -152,3 +153,40 @@ def test_text_file_without_values_is_format_error(tmp_path, text, read):
     path.write_text(text)
     with pytest.raises(FormatError, match="no values"):
         read(path)
+
+
+# any view name and kind, most of them ones the manifest cannot hold
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAME = st.one_of(st.text(max_size=6), st.sampled_from(["a", "x/y", "view1"]))
+KIND = st.one_of(st.sampled_from(["continuous", "discrete"]), st.text(max_size=10))
+
+
+@st.composite
+def datasets(draw):
+    n, n_views = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    views = []
+    for _ in range(n_views):
+        cols = draw(st.integers(1, 3))
+        row = st.lists(FINITE, min_size=cols, max_size=cols)
+        views.append(draw(st.lists(row, min_size=n, max_size=n)))
+    names = draw(st.lists(NAME, min_size=n_views, max_size=n_views))
+    kinds = draw(st.lists(KIND, min_size=n_views, max_size=n_views))
+    labels = draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    return views, labels, names, kinds
+
+
+@FUZZ
+@given(datasets())
+def test_every_dataset_the_constructor_accepts_round_trips(tmp_path, parts):
+    views, labels, names, kinds = parts
+    try:
+        ds = MultiViewDataset(views=views, labels=labels, view_names=names, kinds=kinds)
+    except FormatError:
+        return
+    root = fresh_dir(tmp_path)
+    save_dataset(ds, root)
+    back = load_dataset(root)
+    assert all(np.array_equal(a, b) for a, b in zip(back.views, ds.views, strict=True))
+    assert (back.labels is None) == (ds.labels is None)
+    assert ds.labels is None or np.array_equal(back.labels, ds.labels)
+    assert (back.view_names, back.kinds) == (ds.view_names, ds.kinds)

@@ -36,7 +36,7 @@ def random_params(seed, f_in, f_prime, heads, **kw):
 
 def random_graph(seed, n, f, k=3):
     h = make_rng(seed).normal(size=(n, f))
-    return h, build_graph(h, k=k, sigma=1.0)
+    return h, build_graph(h, k=k)
 
 
 def test_singleton_neighborhood_gives_unit_alpha():
@@ -145,7 +145,7 @@ def test_permutation_equivariance():
     perm = make_rng(14).permutation(g.n)
     inv = np.argsort(perm)
     h_perm = h[perm]
-    g_perm = build_graph(h_perm, k=2, sigma=1.0)
+    g_perm = build_graph(h_perm, k=2)
     out_perm = stack_forward([params], h_perm, g_perm.neighborhoods())[0]
     assert np.max(np.abs(out_perm - out[perm])) < 1e-9
 

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slrl.errors import ParameterError
+from slrl.errors import NumericError, ParameterError
 from slrl import graph
 from slrl.graph import NeighborGraph, build_graph, dump_edges, knn_indices
 from slrl.numerics import make_rng
 
-from oracles import dot_adjacency, gaussian_adjacency, knn_bruteforce, neighborhoods_oracle
+from oracles import gaussian_adjacency, knn_bruteforce, neighborhoods_oracle
 
 
 def graph_to_dense(g):
@@ -47,90 +47,67 @@ def test_knn_range_validation():
 
 
 def test_gaussian_identical_points_weight_one():
-    h = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-    g = build_graph(h, k=1, sigma=1.0)
+    # two pairs, so that the median selected distance is 1, not 0
+    h = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [6.0, 5.0]])
+    g = build_graph(h, k=1)
     assert graph_to_dense(g)[0, 1] == 1.0
 
 
 def test_gaussian_analytic_value_at_2_sigma_sq():
-    sigma = 0.7
-    d = np.sqrt(2.0) * sigma  # so that d^2 = 2 sigma^2
-    h = np.array([[0.0], [d], [10.0]])
-    g = build_graph(h, k=1, sigma=sigma)
+    # three pairs: two at distance 1 set sigma = 1, and one at sqrt(2) has d^2 = 2 sigma^2
+    h = np.array([[0.0], [np.sqrt(2.0)], [10.0], [11.0], [20.0], [21.0]])
+    g = build_graph(h, k=1)
+    assert g.sigma == 1.0
     assert graph_to_dense(g)[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_gaussian_matches_direct_evaluation_oracle():
     for seed in range(20):
         h = make_rng(seed).normal(size=(10, 3))
-        sigma = 0.8 + 0.1 * seed
-        g = build_graph(h, k=3, sigma=sigma)
-        assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, 3, sigma))) < 1e-9
+        g = build_graph(h, k=3)
+        assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, 3, g.sigma))) < 1e-9
 
 
 def test_gaussian_degenerate_sigma_heuristic_rejected():
     h = np.ones((5, 2))
-    with pytest.raises(ParameterError, match="sigma"):
+    with pytest.raises(ParameterError, match="degenerate neighbor distances"):
         build_graph(h, k=2)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
-def test_gaussian_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
-    h = make_rng(2).normal(size=(6, 2))
-    with pytest.raises(ParameterError, match="sigma must be finite and positive"):
-        build_graph(h, k=2, sigma=sigma)
+def test_gaussian_sigma_that_squares_to_zero_rejected(recwarn):
+    # a duplicate pair and a pair at the smallest subnormal squared distance:
+    # sigma is 1.1e-162, half of sqrt(5e-324), and 2 sigma^2 rounds to 0
+    h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, np.sqrt(5e-324)]])
+    with pytest.raises(ParameterError, match="degenerate neighbor distances"):
+        build_graph(h, k=1)
+    assert [str(w.message) for w in recwarn] == []
 
 
-@pytest.mark.parametrize("sigma", [1e-160, 1e-300])
-def test_gaussian_rejects_a_sigma_whose_weights_all_underflow(sigma, recwarn):
-    # 2 sigma^2 is subnormal at 1e-160 and 0 at 1e-300
-    h = make_rng(2).normal(size=(6, 2))
-    with pytest.raises(ParameterError, match=f"sigma={sigma:g} too small"):
-        build_graph(h, k=2, sigma=sigma)
+@pytest.mark.parametrize("build", [knn_indices, build_graph])
+def test_distances_that_overflow_are_a_numeric_error(build, recwarn):
+    # sq_0 + sq_1 and 2 h_0 h_1 both overflow, so the distance of 0 and 1 would be
+    # nan, and node 0 would select itself
+    h = np.array([[1.2e154], [1.3e154], [0.0]])
+    with pytest.raises(NumericError, match="^h is too large: its squared distances overflow$"):
+        build(h, 2)
     assert [str(w.message) for w in recwarn] == []
 
 
 def test_gaussian_keeps_a_graph_where_only_far_edges_underflow():
-    # two tight pairs 1000 apart: the union joins them, and the far edges weigh 0
-    h = np.array([[0.0], [0.1], [1000.0], [1000.1]])
-    g = build_graph(h, k=2, sigma=0.1)
+    # a tight triple and a tight pair 1000 apart: most selections are near, so
+    # sigma is 0.1; the union joins the groups, and the far edges weigh 0
+    h = np.array([[0.0], [0.1], [0.2], [1000.0], [1000.1]])
+    g = build_graph(h, k=2)
     dense = graph_to_dense(g)
     assert dense[0, 1] == pytest.approx(np.exp(-0.5))
-    assert dense[2, 3] == pytest.approx(np.exp(-0.5))
-    assert dense[1, 2] == 0.0
-
-
-def test_dot_rejects_a_sigma():
-    h = make_rng(2).normal(size=(6, 2))
-    with pytest.raises(ParameterError, match="sigma applies only to the gaussian kernel"):
-        build_graph(h, k=2, kernel="dot", sigma=1.0)
-
-
-def test_dot_unit_vectors():
-    h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    g = build_graph(h, k=1, kernel="dot")
-    assert graph_to_dense(g)[0, 1] == pytest.approx(1.0)
-
-
-def test_dot_orthogonal_edge_present_with_zero_weight():
-    h = np.array([[1.0, 0.0], [0.0, 1.0]])
-    g = build_graph(h, k=1, kernel="dot")
-    assert 1 in g.nbrs[0]
-    assert graph_to_dense(g)[0, 1] == 0.0
-
-
-def test_dot_matches_direct_evaluation_oracle():
-    for seed in range(20):
-        h = make_rng(100 + seed).normal(size=(9, 4))
-        g = build_graph(h, k=3, kernel="dot")
-        assert np.max(np.abs(graph_to_dense(g) - dot_adjacency(h, 3))) < 1e-9
+    assert dense[3, 4] == pytest.approx(np.exp(-0.5))
+    assert 3 in g.indices[g.indptr[2] : g.indptr[3]] and dense[2, 3] == 0.0
 
 
 def test_symmetry_exact():
     h = make_rng(5).normal(size=(15, 3))
-    for g in (build_graph(h, 4), build_graph(h, 4, "dot")):
-        dense = graph_to_dense(g)
-        assert np.array_equal(dense, dense.T)
+    dense = graph_to_dense(build_graph(h, 4))
+    assert np.array_equal(dense, dense.T)
 
 
 def test_no_self_edges_and_degree_invariants():
@@ -164,7 +141,7 @@ def test_gaussian_translation_invariance():
 
 def test_dump_edges_format():
     h = np.array([[0.0], [1.0], [9.0]])
-    g = build_graph(h, 1, sigma=1.0)
+    g = build_graph(h, 1)
     dense = graph_to_dense(g)
     lines = dump_edges(g).strip().splitlines()
     for line in lines:
@@ -188,6 +165,14 @@ def grid_points(n, side, seed):
     return make_rng(seed).integers(0, side, size=(n, 2)).astype(float)
 
 
+def tie_graph(h, k, sigma):
+    """``build_graph``'s selection and union, with Gaussian weights at a given sigma.
+    On the tie grids, most selected pairs are duplicates at distance 0, so the
+    median sigma of ``build_graph`` is 0 and it raises."""
+    ids, dist = graph._nearest(h, k)
+    return graph._union(ids, np.exp(-dist / (2.0 * sigma * sigma)), sigma)
+
+
 def straddling_rows(h, k):
     """Rows whose k-th and (k+1)-th nearest distances tie, so the cut splits a tie."""
     d = np.sum((h[:, None, :] - h[None, :, :]) ** 2, axis=2)
@@ -202,10 +187,8 @@ def test_knn_ties_straddling_the_kth_distance_match_oracle(k):
     assert straddling_rows(h, k).size > 0
     for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
         assert np.array_equal(got, want)
-    dense_g = graph_to_dense(build_graph(h, k, sigma=1.3))
-    dense_d = graph_to_dense(build_graph(h, k, "dot"))
+    dense_g = graph_to_dense(tie_graph(h, k, 1.3))
     assert np.max(np.abs(dense_g - gaussian_adjacency(h, k, 1.3))) < 1e-12
-    assert np.max(np.abs(dense_d - dot_adjacency(h, k))) < 1e-12
 
 
 def test_knn_across_row_blocks_matches_oracle():
@@ -214,7 +197,7 @@ def test_knn_across_row_blocks_matches_oracle():
     assert straddling_rows(h, k)[-1] >= graph._ROW_BLOCK  # ties in the second block too
     for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
         assert np.array_equal(got, want)
-    g = build_graph(h, k, sigma=2.0)
+    g = tie_graph(h, k, 2.0)
     assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, 2.0))) < 1e-12
 
 
@@ -226,10 +209,8 @@ def test_knn_ties_in_a_partial_workspace_match_oracle(n):
     assert straddling_rows(h, k)[-1] == n - 1  # the last row splits a tie
     for got, want in zip(knn_indices(h, k), knn_bruteforce(h, k)):
         assert np.array_equal(got, want)
-    dense_g = graph_to_dense(build_graph(h, k, sigma=1.3))
-    dense_d = graph_to_dense(build_graph(h, k, "dot"))
+    dense_g = graph_to_dense(tie_graph(h, k, 1.3))
     assert np.max(np.abs(dense_g - gaussian_adjacency(h, k, 1.3))) < 1e-12
-    assert np.max(np.abs(dense_d - dot_adjacency(h, k))) < 1e-12
 
 
 def edge_set(nbrs):
@@ -248,18 +229,14 @@ def test_blocked_build_matches_oracles_on_random_input():
     kept = [np.sqrt(np.sum((h[i] - h[j]) ** 2)) for i, ids in enumerate(want) for j in ids]
     assert g.sigma == pytest.approx(np.median(kept), rel=1e-12)
     assert np.max(np.abs(graph_to_dense(g) - gaussian_adjacency(h, k, g.sigma))) < 1e-12
-    d = build_graph(h, k, "dot")
-    assert edge_set(d.nbrs) == union
-    assert np.max(np.abs(graph_to_dense(d) - dot_adjacency(h, k))) < 1e-12
 
 
-@pytest.mark.parametrize("kernel", ["gaussian", "dot"])
-def test_build_holds_no_n_by_n_array(kernel):
+def test_build_holds_no_n_by_n_array():
     n = 4 * graph._ROW_BLOCK
     h = make_rng(13).normal(size=(n, 8))
     tracemalloc.start()
     try:
-        build_graph(h, 10, kernel)
+        build_graph(h, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,7 +252,7 @@ def csr_of(g, include_self):
 @pytest.mark.parametrize("include_self", [True, False])
 def test_neighborhoods_match_row_by_row_transcription(include_self):
     for seed in range(5):
-        g = build_graph(grid_points(30, 4, seed), 3, sigma=1.0)
+        g = tie_graph(grid_points(30, 4, seed), 3, 1.0)
         got = csr_of(g, include_self)
         want = neighborhoods_oracle(g.nbrs, include_self)
         assert all(np.array_equal(a, b) and a.dtype == np.int64 for a, b in zip(got, want))
@@ -283,7 +260,7 @@ def test_neighborhoods_match_row_by_row_transcription(include_self):
     nbrs = [np.array([2]), np.zeros(0, dtype=np.int64), np.array([0, 3]), np.array([2])]
     indptr = np.array([0, 1, 1, 3, 4], dtype=np.int64)
     indices = np.array([2, 0, 3, 2], dtype=np.int64)
-    g = NeighborGraph(n=4, k=1, sigma=None, indptr=indptr, indices=indices, weights=np.ones(4))
+    g = NeighborGraph(n=4, k=1, sigma=1.0, indptr=indptr, indices=indices, weights=np.ones(4))
     assert all(np.array_equal(a, b) for a, b in zip(g.nbrs, nbrs, strict=True))
     got = csr_of(g, include_self)
     want = neighborhoods_oracle(nbrs, include_self)
