@@ -11,10 +11,12 @@ train, ablate and sweep share one run lifecycle. It checks the settings
 against the data (``train.check_fit``, for every sweep grid cell), so a
 setting that does not fit exits 2 and writes nothing. Then it writes a
 JSON manifest into the output directory before any training starts, so a run
-is reproducible from the manifest alone, and stamps it complete after the
-command's body. Plot emission is data-only (CSV loss curves, metric grids,
-2-D PCA projections); rendering is left to external tools. BLAS threads
-follow the BLAS's own variables, such as ``OMP_NUM_THREADS``.
+is reproducible from the manifest alone. After the command's body the manifest
+records how the run ended: ``"status": "ok"`` with ``completed_at``, or
+``"status": "error"`` with the message of the typed error that ended it. Plot
+emission is data-only (CSV loss curves, metric grids, 2-D PCA projections);
+rendering is left to external tools. BLAS threads follow the BLAS's own
+variables, such as ``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ from .graph import dump_edges
 from .train import TrainConfig, TrainReport, ablate, check_fit, save_checkpoint, write_loss_log
 from .train import gradcheck as run_gradcheck
 from .train import train as run_train
+
+# the typed errors a command ends on: one ``error:`` line and exit status 2
+_ERRORS = (
+    ParameterError,
+    FormatError,
+    OSError,
+    NumericError,
+    DegenerateClusterError,
+    DivergenceError,
+)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -151,9 +163,16 @@ def _write_manifest(out: Path, command: str, cfg: TrainConfig, dataset_spec: dic
     return path
 
 
-def _finalize_manifest(path: Path) -> None:
+def _finalize_manifest(path: Path, error: Exception | None = None) -> None:
+    """Record how the run ended: ``status`` "ok" with ``completed_at``, or "error"
+    with the error's message."""
     manifest = json.loads(path.read_text())
-    manifest["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    if error is None:
+        manifest["status"] = "ok"
+        manifest["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    else:
+        manifest["status"] = "error"
+        manifest["error"] = str(error)
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -161,7 +180,8 @@ def _finalize_manifest(path: Path) -> None:
 def _run_dir(args, argv, cells=None):
     """Check ``--repeats``, load the data and ``check_fit`` every config the run trains
     (``cells(args, ds, cfg)``, or the one config); then write the manifest, yield
-    ``(out, ds, cells)`` to the command's body and stamp the manifest complete."""
+    ``(out, ds, cells)`` to the command's body and record in the manifest how it
+    ended. A typed error is recorded there, then raised on."""
     if args.repeats < 1:
         raise ParameterError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = _config_from_args(args)
@@ -171,7 +191,11 @@ def _run_dir(args, argv, cells=None):
         check_fit(ds, cell)
     out = Path(args.out)
     manifest = _write_manifest(out, args.command, cfg, dataset_spec, argv)
-    yield out, ds, run_cells
+    try:
+        yield out, ds, run_cells
+    except _ERRORS as err:
+        _finalize_manifest(manifest, err)
+        raise
     _finalize_manifest(manifest)
 
 
@@ -209,21 +233,24 @@ def _run_one(ds: MultiViewDataset, cfg: TrainConfig, out: Path) -> TrainReport:
 
 def cmd_train(args, argv) -> int:
     with _run_dir(args, argv) as (out, ds, [cfg]):
-        reports = []
+        # of each repeat's report only its final metrics outlive the next repeat
+        finals = []
         for r in range(args.repeats):
             run_cfg = replace(cfg, seed=cfg.seed + r)
             run_out = out if args.repeats == 1 else out / f"run{r}"
-            reports.append(_run_one(ds, run_cfg, run_out))
-        finals = [rep.final_eval for rep in reports if rep.final_eval is not None]
+            report = _run_one(ds, run_cfg, run_out)
+            if report.final_eval is not None:
+                finals.append(report.final_eval)
+            epochs = (
+                f"epochs: pretrain={report.pretrain_epochs_run} joint={report.joint_epochs_run}"
+                + (f" early_stop_at={report.early_stopped_at}" if report.early_stopped_at else "")
+            )
+            del report
         if len(finals) > 1:
             (out / "metrics_aggregate.csv").write_text(mt.aggregate_rows(finals))
         if finals:
             print(finals[-1].to_text(), end="")
-        last = reports[-1]
-        print(
-            f"epochs: pretrain={last.pretrain_epochs_run} joint={last.joint_epochs_run}"
-            + (f" early_stop_at={last.early_stopped_at}" if last.early_stopped_at else "")
-        )
+        print(epochs)
     return 0
 
 
@@ -371,14 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (
-        ParameterError,
-        FormatError,
-        OSError,
-        NumericError,
-        DegenerateClusterError,
-        DivergenceError,
-    ) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

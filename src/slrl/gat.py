@@ -17,9 +17,13 @@ The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
 suite checks it against central differences. A layer's cache keeps only
 what that pass reads: the layer input, the activated output (both
-activations' derivatives are functions of it), and per head W^k h, the edge
-scores and the coefficients. The per-head aggregates and the activation's
-input are not kept.
+activations' derivatives are functions of it), and per head the edge scores
+and the coefficients. No head's projection W^k h is kept: the forward pass
+aggregates each head as soon as its projection exists, and the backward
+pass rebuilds it from the cached input by the same call, ``h @ W^k.T``, so
+bit for bit. The backward pass therefore reads the layer input and the
+parameters as they were at the forward pass. The per-head aggregates and
+the activation's input are not kept either.
 
 Attention needs three products over the graph, each weighted by one head's
 coefficients: the aggregate sum_j alpha_ij z_j, its transpose, and the
@@ -256,7 +260,6 @@ def _adjacency(indptr, indices) -> _Adjacency:
 
 @dataclass(slots=True)
 class _HeadCache:
-    z: np.ndarray  # W^k h
     t: np.ndarray  # per-edge scores before the LeakyReLU
     alpha: np.ndarray  # per-edge attention coefficients
 
@@ -284,6 +287,7 @@ def _segment_reduce(ufunc, x, indptr) -> np.ndarray:
 
 
 def _head_forward(params: GatParams, k: int, h, adj: _Adjacency):
+    """Head k's projection z = W^k h and its cache; z is not part of the cache."""
     fp = params.f_prime
     row, indptr = adj.row, adj.indptr
     z = h @ params.w[k].T
@@ -291,16 +295,29 @@ def _head_forward(params: GatParams, k: int, h, adj: _Adjacency):
     e = np.where(t > 0, t, LEAKY_SLOPE * t)
     ex = np.exp(e - _segment_reduce(np.maximum, e, indptr)[row])
     alpha = ex / _segment_reduce(np.add, ex, indptr)[row]
-    return _HeadCache(z=z, t=t, alpha=alpha)
+    return z, _HeadCache(t=t, alpha=alpha)
 
 
 def _layer_forward(params: GatParams, h, adj: _Adjacency):
-    heads = [_head_forward(params, k, h, adj) for k in range(params.heads)]
-    aggs = (adj.aggregate(hc.alpha, hc.z) for hc in heads)
-    if params.combine == "average":
-        pre = sum(aggs) / params.heads
+    # each head is aggregated while its projection exists; only one lives at a time
+    average = params.combine == "average"
+    heads, aggs = [], []
+    pre = np.zeros((h.shape[0], params.f_prime)) if average else None
+    for k in range(params.heads):
+        z, hc = _head_forward(params, k, h, adj)
+        heads.append(hc)
+        agg = adj.aggregate(hc.alpha, z)
+        del z
+        if average:  # from zero, in head order: the additions ``sum`` over the heads made
+            pre += agg
+        else:
+            aggs.append(agg)
+        del agg
+    if average:
+        pre /= params.heads
     else:
-        pre = np.concatenate(list(aggs), axis=1)
+        pre = np.concatenate(aggs, axis=1)
+        del aggs
     out = _activate(params, pre)
     return out, _LayerCache(adj=adj, heads=heads, out=out, h_in=h)
 
@@ -315,9 +332,11 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     if params.combine == "average":
         d_pre /= params.heads
     for k, hc in enumerate(cache.heads):
+        # the forward pass's projection, rebuilt bit for bit by the same call
+        z = h @ params.w[k].T
         # each head's aggregate feeds the mean, or its own block of columns
         d_agg = d_pre if params.combine == "average" else d_pre[:, k * fp : (k + 1) * fp]
-        d_alpha = adj.edge_dots(d_agg, hc.z)
+        d_alpha = adj.edge_dots(d_agg, z)
         dz = adj.aggregate_t(hc.alpha, d_agg)
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
         dot = _segment_reduce(np.add, hc.alpha * d_alpha, indptr)
@@ -326,9 +345,10 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
         # t_ij = a_src . z_i + a_dst . z_j, so sum d_t over rows and over columns
         row_dt = _segment_reduce(np.add, d_t, indptr)
         col_dt = np.bincount(indices, weights=d_t, minlength=adj.n)
+        grad_a.append(np.concatenate([row_dt @ z, col_dt @ z]))
+        del z, d_alpha, d_e  # gone before the two outer products of dz
         dz += np.outer(row_dt, params.a[k][:fp])
         dz += np.outer(col_dt, params.a[k][fp:])
-        grad_a.append(np.concatenate([row_dt @ hc.z, col_dt @ hc.z]))
         grad_w.append(dz.T @ h)
         grad_h += dz @ params.w[k]
     return grad_w, grad_a, grad_h
@@ -344,7 +364,7 @@ def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     if not 0 <= head < params.heads:
         raise ParameterError(f"head {head} outside [0, {params.heads})")
     indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
-    hc = _head_forward(params, head, h, _adjacency(indptr, indices))
+    _, hc = _head_forward(params, head, h, _adjacency(indptr, indices))
     return [hc.alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
 
 

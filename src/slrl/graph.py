@@ -15,17 +15,21 @@ in ascending order (no self loops); ``neighborhoods()`` inserts the self
 loops attention uses.
 
 Neighbor search is exact and deterministic, and no build holds an N x N
-array. It works through blocks of at most ``_ROW_BLOCK`` rows: for a block I
-it computes the squared distances ``sq_I + sq - 2 h_I h^T`` and selects each
-row's k nearest with ``np.partition``; where the k-th distance ties past the
-k-th place, the smaller indices win. Only the k ids per row and their squared
-distances are kept, so memory is O(N * _ROW_BLOCK). Every block works in one
-workspace the build allocates once: two (_ROW_BLOCK, N) slabs for the
-distances and a partitioned copy of them, which each block overwrites. Fresh
-arrays per block would each be returned to the kernel on free and faulted in
-again. Rows so large that a squared distance could overflow are a
-``NumericError``: an infinite or nan distance would select a node as its own
-neighbor.
+array. It works through blocks of at most ``_ROW_BLOCK`` rows. Row i ranks
+the candidates j on the row-shifted score ``sq_j - 2 h_i . h_j``, its squared
+distance less the row constant ``sq_i`` (the ranking of FAISS
+``IndexFlatL2``, Johnson et al., arXiv:1702.08734). For a block I the scores
+are one GEMM against ``-2 h``, an exact scaling, plus ``sq`` added along each
+row. ``np.partition`` selects each row's k best; where the k-th score ties
+past the k-th place, the smaller indices win. Only the k ids per row and
+their scores are kept, so memory is O(N * _ROW_BLOCK), and the squared
+distances ``max(score + sq_i, 0)`` are formed for the kept pairs alone.
+Every block works in one workspace the build allocates once: two
+(_ROW_BLOCK, N) slabs for the scores and a partitioned copy of them, which
+each block overwrites. Fresh arrays per block would each be returned to the
+kernel on free and faulted in again. Rows so large that a squared distance
+could overflow are a ``NumericError``: an infinite or nan score would select
+a node as its own neighbor.
 The union is the sorted set of unique codes ``i * N + j`` over both
 directions of every selected pair, which is already the CSR order. Both
 directions of an edge take their weight from the pair's first selection in
@@ -74,22 +78,20 @@ class NeighborGraph:
         return self.indptr + np.arange(self.n + 1), indices
 
 
-def _block_nearest(h: np.ndarray, sq: np.ndarray, start: int, k: int, work: np.ndarray):
-    """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``, worked out in the
-    build's (2, B, N) workspace ``work``, which the next block overwrites."""
+def _block_nearest(h: np.ndarray, m2h: np.ndarray, sq: np.ndarray, start: int, k: int, work):
+    """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``, ranked on the scores
+    ``sq_j - 2 h_i.h_j`` (``m2h`` is -2 h) in the build's (2, B, N) workspace
+    ``work``, which the next block overwrites. Returns the ids and their scores."""
     stop = min(start + _ROW_BLOCK, h.shape[0])
     d, part = work[:, : stop - start]
-    # -2 h_i.h_j + (sq_i + sq_j), bit for bit (sq_i + sq_j) - 2 h_i.h_j
-    np.matmul(h[start:stop], h.T, out=d)
-    d *= -2.0
-    d += np.add.outer(sq[start:stop], sq, out=part)
-    np.maximum(d, 0.0, out=d)
+    np.matmul(h[start:stop], m2h.T, out=d)
+    d += sq
     np.fill_diagonal(d[:, start:], np.inf)
     np.copyto(part, d)
     part.partition(k - 1, axis=1)
     kth = part[:, k - 1 : k]
     sel = d <= kth
-    # rows where the k-th distance ties past the k-th place keep the smaller ids
+    # rows where the k-th score ties past the k-th place keep the smaller ids
     for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
         ties = np.flatnonzero(d[i] == kth[i])
         sel[i, ties[k - np.count_nonzero(d[i] < kth[i]) :]] = False
@@ -104,13 +106,16 @@ def _nearest(h: np.ndarray, k: int):
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)
-    # no term of sq_i + sq_j - 2 h_i.h_j exceeds 4 max(sq)
+    # no score exceeds 3 max(sq) in size, and no distance 4 max(sq)
     if not sq.max() <= _SQ_MAX:
         raise NumericError("h is too large: its squared distances overflow")
-    # one workspace for every block: the distances and their partitioned copy
+    # one workspace for every block: the scores and their partitioned copy
     work = np.empty((2, min(_ROW_BLOCK, n), n))
-    blocks = [_block_nearest(h, sq, s, k, work) for s in range(0, n, _ROW_BLOCK)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    m2h = -2.0 * h
+    blocks = [_block_nearest(h, m2h, sq, s, k, work) for s in range(0, n, _ROW_BLOCK)]
+    ids, dist = (np.concatenate(parts) for parts in zip(*blocks))
+    dist += sq[:, None]
+    return ids, np.maximum(dist, 0.0, out=dist)
 
 
 def _union(ids: np.ndarray, values: np.ndarray, sigma: float) -> NeighborGraph:

@@ -297,7 +297,8 @@ def _joint_grads(stack, rec_grads, centroids, ht, caches, p, weight: float) -> l
     unweighted."""
     grad_h_rec, dec_grads = rec_grads
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
-    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, weight * grad_ht)
+    grad_ht *= weight  # a fresh array: scaled where it lies
+    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, grad_ht)
     return _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu)
 
 

@@ -1,9 +1,11 @@
 import argparse
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -465,6 +467,39 @@ def test_overflowing_run_is_one_error_line_naming_the_epoch(tmp_path, capsys, re
     message = "h is too large: its squared distances overflow"
     assert re.fullmatch(rf"error: joint epoch \d+: {message}\n", err)
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_run_that_fails_in_training_records_its_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["--synth", "3x4", "--view-dims", "3,3", "--epochs", "1", "--pretrain-epochs", "0"]
+    assert run_cli("train", *argv, "--gamma", "1e300", "--out", str(out)) == 2
+    message = "final state after 1 joint epochs: h is too large: its squared distances overflow"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"] == message
+    assert "completed_at" not in manifest
+    assert run_cli("train", *argv, "--out", str(tmp_path / "y")) == 0
+    manifest = json.loads((tmp_path / "y" / "run_manifest.json").read_text())
+    assert manifest["status"] == "ok" and "completed_at" in manifest and "error" not in manifest
+
+
+def test_each_repeat_report_is_released(tmp_path, monkeypatch):
+    # only the final metrics of a repeat outlive it: repeat 0's report and
+    # arrays are gone by the time repeat 2 trains
+    train, refs = slrl.cli.run_train, []
+
+    def recording_train(ds, cfg):
+        if len(refs) == 2:
+            gc.collect()
+            assert [ref() for ref in refs[0]] == [None, None]
+        report = train(ds, cfg)
+        refs.append((weakref.ref(report), weakref.ref(report.h)))
+        return report
+
+    monkeypatch.setattr(slrl.cli, "run_train", recording_train)
+    argv = ["--synth", "3x5", "--epochs", "2", "--pretrain-epochs", "1", "--k", "3"]
+    assert run_cli("train", *argv, "--repeats", "3", "--out", str(tmp_path / "x")) == 0
+    assert len(refs) == 3
 
 
 @pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])

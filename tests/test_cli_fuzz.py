@@ -152,7 +152,8 @@ def test_model_and_run_flags_exit_0_or_one_error_line(root, argv):
     code, err = run(argv + ["--out", str(out)])
     if code and out.exists():
         # only a run that failed in training leaves its directory: the manifest,
-        # written before training, and never stamped complete
+        # written before training, never stamped complete, and holding the error
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert "completed_at" not in manifest, (argv, err)
+        assert manifest["status"] == "error" and err == f"error: {manifest['error']}\n", argv
         assert re.match(r"error: (pretrain epoch|joint epoch|final state)", err), (argv, err)

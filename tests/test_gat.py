@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -400,3 +401,36 @@ def test_backward_holds_no_edge_by_feature_gather():
         tracemalloc.stop()
     assert peak < edges * f * 8  # one (E, F') float64 gather
     assert edges >= 8 * gat._EDGE_CHUNK  # so that the bound leaves no room for one
+
+
+def _reachable_arrays(root) -> list:
+    """Every numpy array reachable from ``root`` through object references and
+    array bases."""
+    seen, arrays, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, str, bytes)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            todo.append(obj.base)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return arrays
+
+
+@pytest.mark.parametrize("n", [40, 300])  # the dense and the CSR adjacency
+@pytest.mark.parametrize("combine", ["average", "concat"])
+def test_caches_keep_no_head_projection(n, combine):
+    # W^k h is rebuilt by the backward pass; no (N, F') array is kept for it
+    f = fp = 6
+    h, g = random_graph(27, n, f, k=4)
+    stack = init_gat_stack(2, f, fp, 4, seed=8, combine=combine)
+    _, caches = stack_forward(stack, h, g.neighborhoods())
+    assert isinstance(caches[1].adj, gat._DenseAdjacency if n <= 256 else gat._SparseAdjacency)
+    for cache in caches:
+        arrays = _reachable_arrays(cache)
+        assert any(x is cache.h_in for x in arrays)  # the walk reaches the kept arrays
+        ends = (cache.h_in, cache.out)
+        assert not [x for x in arrays if x.shape == (n, fp) and not any(x is e for e in ends)]
