@@ -16,18 +16,18 @@ print(f"dataset: {ds.n_samples} samples, views {ds.dims}, {ds.n_clusters()} clus
 
 report = train(ds, TrainConfig(seed=0))
 
-pre = report.pretrain_epochs_run
-print(f"\npretraining ({pre} epochs of reconstruction only):")
-print(f"  L_r {report.lr_history[0]:.4f} -> {report.lr_history[pre - 1]:.4f}")
+pre = [r for r in report.epochs if r.phase == "pretrain"]
+joint = [r for r in report.epochs if r.phase == "joint"]
+print(f"\npretraining ({len(pre)} epochs of reconstruction only):")
+print(f"  L_r {pre[0].lr:.4f} -> {pre[-1].lr:.4f}")
 
-print(f"\njoint phase ({report.joint_epochs_run} epochs):")
-for i in range(pre, len(report.loss_history), max(1, report.joint_epochs_run // 8)):
-    print(
-        f"  epoch {i - pre:3d}: L_r {report.lr_history[i]:.4f}"
-        f"  L_c {report.lc_history[i]:.5f}  L {report.loss_history[i]:.4f}"
-    )
-if report.early_stopped_at:
-    print(f"  stopped at joint epoch {report.early_stopped_at} ({report.early_stop_reason})")
+print(f"\njoint phase ({len(joint)} epochs):")
+for i in range(0, len(joint), max(1, len(joint) // 8)):
+    r = joint[i]
+    churn = "" if r.churn is None else f"  churn {r.churn:.3f}"
+    print(f"  epoch {i:3d}: L_r {r.lr:.4f}  L_c {r.lc:.5f}  L {r.loss:.4f}{churn}")
+if joint and joint[-1].stop:
+    print(f"  stopped at joint epoch {len(joint)} ({joint[-1].stop})")
 
 m = report.final_eval
 print(f"\nfinal: ACC {m.acc:.3f}  NMI {m.nmi:.3f}  F {m.f_score:.3f}  ARI {m.ari:.3f}")

@@ -246,7 +246,7 @@ def synth_multiview(
     ``noise=0`` all samples of a cluster coincide within every view.
     Centers are redrawn until their pairwise distance is at least
     ``_MIN_SEPARATION``, which keeps the difficulty of a given noise level
-    comparable across seeds.
+    comparable across seeds; if 100 draws miss, it is a ``ParameterError``.
     """
     if clusters < 2 or per_cluster < 2:
         raise ParameterError("need clusters >= 2 and per_cluster >= 2")
@@ -272,6 +272,11 @@ def synth_multiview(
         np.fill_diagonal(d, np.inf)
         if d.min() * scale >= _MIN_SEPARATION:
             break
+    else:
+        raise ParameterError(
+            f"no draw of {clusters} cluster centers in {gen_dim} generator dimensions "
+            f"kept them {_MIN_SEPARATION} apart; use fewer clusters or larger view dims"
+        )
     centers = centers * scale
     n = clusters * per_cluster
     labels = np.repeat(np.arange(clusters), per_cluster)

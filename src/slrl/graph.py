@@ -1,14 +1,15 @@
 """Symmetric k-nearest-neighbor graph over the latent representation.
 
 Edges follow the union rule: (i, j) is present iff i is among the k nearest
-neighbors of j or vice versa. ``build_graph`` builds every graph, with
-Gaussian edge weights
+neighbors of j or vice versa. ``build_graph`` builds every graph. It keeps
+each edge's squared length and sigma, the median distance over all selected
+kNN pairs; the Gaussian edge weights
 
-    w_ij = exp(-||h_i - h_j||^2 / (2 sigma^2)),
+    w_ij = exp(-||h_i - h_j||^2 / (2 sigma^2))
 
-where sigma is the median distance over all selected kNN pairs. The
-attention layer consumes only the edge set; weights are retained for
-inspection and debugging dumps.
+are computed when ``weights`` is read. The attention layer consumes only the
+edge set, so the weights serve inspection and debugging dumps alone, and a
+sigma of zero (say, mostly identical points) is an error only there.
 
 A graph is stored once, as CSR arrays with rows and the ids within each row
 in ascending order (no self loops); ``neighborhoods()`` inserts the self
@@ -32,7 +33,7 @@ could overflow are a ``NumericError``: an infinite or nan score would select
 a node as its own neighbor.
 The union is the sorted set of unique codes ``i * N + j`` over both
 directions of every selected pair, which is already the CSR order. Both
-directions of an edge take their weight from the pair's first selection in
+directions of an edge take their length from the pair's first selection in
 row order, so the adjacency is exactly symmetric. Sigma and the weights come
 from the kept distances, with no second distance pass.
 """
@@ -59,10 +60,23 @@ class NeighborGraph:
 
     n: int
     k: int
-    sigma: float
+    sigma: float  # median distance over all selected kNN pairs
     indptr: np.ndarray  # (n + 1,) int64 row offsets into indices
     indices: np.ndarray  # neighbor ids, ascending within each row, no self
-    weights: np.ndarray  # edge weights aligned with indices
+    dist: np.ndarray  # squared edge lengths aligned with indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Gaussian edge weights ``exp(-dist / (2 sigma^2))`` aligned with ``indices``,
+        computed on each read; a sigma of zero (say, all points identical) is an error."""
+        two_s2 = 2.0 * self.sigma * self.sigma
+        if two_s2 <= 0.0:  # a sigma under about 1e-162 squares to 0 too
+            raise ParameterError(
+                "degenerate neighbor distances: the median selected distance, "
+                f"sigma={self.sigma:g}, is zero or squares to zero"
+            )
+        with np.errstate(over="ignore"):  # far pairs may underflow to weight 0
+            return np.exp(-self.dist / two_s2)
 
     @property
     def nbrs(self) -> list:
@@ -118,9 +132,9 @@ def _nearest(h: np.ndarray, k: int):
     return ids, np.maximum(dist, 0.0, out=dist)
 
 
-def _union(ids: np.ndarray, values: np.ndarray, sigma: float) -> NeighborGraph:
-    """Union-rule graph over the selections ``ids`` (N, k); an edge weighs
-    ``values`` at the first selection of its pair in row order."""
+def _union(ids: np.ndarray, dist: np.ndarray, sigma: float) -> NeighborGraph:
+    """Union-rule graph over the selections ``ids`` (N, k); an edge's length is
+    ``dist`` at the first selection of its pair in row order."""
     n, k = ids.shape
     rows = np.repeat(np.arange(n), k)
     cols = ids.ravel()
@@ -130,8 +144,8 @@ def _union(ids: np.ndarray, values: np.ndarray, sigma: float) -> NeighborGraph:
     codes, first = np.unique(codes, return_index=True)
     rows, indices = np.divmod(codes, n)
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    weights = values.ravel()[first // 2]
-    return NeighborGraph(n=n, k=k, sigma=sigma, indptr=indptr, indices=indices, weights=weights)
+    dist = dist.ravel()[first // 2]
+    return NeighborGraph(n=n, k=k, sigma=sigma, indptr=indptr, indices=indices, dist=dist)
 
 
 def knn_indices(h, k: int) -> list:
@@ -147,27 +161,15 @@ def knn_indices(h, k: int) -> list:
 
 
 def build_graph(h, k: int) -> NeighborGraph:
-    """Union-kNN graph over the rows of h, with Gaussian edge weights at the
-    median distance over all selected kNN pairs.
-
-    Data whose median selected distance is zero (say, all points identical)
-    has no such sigma, and is an error.
-    """
+    """Union-kNN graph over the rows of h, whose Gaussian edge weights take sigma
+    at the median distance over all selected kNN pairs."""
     ids, dist = _nearest(as_matrix(h, "h"), k)
-    sigma = float(np.median(np.sqrt(dist)))
-    two_s2 = 2.0 * sigma * sigma
-    if two_s2 <= 0.0:  # a sigma under about 1e-162 squares to 0 too
-        raise ParameterError(
-            "degenerate neighbor distances: the median selected distance, "
-            f"sigma={sigma:g}, is zero or squares to zero"
-        )
-    with np.errstate(over="ignore"):  # far pairs may underflow to weight 0
-        weights = np.exp(-dist / two_s2)
-    return _union(ids, weights, sigma=sigma)
+    return _union(ids, dist, sigma=float(np.median(np.sqrt(dist))))
 
 
 def dump_edges(g: NeighborGraph) -> str:
-    """Text dump, one ``i j weight`` line per undirected edge with i < j."""
+    """Text dump, one ``i j weight`` line per undirected edge with i < j; it raises
+    where reading ``g.weights`` does."""
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     upper = rows < g.indices
     edges = zip(rows[upper].tolist(), g.indices[upper].tolist(), g.weights[upper].tolist())

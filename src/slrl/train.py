@@ -53,6 +53,7 @@ from .numerics import finite_diff_grad, relative_error
 
 __all__ = [
     "TrainConfig",
+    "EpochRecord",
     "TrainReport",
     "GradcheckReport",
     "check_fit",
@@ -108,18 +109,33 @@ class TrainConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """One epoch of ``train``, in scalars and the epoch's metrics only, so that a
+    long run's history stays small. Pretraining fills the phase and losses."""
+
+    phase: str  # "pretrain" | "joint"
+    lr: float  # L_r
+    lc: float  # L_c, 0 in pretraining
+    loss: float  # L = L_r + gamma * L_c
+    metrics: mt.MetricsReport | None = None  # of a joint epoch on labeled data
+    # largest |row sum - 1| of Q, of P and of any attention layer's coefficients
+    q_gap: float | None = None
+    p_gap: float | None = None
+    alpha_gap: float | None = None  # 0 without attention layers
+    churn: float | None = None  # share of hard assignments changed since the last joint epoch
+    # the early-stop monitors after the epoch
+    best_loss: float = np.inf  # the loss monitor's best loss so far
+    no_improve: int = 0  # joint epochs in a row that did not lower best_loss enough
+    stable: int = 0  # joint epochs in a row with churn at most _ASSIGN_STABLE_TOL
+    stop: str | None = None  # "loss" | "assignments": the monitor that ended the run here
+
+
 @dataclass
 class TrainReport:
-    """Loss trajectory, per-epoch metrics, and the final model state."""
+    """One ``EpochRecord`` per epoch run, and the final model state."""
 
-    lr_history: list = field(default_factory=list)
-    lc_history: list = field(default_factory=list)
-    loss_history: list = field(default_factory=list)
-    metrics_history: list = field(default_factory=list)  # MetricsReport | None per epoch
-    pretrain_epochs_run: int = 0
-    joint_epochs_run: int = 0
-    early_stopped_at: int | None = None  # 1-based joint epoch where the stop triggered
-    early_stop_reason: str | None = None  # "loss" | "assignments"
+    epochs: list = field(default_factory=list)  # pretrain epochs first, then joint
     h: np.ndarray | None = None
     ht: np.ndarray | None = None
     q: np.ndarray | None = None
@@ -129,11 +145,17 @@ class TrainReport:
     labels_pred: np.ndarray | None = None
     final_eval: mt.MetricsReport | None = None  # metrics of the final state, if labels exist
     graph: gr.NeighborGraph | None = None  # neighbor graph of the final latent matrix
-    # worst-case invariant gaps observed across all joint epochs
-    q_rowsum_gap: float = 0.0
-    p_rowsum_gap: float = 0.0
-    alpha_rowsum_gap: float = 0.0
-    lc_min: float = np.inf
+
+    # projections of the records
+    lr_history = property(lambda self: [r.lr for r in self.epochs])
+    lc_history = property(lambda self: [r.lc for r in self.epochs])
+    loss_history = property(lambda self: [r.loss for r in self.epochs])
+    pretrain_epochs_run = property(lambda self: sum(r.phase == "pretrain" for r in self.epochs))
+    joint_epochs_run = property(lambda self: sum(r.phase == "joint" for r in self.epochs))
+    # the 1-based joint epoch after which early stopping ended the run, if it did
+    early_stopped_at = property(
+        lambda self: self.joint_epochs_run if self.epochs and self.epochs[-1].stop else None
+    )
 
 
 def total_loss(lr_value: float, lc_value: float, gamma: float) -> float:
@@ -165,10 +187,8 @@ def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> None:
         raise ParameterError(f"cluster count {c} outside [2, {n}]")
 
 
-def _epoch_metrics(q: np.ndarray, labels) -> mt.MetricsReport | None:
-    if labels is None:
-        return None
-    return mt.evaluate(np.argmax(q, axis=1), labels)
+def _epoch_metrics(assign: np.ndarray, labels) -> mt.MetricsReport | None:
+    return None if labels is None else mt.evaluate(assign, labels)
 
 
 _GROUPS = ("h", "decoders", "gat", "centroids")
@@ -251,13 +271,15 @@ def _phase_errors(where: str):
         raise type(err)(f"{where}: {err}") from err
 
 
-def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, report):
+def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, last_assign):
     """One joint epoch of ``train`` on the neighborhoods ``nbhd``: attention, the
-    clustering head, the losses and metrics appended to ``report``, and one step
-    of ``model`` (h, decoders, attention stack) and the centroids.
+    clustering head, the losses, and one step of ``model`` (h, decoders,
+    attention stack) and the centroids.
 
-    Returns (loss, q, centroids). The decoders' workspace, the attention caches
-    and every gradient are local, so none of them outlives the epoch.
+    Returns (record, hard assignments, centroids), the record's churn against
+    ``last_assign`` and its monitors left to ``_monitor``. The decoders'
+    workspace, the attention caches and every gradient are local, so none of
+    them outlives the epoch.
     """
     h, decoders, stack = model
     ht, caches = gt.stack_forward(stack, h, nbhd)
@@ -273,13 +295,15 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
     rec = enc.reconstruct(h, decoders, ds)
     lr_value = enc.reconstruction_loss(rec)
     lc_value = cl.kl_loss(p, q)
+    assign = np.argmax(q, axis=1)
     loss = total_loss(lr_value, lc_value, cfg.gamma)
-
-    report.lr_history.append(lr_value)
-    report.lc_history.append(lc_value)
-    report.loss_history.append(loss)
-    report.metrics_history.append(_epoch_metrics(q, ds.labels))
-    _update_invariant_gaps(report, q, p, caches)
+    sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.alpha_row_sums() for cache in caches]
+    q_gap, p_gap, *alpha_gaps = [float(np.abs(x - 1.0).max()) for x in sums]
+    churn = None if last_assign is None else float(np.mean(assign != last_assign))
+    record = EpochRecord(
+        "joint", lr_value, lc_value, loss, _epoch_metrics(assign, ds.labels),
+        q_gap=q_gap, p_gap=p_gap, alpha_gap=max(alpha_gaps, default=0.0), churn=churn,
+    )
 
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
@@ -287,7 +311,25 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, rep
     del rec  # the decoders' forward state goes before the attention backward pass
     grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
     _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
-    return loss, q, centroids
+    return record, assign, centroids
+
+
+# the early-stop monitors before the first joint epoch
+_MONITORS_AT_START = EpochRecord("joint", np.nan, np.nan, np.nan)
+
+
+def _monitor(record: EpochRecord, last: EpochRecord, armed: bool) -> EpochRecord:
+    """``record`` with the loss and assignment monitors advanced from ``last``, the
+    previous joint epoch's record, and the stop they call for once ``armed`` (past
+    the burn-in): the alternating scheme has converged once assignments settle."""
+    improved = record.loss < last.best_loss * (1.0 - _EARLY_STOP_TOL)
+    no_improve = 0 if improved else last.no_improve + 1
+    steady = record.churn is not None and record.churn <= _ASSIGN_STABLE_TOL
+    stable = last.stable + 1 if steady else 0
+    fired = [name for name, n in (("loss", no_improve), ("assignments", stable)) if n >= _PATIENCE]
+    best_loss = record.loss if improved else last.best_loss
+    stop = fired[0] if armed and fired else None
+    return replace(record, best_loss=best_loss, no_improve=no_improve, stable=stable, stop=stop)
 
 
 def _joint_grads(stack, rec_grads, centroids, ht, caches, p, weight: float) -> list:
@@ -324,61 +366,32 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
         with _phase_errors(f"pretrain epoch {epoch + 1}"):
             rec = enc.reconstruct(h, decoders, ds, out=rec)
             loss = enc.reconstruction_loss(rec)
-            report.lr_history.append(loss)
-            report.lc_history.append(0.0)
-            report.loss_history.append(total_loss(loss, 0.0, cfg.gamma))
-            report.metrics_history.append(None)
+            total = total_loss(loss, 0.0, cfg.gamma)
+            report.epochs.append(EpochRecord("pretrain", loss, 0.0, total))
             grads = _named(*enc.reconstruction_grads(h, decoders, rec), [])
             _step(_named(h, decoders, []), grads, scales)
             del grads
     del rec  # each joint epoch makes its own
-    report.pretrain_epochs_run = cfg.pretrain_epochs
 
     # phase 2 setup: graph, structured representation, k-means centroids; the
     # forward pass's caches are dropped at once
     nbhd = gr.build_graph(h, cfg.k).neighborhoods()
     centroids = cl.init_centroids(gt.stack_forward(stack, h, nbhd)[0], n_clusters, cfg.seed + 3)
-    best_loss = np.inf
-    no_improve = 0
-    prev_assign = None
-    stable_assign = 0
 
-    for epoch in range(cfg.epochs):
-        with _phase_errors(f"joint epoch {epoch + 1}"):
+    last, assign = _MONITORS_AT_START, None
+    for epoch in range(1, cfg.epochs + 1):
+        with _phase_errors(f"joint epoch {epoch}"):
             # the first epoch attends over the setup graph
             if nbhd is None:
                 nbhd = gr.build_graph(h, cfg.k).neighborhoods()
-            loss, q, centroids = _joint_epoch(
-                ds, cfg, (h, decoders, stack), centroids, nbhd, scales, report
+            record, assign, centroids = _joint_epoch(
+                ds, cfg, (h, decoders, stack), centroids, nbhd, scales, assign
             )
         nbhd = None  # freed before the next build
-        report.joint_epochs_run = epoch + 1
-
-        # two convergence monitors, both gated behind a burn-in:
-        #  - loss: an epoch failing to improve the best loss by a relative
-        #    _EARLY_STOP_TOL spends one unit of patience
-        #  - assignments: the alternating scheme has converged once hard
-        #    cluster assignments stop changing (within _ASSIGN_STABLE_TOL)
-        if loss < best_loss * (1.0 - _EARLY_STOP_TOL):
-            best_loss = loss
-            no_improve = 0
-        else:
-            no_improve += 1
-        assign = np.argmax(q, axis=1)
-        if prev_assign is not None and np.mean(assign != prev_assign) <= _ASSIGN_STABLE_TOL:
-            stable_assign += 1
-        else:
-            stable_assign = 0
-        prev_assign = assign
-        if epoch + 1 >= cfg.early_stop_min_epochs:
-            if no_improve >= _PATIENCE:
-                report.early_stopped_at = epoch + 1
-                report.early_stop_reason = "loss"
-                break
-            if stable_assign >= _PATIENCE:
-                report.early_stopped_at = epoch + 1
-                report.early_stop_reason = "assignments"
-                break
+        last = _monitor(record, last, armed=epoch >= cfg.early_stop_min_epochs)
+        report.epochs.append(last)
+        if last.stop:
+            break
 
     # final state under the last parameter values
     with _phase_errors(f"final state after {report.joint_epochs_run} joint epochs"):
@@ -390,7 +403,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     report.q = q
     report.centroids = centroids
     report.labels_pred = np.argmax(q, axis=1)
-    report.final_eval = _epoch_metrics(q, ds.labels)
+    report.final_eval = _epoch_metrics(report.labels_pred, ds.labels)
     report.graph = g
     return report
 
@@ -407,15 +420,6 @@ def _reseed_degenerate(ht, centroids, q) -> np.ndarray:
         centroids[j] = ht[order[pos]]
         pos += 1
     return centroids
-
-
-def _update_invariant_gaps(report: TrainReport, q, p, caches) -> None:
-    report.q_rowsum_gap = max(report.q_rowsum_gap, float(np.abs(q.sum(axis=1) - 1.0).max()))
-    report.p_rowsum_gap = max(report.p_rowsum_gap, float(np.abs(p.sum(axis=1) - 1.0).max()))
-    for cache in caches:
-        gap = float(np.abs(cache.alpha_row_sums() - 1.0).max())
-        report.alpha_rowsum_gap = max(report.alpha_rowsum_gap, gap)
-    report.lc_min = min(report.lc_min, report.lc_history[-1])
 
 
 def ablate(ds: MultiViewDataset, cfg: TrainConfig) -> dict:
@@ -554,19 +558,10 @@ def load_checkpoint(path) -> dict:
 
 
 def write_loss_log(report: TrainReport, path) -> None:
-    """Per-epoch delimited log: epoch, L_r, L_c, L, ACC, NMI, F, ARI."""
+    """``report.epochs`` as a delimited log: epoch, L_r, L_c, L, ACC, NMI, F, ARI."""
     lines = ["epoch,L_r,L_c,L,ACC,NMI,F,ARI"]
-    for i in range(len(report.loss_history)):
-        m = report.metrics_history[i]
-        cells = [
-            str(i),
-            f"{report.lr_history[i]:.9g}",
-            f"{report.lc_history[i]:.9g}",
-            f"{report.loss_history[i]:.9g}",
-        ]
-        if m is None:
-            cells.extend(["", "", "", ""])
-        else:
-            cells.extend(f"{x:.6f}" for x in (m.acc, m.nmi, m.f_score, m.ari))
-        lines.append(",".join(cells))
+    for i, r in enumerate(report.epochs):
+        m = r.metrics
+        scores = [""] * 4 if m is None else [f"{x:.6f}" for x in (m.acc, m.nmi, m.f_score, m.ari)]
+        lines.append(",".join([str(i), f"{r.lr:.9g}", f"{r.lc:.9g}", f"{r.loss:.9g}", *scores]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -154,10 +154,11 @@ def test_criterion_metrics_exhaustive():
 
 def test_criterion_distribution_invariants(easy_runs):
     reports, _ = easy_runs
-    q_gap = max(r.q_rowsum_gap for r in reports)
-    p_gap = max(r.p_rowsum_gap for r in reports)
-    a_gap = max(r.alpha_rowsum_gap for r in reports)
-    lc_min = min(r.lc_min for r in reports)
+    joint = [e for r in reports for e in r.epochs if e.phase == "joint"]
+    q_gap = max(e.q_gap for e in joint)
+    p_gap = max(e.p_gap for e in joint)
+    a_gap = max(e.alpha_gap for e in joint)
+    lc_min = min(e.lc for e in joint)
     ok = q_gap < 1e-9 and p_gap < 1e-9 and a_gap < 1e-9 and lc_min >= 0.0
     announce(
         "distribution-invariants",

@@ -13,7 +13,8 @@ import pytest
 
 import slrl
 from slrl.cli import build_parser, main
-from slrl.train import TrainConfig
+from slrl.data import synth_multiview
+from slrl.train import TrainConfig, train
 
 MODULES = ["cluster", "data", "encoder", "gat", "graph", "metrics", "numerics", "train"]
 
@@ -46,12 +47,14 @@ def test_every_exported_name_resolves(module):
 # whose held-out part nothing scored; and the package's own thread cap,
 # which restated the BLAS's thread variables; the decoder forward passes
 # that ``reconstruct`` replaced; the edge kernel and sigma settings, which
-# changed only the weights that nothing but graph.txt reads; and the report's
-# second names for ``final_eval`` and a slice of ``loss_history``
+# changed only the weights that nothing but graph.txt reads; the report's
+# second names for ``final_eval`` and a slice of ``loss_history``; and the
+# report's per-epoch lists and worst gaps, which ``report.epochs`` holds
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
     "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
-    "final_metrics", "joint_losses",
+    "final_metrics", "joint_losses", "metrics_history", "q_rowsum_gap", "p_rowsum_gap",
+    "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps",
 ]
 
 
@@ -109,3 +112,24 @@ def test_train_manifest_records_every_setting(tmp_path):
     assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert list(manifest["config"]) == SETTINGS
+
+
+def test_the_report_names_the_benchmark_reads_resolve():
+    # tier 1 never runs the benchmark's output checks, so a renamed report field
+    # would otherwise fail only when the benchmark runs
+    source = (ROOT / "bench" / "workloads.py").read_text()
+    names = set(re.findall(r"\breport\.(\w+)", source))
+    assert {"lr_history", "lc_history", "loss_history", "early_stopped_at", "graph"} <= names
+    cfg = TrainConfig(latent_dim=4, k=2, heads=1, pretrain_epochs=2, epochs=3)
+    report = train(synth_multiview(3, 6, [4, 4], seed=0), cfg)
+    for name in names:
+        getattr(report, name)
+    graph_names = re.findall(r"\breport\.graph\.(\w+)", source)
+    assert "nbrs" in graph_names
+    for name in graph_names:
+        getattr(report.graph, name)
+    assert (report.pretrain_epochs_run, report.joint_epochs_run) == (2, 3)
+    assert report.early_stopped_at is None
+    for column in (report.lr_history, report.lc_history, report.loss_history):
+        assert isinstance(column, list) and len(column) == 5
+        assert all(isinstance(x, float) for x in column)

@@ -331,6 +331,16 @@ def test_zero_views_usage_error(tmp_path, capsys, view_dims):
     assert not out.exists()
 
 
+def test_synth_that_cannot_separate_its_centers_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("synth", "--synth", "50x2", "--view-dims", "2,2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: no draw of 50 cluster centers in 2 generator dimensions kept them 0.5 apart;"
+        " use fewer clusters or larger view dims\n"
+    )
+    assert not out.exists()
+
+
 def _subparser(command: str) -> argparse.ArgumentParser:
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)

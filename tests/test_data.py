@@ -192,6 +192,12 @@ def test_synth_validates_arguments():
         synth_multiview(3, 5, [4], noise=-0.1, seed=0)
 
 
+def test_synth_centers_keep_their_separation_or_fail():
+    # 50 centers in 2 dimensions: no draw of 100 keeps them 0.5 apart
+    with pytest.raises(ParameterError, match="^no draw of 50 cluster centers in 2 generator"):
+        synth_multiview(50, 2, [2, 2], seed=0)
+
+
 def test_joint_row_permutation_permutes_outputs():
     ds = synth_multiview(2, 6, [3, 4], noise=0.1, seed=8)
     perm = np.random.default_rng(0).permutation(ds.n_samples)

@@ -5,6 +5,7 @@ import pytest
 
 from slrl.errors import NumericError, ParameterError
 from slrl import graph
+from slrl.gat import init_gat_stack, stack_forward
 from slrl.graph import NeighborGraph, build_graph, dump_edges, knn_indices
 from slrl.numerics import make_rng
 
@@ -70,16 +71,40 @@ def test_gaussian_matches_direct_evaluation_oracle():
 
 def test_gaussian_degenerate_sigma_heuristic_rejected():
     h = np.ones((5, 2))
+    # the union graph builds, each node selecting the smallest other ids; only its
+    # weights have no sigma
+    g = build_graph(h, k=2)
+    assert g.sigma == 0.0 and np.array_equal(np.diff(g.indptr), [4, 4, 2, 2, 2])
     with pytest.raises(ParameterError, match="degenerate neighbor distances"):
-        build_graph(h, k=2)
+        g.weights
 
 
 def test_gaussian_sigma_that_squares_to_zero_rejected(recwarn):
     # a duplicate pair and a pair at the smallest subnormal squared distance:
     # sigma is 1.1e-162, half of sqrt(5e-324), and 2 sigma^2 rounds to 0
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, np.sqrt(5e-324)]])
+    g = build_graph(h, k=1)
+    assert 0.0 < g.sigma < 1e-161
     with pytest.raises(ParameterError, match="degenerate neighbor distances"):
-        build_graph(h, k=1)
+        g.weights
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_mostly_identical_latent_builds_and_attends(recwarn):
+    # 15 of 20 rows coincide, so the median selected distance is 0: the graph
+    # and attention over it work, and only the weights (graph.txt) are an error
+    h = make_rng(14).normal(size=(20, 4))
+    h[:15] = h[0]
+    g = build_graph(h, k=3)
+    union = edge_set(knn_bruteforce(h, 3))
+    assert edge_set(g.nbrs) == union | {(j, i) for i, j in union}
+    assert g.sigma == 0.0 and g.dist.shape == g.indices.shape
+    stack = init_gat_stack(1, 4, 4, 2, seed=0)
+    ht, _ = stack_forward(stack, h, g.neighborhoods())
+    assert np.isfinite(ht).all()
+    for read in (lambda: g.weights, lambda: dump_edges(g)):
+        with pytest.raises(ParameterError, match="degenerate neighbor distances"):
+            read()
     assert [str(w.message) for w in recwarn] == []
 
 
@@ -166,11 +191,11 @@ def grid_points(n, side, seed):
 
 
 def tie_graph(h, k, sigma):
-    """``build_graph``'s selection and union, with Gaussian weights at a given sigma.
-    On the tie grids, most selected pairs are duplicates at distance 0, so the
-    median sigma of ``build_graph`` is 0 and it raises."""
-    ids, dist = graph._nearest(h, k)
-    return graph._union(ids, np.exp(-dist / (2.0 * sigma * sigma)), sigma)
+    """``build_graph``'s selection and union at a given sigma, so that ``weights``
+    weighs ``dist`` at that sigma. On the tie grids, most selected pairs are
+    duplicates at distance 0, so the median sigma of ``build_graph`` is 0 and its
+    weights raise."""
+    return graph._union(*graph._nearest(h, k), sigma)
 
 
 def straddling_rows(h, k):
@@ -260,7 +285,7 @@ def test_neighborhoods_match_row_by_row_transcription(include_self):
     nbrs = [np.array([2]), np.zeros(0, dtype=np.int64), np.array([0, 3]), np.array([2])]
     indptr = np.array([0, 1, 1, 3, 4], dtype=np.int64)
     indices = np.array([2, 0, 3, 2], dtype=np.int64)
-    g = NeighborGraph(n=4, k=1, sigma=1.0, indptr=indptr, indices=indices, weights=np.ones(4))
+    g = NeighborGraph(n=4, k=1, sigma=1.0, indptr=indptr, indices=indices, dist=np.zeros(4))
     assert all(np.array_equal(a, b) for a, b in zip(g.nbrs, nbrs, strict=True))
     got = csr_of(g, include_self)
     want = neighborhoods_oracle(nbrs, include_self)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 from slrl.data import synth_multiview
 import slrl.cluster
@@ -103,7 +103,7 @@ def test_zero_joint_epochs_keeps_pretrained_state():
     full = train(ds, small_cfg(epochs=0))
     assert full.joint_epochs_run == 0
     assert len(full.loss_history) == 5
-    assert all(m is None for m in full.metrics_history)
+    assert all(r.metrics is None for r in full.epochs)
     # H must equal a pretraining-only run's H bit for bit
     again = train(ds, small_cfg(epochs=0))
     assert np.array_equal(full.h, again.h)
@@ -116,7 +116,7 @@ def test_history_lengths_match_epochs_run():
     assert len(rep.loss_history) == total
     assert len(rep.lr_history) == total
     assert len(rep.lc_history) == total
-    assert len(rep.metrics_history) == total
+    assert len(rep.epochs) == total
     assert all(np.isfinite(rep.loss_history))
 
 
@@ -152,16 +152,17 @@ def test_pretrain_loss_nonincreasing_after_burn_in():
 def test_invariant_gaps_are_tracked():
     ds = small_ds()
     rep = train(ds, small_cfg())
-    assert rep.q_rowsum_gap < 1e-9
-    assert rep.p_rowsum_gap < 1e-9
-    assert rep.alpha_rowsum_gap < 1e-9
-    assert rep.lc_min >= 0.0
+    joint = rep.epochs[rep.pretrain_epochs_run :]
+    assert max(r.q_gap for r in joint) < 1e-9
+    assert max(r.p_gap for r in joint) < 1e-9
+    assert max(r.alpha_gap for r in joint) < 1e-9
+    assert min(r.lc for r in joint) >= 0.0
 
 
 def test_per_epoch_metrics_present_with_labels():
     ds = small_ds()
     rep = train(ds, small_cfg())
-    joint = rep.metrics_history[rep.pretrain_epochs_run :]
+    joint = [r.metrics for r in rep.epochs[rep.pretrain_epochs_run :]]
     assert all(m is not None for m in joint)
     assert rep.final_eval is not None
 
@@ -291,16 +292,78 @@ def test_loss_log_format(tmp_path):
     first = lines[1].split(",")
     assert first[4] == ""  # pretrain epochs carry no metrics
     last = lines[-1].split(",")
-    assert float(last[4]) == pytest.approx(rep.metrics_history[-1].acc, abs=1e-6)
+    assert float(last[4]) == pytest.approx(rep.epochs[-1].metrics.acc, abs=1e-6)
 
 
 def test_early_stop_fields_consistent():
     ds = synth_multiview(3, 50, [8, 8], noise=0.05, seed=0)
     rep = train(ds, TrainConfig(seed=0))
     assert rep.early_stopped_at is not None
-    assert rep.early_stop_reason in ("loss", "assignments")
+    assert rep.epochs[-1].stop in ("loss", "assignments")
     assert rep.joint_epochs_run == rep.early_stopped_at
     assert rep.joint_epochs_run < 200
+
+
+def test_records_replay_the_early_stop_monitors(monkeypatch):
+    # each joint epoch's hard assignments, as train hands them to the metrics
+    seen = []
+    train_mod = sys.modules["slrl.train"]
+    epoch_metrics = train_mod._epoch_metrics
+    monkeypatch.setattr(
+        train_mod, "_epoch_metrics", lambda a, labels: seen.append(a) or epoch_metrics(a, labels)
+    )
+    rep = train(synth_multiview(3, 50, [8, 8], noise=0.05, seed=0), TrainConfig(seed=0))
+    pre, joint = rep.epochs[:50], rep.epochs[50:]
+    assert all(r.phase == "pretrain" and r.metrics is None and r.churn is None for r in pre)
+    assert all(r.q_gap is None and r.stop is None for r in pre)
+    assert all(r.phase == "joint" for r in joint) and len(seen) == len(joint) + 1
+    best, no_improve, stable = np.inf, 0, 0
+    for epoch, r in enumerate(joint, start=1):
+        churn = None if epoch == 1 else float(np.mean(seen[epoch - 1] != seen[epoch - 2]))
+        assert r.churn == churn
+        if r.loss < best * (1.0 - 1e-6):
+            best, no_improve = r.loss, 0
+        else:
+            no_improve += 1
+        stable = stable + 1 if epoch > 1 and churn <= 1e-3 else 0
+        assert (r.best_loss, r.no_improve, r.stable) == (best, no_improve, stable)
+        assert (r.stop is None) == (epoch < len(joint))
+    assert joint[-1].stop == ("loss" if no_improve >= 10 else "assignments")
+    assert max(no_improve, stable) >= 10 and len(joint) >= 20
+
+
+def test_a_latent_of_mostly_identical_rows_trains(monkeypatch):
+    # the setup graph's median selected distance is 0, so it has no Gaussian
+    # weights; attention reads only its edges
+    def init_latent(n, f, seed):
+        h = np.random.default_rng(seed).normal(size=(n, f))
+        h[: 3 * n // 4] = h[0]
+        return h
+
+    monkeypatch.setattr(slrl.encoder, "init_latent", init_latent)
+    rep = train(small_ds(), small_cfg(pretrain_epochs=0, epochs=2))
+    assert rep.joint_epochs_run == 2 and np.isfinite(rep.q).all()
+
+
+def _arrays_in(value) -> list:
+    """Every ndarray in ``value``, a dataclass, list or dict, searched recursively."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays_in(v)]
+    return []
+
+
+def test_records_hold_no_array():
+    rep = train(small_ds(), small_cfg())
+    assert len(rep.epochs) == 20 and _arrays_in(rep.epochs) == []
+    assert _arrays_in([rep.final_eval, rep.h])  # the search does find an array
+    for column in (rep.lr_history, rep.lc_history, rep.loss_history):
+        assert isinstance(column, list) and all(isinstance(x, float) for x in column)
 
 
 @pytest.mark.parametrize(
