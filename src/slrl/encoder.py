@@ -14,13 +14,12 @@ so its value is comparable across dataset sizes. Gradients are exact
 (hand-derived backward pass), which the test suite verifies against
 central differences.
 
-One decoder forward pass serves both: ``reconstruct`` fills a
-``Reconstruction`` with every view's ReLU layer and residual f_v(H) - X_v,
-``reconstruction_loss`` reduces the residuals, and ``reconstruction_grads``
-runs the backward pass in place over them, into the workspace's gradient
-arrays. Passing an earlier ``Reconstruction`` back to ``reconstruct`` as
-``out`` reuses all of its arrays, so a loop of forward and backward passes
-needs them only once.
+``reconstruct`` is the whole decoder pass, one view at a time: a view's
+ReLU layer and residual f_v(H) - X_v fill one view-sized workspace, its
+squared errors join the loss, and its backward pass runs in place over the
+same buffers before the next view reuses them. ``reconstruction_loss`` and
+``reconstruction_grads`` return what the pass computed. Passing an earlier
+``Reconstruction`` back as ``out`` reuses all of its arrays.
 """
 
 from __future__ import annotations
@@ -96,20 +95,29 @@ def init_decoders(f: int, dims, seed: int) -> list:
 
 @dataclass
 class Reconstruction:
-    """Every view's decoder forward pass at one latent matrix, as ``reconstruct``
-    leaves it, and the arrays its backward pass writes. ``reconstruction_loss``
-    reads it; ``reconstruction_grads`` spends it, overwriting ``res`` with the
-    output gradients and ``hid`` with the pre-activation ones."""
+    """The loss and gradients of one decoder pass, and its one-view workspace."""
 
-    hid: list  # per view, (N, hidden): the ReLU layer
-    res: list  # per view, (N, d_v): the residual f_v(h) - x
+    hid: np.ndarray  # flat, N * max(hidden): a view's ReLU layer, then its pre-activation gradient
+    res: np.ndarray  # flat, N * max(d_v): a view's residual f_v(h) - x, then its output gradient
+    grad_h: np.ndarray  # (N, F)
     grads: list  # per view, a DecoderParams of gradients
-    spent: bool = False
+    loss: float = np.nan
+
+
+def _view_forward(h, theta: DecoderParams, x, hid, res) -> None:
+    """One view's forward pass: its ReLU layer into ``hid``, f_v(h) - x into ``res``."""
+    np.matmul(h, theta.w1.T, out=hid)
+    hid += theta.b1
+    np.maximum(hid, 0.0, out=hid)
+    np.matmul(hid, theta.w2.T, out=res)
+    res += theta.b2
+    res -= x
 
 
 def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = None):
-    """The forward pass of every view's decoder: its ReLU layer and its residual
-    f_v(h) - x. Passing an earlier return value as ``out`` reuses its arrays."""
+    """The whole decoder pass: for each view in turn, its forward pass, its
+    squared errors added into the loss, and its backward pass in place over the
+    same workspace. Passing an earlier return value as ``out`` reuses its arrays."""
     n = np.shape(h)[0]
     if ds.n_samples != n:
         raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {n}")
@@ -120,48 +128,18 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
         theta.check_chain(h.shape[1])
     if out is None:
         out = Reconstruction(
-            [np.empty((n, theta.w1.shape[0])) for theta in params],
-            [np.empty((n, theta.w2.shape[0])) for theta in params],
+            np.empty(n * max(theta.w1.shape[0] for theta in params)),
+            np.empty(n * max(theta.w2.shape[0] for theta in params)),
+            np.empty_like(h),
             [DecoderParams(*map(np.empty_like, vars(theta).values())) for theta in params],
         )
-    for theta, x, hid, res in zip(params, ds.views, out.hid, out.res, strict=True):
-        np.matmul(h, theta.w1.T, out=hid)
-        hid += theta.b1
-        np.maximum(hid, 0.0, out=hid)
-        np.matmul(hid, theta.w2.T, out=res)
-        res += theta.b2
-        res -= x
-    out.spent = False
-    return out
-
-
-def _unspent(rec: Reconstruction) -> int:
-    """The sample count of ``rec``, checked to be unspent."""
-    if rec.spent:
-        raise ParameterError("reconstruction already spent by its backward pass; reconstruct again")
-    return rec.res[0].shape[0]
-
-
-def reconstruction_loss(rec: Reconstruction) -> float:
-    """Mean over samples of the summed per-view squared errors."""
-    total = np.zeros(_unspent(rec))
-    for res in rec.res:
-        total += np.sum(res * res, axis=1)
-    return float(total.mean())
-
-
-def reconstruction_grads(h, params, rec: Reconstruction):
-    """Exact gradients of ``reconstruction_loss`` for H and every decoder, at the
-    ``h`` and ``params`` that ``rec`` was made from.
-
-    Returns (grad_h, grads) where grads[v] is a DecoderParams of gradients. The
-    backward pass runs in place over ``rec``, which it spends; grads are
-    ``rec``'s own arrays, and grad_h is a fresh one.
-    """
-    n = _unspent(rec)
-    rec.spent = True
-    grad_h = np.zeros_like(h)
-    for theta, hid, d_out, grad in zip(params, rec.hid, rec.res, rec.grads, strict=True):
+    total, grad_h = np.zeros(n), out.grad_h
+    grad_h.fill(0.0)
+    for theta, x, grad in zip(params, ds.views, out.grads, strict=True):
+        hid = out.hid[: n * theta.w1.shape[0]].reshape(n, -1)
+        d_out = out.res[: n * theta.w2.shape[0]].reshape(n, -1)
+        _view_forward(h, theta, x, hid, d_out)
+        total += np.sum(d_out * d_out, axis=1)
         d_out *= 2.0 / n
         np.matmul(d_out.T, hid, out=grad.w2)
         # after the ReLU, hid > 0 exactly where the pre-activation is
@@ -172,4 +150,20 @@ def reconstruction_grads(h, params, rec: Reconstruction):
         np.sum(d_pre, axis=0, out=grad.b1)
         np.sum(d_out, axis=0, out=grad.b2)
         grad_h += d_pre @ theta.w1
-    return grad_h, rec.grads
+    out.loss = float(total.mean())
+    return out
+
+
+def reconstruction_loss(rec: Reconstruction) -> float:
+    """Mean over samples of the summed per-view squared errors."""
+    return rec.loss
+
+
+def reconstruction_grads(rec: Reconstruction):
+    """Exact gradients of ``reconstruction_loss`` for H and every decoder, at the
+    ``h`` and ``params`` that ``rec`` was made from.
+
+    Returns (grad_h, grads), grads[v] a DecoderParams: ``rec``'s own arrays,
+    which the next pass given ``rec`` as ``out`` rewrites.
+    """
+    return rec.grad_h, rec.grads

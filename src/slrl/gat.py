@@ -249,7 +249,8 @@ class _SparseAdjacency(_Adjacency):
         out = np.empty(self.indices.shape[0])
         for s in range(0, out.shape[0], _EDGE_CHUNK):
             e = slice(s, s + _EDGE_CHUNK)
-            out[e] = np.einsum("ef,ef->e", x[self.row[e]], y[self.indices[e]])
+            xe, ye = np.take(x, self.row[e], axis=0), np.take(y, self.indices[e], axis=0)
+            out[e] = np.einsum("ef,ef->e", xe, ye)
         return out
 
 

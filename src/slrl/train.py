@@ -294,6 +294,8 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
 
     rec = enc.reconstruct(h, decoders, ds)
     lr_value = enc.reconstruction_loss(rec)
+    rec_grads = enc.reconstruction_grads(rec)
+    del rec  # the decoders' workspace goes before the attention backward pass
     lc_value = cl.kl_loss(p, q)
     assign = np.argmax(q, axis=1)
     loss = total_loss(lr_value, lc_value, cfg.gamma)
@@ -307,8 +309,6 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
 
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
-    rec_grads = enc.reconstruction_grads(h, decoders, rec)
-    del rec  # the decoders' forward state goes before the attention backward pass
     grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
     _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
     return record, assign, centroids
@@ -368,7 +368,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             loss = enc.reconstruction_loss(rec)
             total = total_loss(loss, 0.0, cfg.gamma)
             report.epochs.append(EpochRecord("pretrain", loss, 0.0, total))
-            grads = _named(*enc.reconstruction_grads(h, decoders, rec), [])
+            grads = _named(*enc.reconstruction_grads(rec), [])
             _step(_named(h, decoders, []), grads, scales)
             del grads
     del rec  # each joint epoch makes its own
@@ -442,8 +442,6 @@ class GradcheckReport:
     """Max relative gradient error per parameter group."""
 
     errors: dict
-    eps: float
-    seed_used: int
 
     @property
     def worst(self) -> float:
@@ -497,7 +495,7 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
 
     # analytic gradients of L_r + gamma * L_c, assembled by the training step's code
     params = _named(h, decoders, _gat_pairs(stack), centroids)
-    rec_grads = enc.reconstruction_grads(h, decoders, enc.reconstruct(h, decoders, ds))
+    rec_grads = enc.reconstruction_grads(enc.reconstruct(h, decoders, ds))
     grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma)
     grads[-1][2][...] *= cfg.gamma  # the centroid gradient, weighted like the rest
 
@@ -522,7 +520,7 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
         numeric = finite_diff_grad(f, x0, _GRADCHECK_EPS)
         f(x0)  # put the unperturbed values back
         errors[group] = relative_error(analytic, numeric)
-    return GradcheckReport(errors=errors, eps=_GRADCHECK_EPS, seed_used=seed)
+    return GradcheckReport(errors=errors)
 
 
 def save_checkpoint(report: TrainReport, path) -> None:

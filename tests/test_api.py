@@ -48,13 +48,14 @@ def test_every_exported_name_resolves(module):
 # which restated the BLAS's thread variables; the decoder forward passes
 # that ``reconstruct`` replaced; the edge kernel and sigma settings, which
 # changed only the weights that nothing but graph.txt reads; the report's
-# second names for ``final_eval`` and a slice of ``loss_history``; and the
-# report's per-epoch lists and worst gaps, which ``report.epochs`` holds
+# second names for ``final_eval`` and a slice of ``loss_history``; the
+# report's per-epoch lists and worst gaps, which ``report.epochs`` holds; and
+# the spent check of a decoder pass that now runs forward and backward at once
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
     "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
     "final_metrics", "joint_losses", "metrics_history", "q_rowsum_gap", "p_rowsum_gap",
-    "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps",
+    "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
 ]
 
 
@@ -65,6 +66,7 @@ def test_each_stage_has_one_entry_point():
         assert not any(hasattr(mod, name) for name in DELETED), mod.__name__
     assert not hasattr(slrl.MultiViewDataset, "take")
     assert not any(hasattr(slrl.TrainReport, name) for name in DELETED)
+    assert [f.name for f in fields(sys.modules["slrl.train"].GradcheckReport)] == ["errors"]
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--synth", "3x6", "--split", "0.8"])
     assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)

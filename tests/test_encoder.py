@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slrl.data import MultiViewDataset
 from slrl.encoder import (
     DecoderParams,
+    _view_forward,
     init_decoders,
     init_latent,
     reconstruct,
@@ -29,13 +32,19 @@ def loss(h, params, ds):
 
 
 def grads_of(h, params, ds):
-    return reconstruction_grads(h, params, reconstruct(h, params, ds))
+    return reconstruction_grads(reconstruct(h, params, ds))
+
+
+def forward(h, theta, x):
+    """One view's residual f(h) - x, from the pass's per-view forward step."""
+    res = np.empty((len(h), theta.b2.size))
+    _view_forward(h, theta, x, np.empty((len(h), theta.b1.size)), res)
+    return res
 
 
 def decoded(h, params):
     """Every decoder's output: the residuals against all-zero views."""
-    zeros = MultiViewDataset(views=[np.zeros((len(h), theta.b2.size)) for theta in params])
-    return reconstruct(h, params, zeros).res
+    return [forward(h, theta, np.zeros((len(h), theta.b2.size))) for theta in params]
 
 
 def test_init_latent_deterministic():
@@ -64,8 +73,8 @@ def test_decode_zero_params_zero_output():
     theta = DecoderParams(w1=np.zeros((8, 4)), b1=np.zeros(8), w2=np.zeros((3, 8)), b2=np.zeros(3))
     rng = make_rng(0)
     x = rng.normal(size=(5, 3))
-    rec = reconstruct(rng.normal(size=(5, 4)), [theta], MultiViewDataset(views=[x]))
-    assert np.array_equal(rec.res[0] + x, np.zeros((5, 3)))
+    res = forward(rng.normal(size=(5, 4)), theta, x)
+    assert np.array_equal(res + x, np.zeros((5, 3)))
 
 
 def test_decode_identity_configuration_reproduces_input():
@@ -80,14 +89,14 @@ def test_decode_identity_configuration_reproduces_input():
     rng = make_rng(1)
     h = rng.normal(size=(6, f))
     x = rng.normal(size=(6, f))
-    rec = reconstruct(h, [theta], MultiViewDataset(views=[x]))
-    assert np.max(np.abs(rec.res[0] + x - h)) < 1e-12
+    res = forward(h, theta, x)
+    assert np.max(np.abs(res + x - h)) < 1e-12
 
 
 def test_decode_matches_layerwise_oracle():
     h, params, ds = small_problem(seed=3)
-    rec = reconstruct(h, params, ds)
-    for theta, x, res in zip(params, ds.views, rec.res, strict=True):
+    for theta, x in zip(params, ds.views, strict=True):
+        res = forward(h, theta, x)
         want = decode_oracle(theta.w1, theta.b1, theta.w2, theta.b2, h)
         assert np.max(np.abs(res + x - want)) < 1e-9
 
@@ -207,28 +216,32 @@ def test_a_reused_workspace_gives_the_fresh_bits(case):
     h, params, ds = BIT_FOR_BIT_CASES[case]()
     want_loss = loss(h, params, ds)
     want = [g.copy() for g in flat_grads(*grads_of(h, params, ds))]
-    # spend the workspace at another latent matrix, then scale its gradients in
+    # run the workspace at another latent matrix, then scale its gradients in
     # place as the optimizer step does, so that any array not rewritten shows
     spent = reconstruct(h + 0.5, params, ds)
-    for g in flat_grads(*reconstruction_grads(h + 0.5, params, spent)):
+    for g in flat_grads(*reconstruction_grads(spent)):
         g *= np.nan
     rec = reconstruct(h, params, ds, out=spent)
     assert rec is spent
     assert reconstruction_loss(rec) == want_loss
-    got = flat_grads(*reconstruction_grads(h, params, rec))
+    got = flat_grads(*reconstruction_grads(rec))
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
-def test_a_spent_reconstruction_is_refused_until_reconstructed():
-    h, params, ds = small_problem(seed=13)
-    rec = reconstruct(h, params, ds)
-    reconstruction_grads(h, params, rec)
-    with pytest.raises(ParameterError, match="spent"):
-        reconstruction_loss(rec)
-    with pytest.raises(ParameterError, match="spent"):
-        reconstruction_grads(h, params, rec)
-    reconstruction_loss(reconstruct(h, params, ds, out=rec))
+def test_a_fresh_pass_holds_one_view_at_a_time():
+    # three equal 256-wide views: all of them alive at once would be six
+    # (N, 256) arrays; one view's forward and backward buffers are two
+    h, params, ds = small_problem(seed=13, n=128, f=8, dims=(256, 256, 256))
+    view_bytes = 2 * h.shape[0] * 256 * h.itemsize  # one view's ReLU layer and residual
+    tracemalloc.start()
+    try:
+        rec = reconstruct(h, params, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(g.nbytes for g in flat_grads(*reconstruction_grads(rec)))
+    assert peak - grad_bytes < 2 * view_bytes
 
 
 def test_grads_reject_a_decoder_count_mismatch():
@@ -261,6 +274,7 @@ def test_per_sample_separability_under_permutation():
     permuted_ds = MultiViewDataset(views=[v[perm] for v in ds.views])
     # permuting the samples permutes every residual row and leaves the mean alone
     rec, permuted = reconstruct(h, params, ds), reconstruct(h[perm], params, permuted_ds)
-    for res, permuted_res in zip(rec.res, permuted.res, strict=True):
+    for theta, x, permuted_x in zip(params, ds.views, permuted_ds.views, strict=True):
+        res, permuted_res = forward(h, theta, x), forward(h[perm], theta, permuted_x)
         assert np.max(np.abs(res[perm] - permuted_res)) < 1e-12
     assert reconstruction_loss(permuted) == pytest.approx(reconstruction_loss(rec), rel=1e-12)
