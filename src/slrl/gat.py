@@ -16,14 +16,17 @@ N_i as given; an empty row aggregates to zero.
 The backward pass is an exact vector-Jacobian product through the
 activation, aggregation, softmax, LeakyReLU, and linear maps; the test
 suite checks it against central differences. A layer's cache keeps only
-what that pass reads: the layer input, the activated output (both
-activations' derivatives are functions of it), and per head the edge scores
-and the coefficients. No head's projection W^k h is kept: the forward pass
-aggregates each head as soon as its projection exists, and the backward
-pass rebuilds it from the cached input by the same call, ``h @ W^k.T``, so
-bit for bit. The backward pass therefore reads the layer input and the
-parameters as they were at the forward pass. The per-head aggregates and
-the activation's input are not kept either.
+what cannot be rebuilt cheaply: the layer input, the activated output
+(both activations' derivatives are functions of it), the adjacency, and a
+(K, N) array of each head's attention row sums, which
+``alpha_row_sums()`` returns. No per-head array is kept, and no per-edge
+array beyond the adjacency's own: the forward pass aggregates each head as
+soon as its projection, edge scores and coefficients exist, and the
+backward pass rebuilds them, one head at a time, from the cached input by
+the same call (``_head_scores``), so bit for bit. The backward pass
+therefore reads the layer input and the parameters as they were at the
+forward pass. The per-head aggregates and the activation's input are not
+kept either.
 
 Attention needs three products over the graph, each weighted by one head's
 coefficients: the aggregate sum_j alpha_ij z_j, its transpose, and the
@@ -260,22 +263,15 @@ def _adjacency(indptr, indices) -> _Adjacency:
 
 
 @dataclass(slots=True)
-class _HeadCache:
-    t: np.ndarray  # per-edge scores before the LeakyReLU
-    alpha: np.ndarray  # per-edge attention coefficients
-
-
-@dataclass(slots=True)
 class _LayerCache:
     adj: _Adjacency
-    heads: list
+    row_sums: np.ndarray  # (K, N): each head's per-node attention row sums
     out: np.ndarray  # the layer's activated output
     h_in: np.ndarray
 
     def alpha_row_sums(self) -> np.ndarray:
         """Per-head per-node attention row sums (should all be 1)."""
-        row, n = self.adj.row, self.adj.n
-        return np.array([np.bincount(row, head.alpha, minlength=n) for head in self.heads])
+        return self.row_sums
 
 
 def _segment_reduce(ufunc, x, indptr) -> np.ndarray:
@@ -287,8 +283,10 @@ def _segment_reduce(ufunc, x, indptr) -> np.ndarray:
     return out
 
 
-def _head_forward(params: GatParams, k: int, h, adj: _Adjacency):
-    """Head k's projection z = W^k h and its cache; z is not part of the cache."""
+def _head_scores(params: GatParams, k: int, h, adj: _Adjacency):
+    """Head k's projection z = W^k h, its per-edge scores t before the LeakyReLU
+    and its coefficients alpha: the forward pass makes them, and the backward
+    pass and gradcheck rebuild them from the layer input by this same call."""
     fp = params.f_prime
     row, indptr = adj.row, adj.indptr
     z = h @ params.w[k].T
@@ -296,19 +294,21 @@ def _head_forward(params: GatParams, k: int, h, adj: _Adjacency):
     e = np.where(t > 0, t, LEAKY_SLOPE * t)
     ex = np.exp(e - _segment_reduce(np.maximum, e, indptr)[row])
     alpha = ex / _segment_reduce(np.add, ex, indptr)[row]
-    return z, _HeadCache(t=t, alpha=alpha)
+    return z, t, alpha
 
 
 def _layer_forward(params: GatParams, h, adj: _Adjacency):
-    # each head is aggregated while its projection exists; only one lives at a time
+    # each head is aggregated while its projection and coefficients exist; only
+    # one head's arrays live at a time
     average = params.combine == "average"
-    heads, aggs = [], []
+    aggs = []
+    row_sums = np.empty((params.heads, adj.n))
     pre = np.zeros((h.shape[0], params.f_prime)) if average else None
     for k in range(params.heads):
-        z, hc = _head_forward(params, k, h, adj)
-        heads.append(hc)
-        agg = adj.aggregate(hc.alpha, z)
-        del z
+        z, _, alpha = _head_scores(params, k, h, adj)
+        row_sums[k] = np.bincount(adj.row, alpha, minlength=adj.n)
+        agg = adj.aggregate(alpha, z)
+        del z, alpha
         if average:  # from zero, in head order: the additions ``sum`` over the heads made
             pre += agg
         else:
@@ -320,7 +320,7 @@ def _layer_forward(params: GatParams, h, adj: _Adjacency):
         pre = np.concatenate(aggs, axis=1)
         del aggs
     out = _activate(params, pre)
-    return out, _LayerCache(adj=adj, heads=heads, out=out, h_in=h)
+    return out, _LayerCache(adj=adj, row_sums=row_sums, out=out, h_in=h)
 
 
 def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
@@ -332,22 +332,23 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     d_pre = upstream * _activate_deriv(params, cache.out)
     if params.combine == "average":
         d_pre /= params.heads
-    for k, hc in enumerate(cache.heads):
-        # the forward pass's projection, rebuilt bit for bit by the same call
-        z = h @ params.w[k].T
+    for k in range(params.heads):
+        # the forward pass's projection, scores and coefficients, rebuilt bit for bit
+        z, t, alpha = _head_scores(params, k, h, adj)
         # each head's aggregate feeds the mean, or its own block of columns
         d_agg = d_pre if params.combine == "average" else d_pre[:, k * fp : (k + 1) * fp]
         d_alpha = adj.edge_dots(d_agg, z)
-        dz = adj.aggregate_t(hc.alpha, d_agg)
+        dz = adj.aggregate_t(alpha, d_agg)
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
-        dot = _segment_reduce(np.add, hc.alpha * d_alpha, indptr)
-        d_e = hc.alpha * (d_alpha - dot[row])
-        d_t = d_e * np.where(hc.t > 0, 1.0, LEAKY_SLOPE)
+        dot = _segment_reduce(np.add, alpha * d_alpha, indptr)
+        d_e = alpha * (d_alpha - dot[row])
+        d_t = d_e * np.where(t > 0, 1.0, LEAKY_SLOPE)
+        del t, alpha, d_alpha, d_e
         # t_ij = a_src . z_i + a_dst . z_j, so sum d_t over rows and over columns
         row_dt = _segment_reduce(np.add, d_t, indptr)
         col_dt = np.bincount(indices, weights=d_t, minlength=adj.n)
         grad_a.append(np.concatenate([row_dt @ z, col_dt @ z]))
-        del z, d_alpha, d_e  # gone before the two outer products of dz
+        del z, d_t  # gone before the two outer products of dz
         dz += np.outer(row_dt, params.a[k][:fp])
         dz += np.outer(col_dt, params.a[k][fp:])
         grad_w.append(dz.T @ h)
@@ -365,8 +366,8 @@ def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     if not 0 <= head < params.heads:
         raise ParameterError(f"head {head} outside [0, {params.heads})")
     indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
-    _, hc = _head_forward(params, head, h, _adjacency(indptr, indices))
-    return [hc.alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
+    _, _, alpha = _head_scores(params, head, h, _adjacency(indptr, indices))
+    return [alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
 
 
 def stack_forward(stack: list, h, nbhd):

@@ -25,10 +25,13 @@ row. ``np.partition`` selects each row's k best; where the k-th score ties
 past the k-th place, the smaller indices win. Only the k ids per row and
 their scores are kept, so memory is O(N * _ROW_BLOCK), and the squared
 distances ``max(score + sq_i, 0)`` are formed for the kept pairs alone.
-Every block works in one workspace the build allocates once: two
-(_ROW_BLOCK, N) slabs for the scores and a partitioned copy of them, which
-each block overwrites. Fresh arrays per block would each be returned to the
-kernel on free and faulted in again. Rows so large that a squared distance
+Every block works in one workspace the build allocates once, which each
+block overwrites: one (_ROW_BLOCK, N) slab for the scores, and a
+(_PART_ROWS, N) buffer in which copies of ``_PART_ROWS`` score rows at a
+time are partitioned to find each row's k-th score. That score is the same
+value whichever rows share a partition call, so the buffer's size changes
+no edge. Fresh arrays per block would each be returned to the kernel on
+free and faulted in again. Rows so large that a squared distance
 could overflow are a ``NumericError``: an infinite or nan score would select
 a node as its own neighbor.
 The union is the sorted set of unique codes ``i * N + j`` over both
@@ -50,6 +53,8 @@ from .numerics import as_matrix
 __all__ = ["NeighborGraph", "knn_indices", "build_graph", "dump_edges"]
 
 _ROW_BLOCK = 256
+# rows of a block partitioned at a time, in a copy, to find their k-th scores
+_PART_ROWS = 16
 # the largest squared row norm whose squared distances stay finite
 _SQ_MAX = np.finfo(np.float64).max / 4.0
 
@@ -94,16 +99,22 @@ class NeighborGraph:
 
 def _block_nearest(h: np.ndarray, m2h: np.ndarray, sq: np.ndarray, start: int, k: int, work):
     """Rows ``start : start + _ROW_BLOCK`` of ``_nearest``, ranked on the scores
-    ``sq_j - 2 h_i.h_j`` (``m2h`` is -2 h) in the build's (2, B, N) workspace
-    ``work``, which the next block overwrites. Returns the ids and their scores."""
+    ``sq_j - 2 h_i.h_j`` (``m2h`` is -2 h) in the build's workspace ``work``: a
+    (B, N) score slab and a (_PART_ROWS, N) partition buffer, which the next
+    block overwrites. Returns the ids and their scores."""
     stop = min(start + _ROW_BLOCK, h.shape[0])
-    d, part = work[:, : stop - start]
+    slab, part = work
+    d = slab[: stop - start]
     np.matmul(h[start:stop], m2h.T, out=d)
     d += sq
     np.fill_diagonal(d[:, start:], np.inf)
-    np.copyto(part, d)
-    part.partition(k - 1, axis=1)
-    kth = part[:, k - 1 : k]
+    # each row's k-th score, from partitioned copies of a few rows at a time
+    kth = np.empty((d.shape[0], 1))
+    for r in range(0, d.shape[0], _PART_ROWS):
+        p = part[: min(_PART_ROWS, d.shape[0] - r)]
+        np.copyto(p, d[r : r + p.shape[0]])
+        p.partition(k - 1, axis=1)
+        kth[r : r + p.shape[0], 0] = p[:, k - 1]
     sel = d <= kth
     # rows where the k-th score ties past the k-th place keep the smaller ids
     for i in np.flatnonzero(np.count_nonzero(sel, axis=1) > k):
@@ -123,8 +134,8 @@ def _nearest(h: np.ndarray, k: int):
     # no score exceeds 3 max(sq) in size, and no distance 4 max(sq)
     if not sq.max() <= _SQ_MAX:
         raise NumericError("h is too large: its squared distances overflow")
-    # one workspace for every block: the scores and their partitioned copy
-    work = np.empty((2, min(_ROW_BLOCK, n), n))
+    # one workspace for every block: the scores and a buffer to partition copies in
+    work = np.empty((min(_ROW_BLOCK, n), n)), np.empty((min(_PART_ROWS, n), n))
     m2h = -2.0 * h
     blocks = [_block_nearest(h, m2h, sq, s, k, work) for s in range(0, n, _ROW_BLOCK)]
     ids, dist = (np.concatenate(parts) for parts in zip(*blocks))

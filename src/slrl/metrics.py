@@ -9,8 +9,8 @@ label-permutation invariant. The library returns fractions in [0, 1]
 Conventions pinned here so numbers are reproducible:
   * ACC uses an optimal one-to-one cluster mapping, not a greedy mapping.
     The mapping comes from an in-house exact assignment on the contingency
-    matrix (Kuhn-Munkres with row and column potentials, in integers), so
-    scoring loads no optimisation library.
+    matrix (Kuhn-Munkres with row and column potentials, in Python
+    integers), so scoring loads no optimisation library.
   * NMI normalizes mutual information by the arithmetic mean of the two
     label entropies; if either entropy is zero the score is 1 when the
     partitions are identical and 0 otherwise.
@@ -20,6 +20,8 @@ Conventions pinned here so numbers are reproducible:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +50,15 @@ def _check_labels(pred, truth, min_len: int = 1):
 
 
 def _table(pred, truth) -> np.ndarray:
-    """Contingency table: ``[i, j]`` counts the samples in pred cluster i and truth cluster j."""
-    pred_labels, pred_ids = np.unique(pred, return_inverse=True)
-    truth_labels, truth_ids = np.unique(truth, return_inverse=True)
-    c_pred, c_true = pred_labels.size, truth_labels.size
-    cells = np.bincount(pred_ids * c_true + truth_ids, minlength=c_pred * c_true)
-    return cells.reshape(c_pred, c_true)
+    """Contingency table: ``[i, j]`` counts the samples in pred cluster i and truth
+    cluster j, the clusters in the sorted order of their labels."""
+    pred, truth = pred.tolist(), truth.tolist()
+    pred_ids = {label: i for i, label in enumerate(sorted(set(pred)))}
+    truth_ids = {label: j for j, label in enumerate(sorted(set(truth)))}
+    table = np.zeros((len(pred_ids), len(truth_ids)), dtype=np.int64)
+    for (a, b), count in Counter(zip(pred, truth)).items():
+        table[pred_ids[a], truth_ids[b]] = count
+    return table
 
 
 def _partitions_identical(table: np.ndarray) -> bool:
@@ -67,47 +72,48 @@ def _max_matched(table: np.ndarray) -> int:
 
     Shortest augmenting paths with row and column potentials (Kuhn-Munkres,
     in the form of Jonker & Volgenant): O(r^2 c) for an r x c table with
-    r <= c, each column update one numpy operation. The costs are the
-    negated integer counts, so every potential, and the total, is exact.
-    A tall table is transposed; its surplus rows stay unmatched.
+    r <= c, in plain Python, which beats numpy on the small tables scoring
+    sees. The costs are the negated counts as Python ints, so every
+    potential, and the total, is exact. A tall table is transposed; its
+    surplus rows stay unmatched.
     """
-    cost = -np.asarray(table, dtype=np.int64)
-    if cost.shape[0] > cost.shape[1]:
-        cost = cost.T
-    n, m = cost.shape
+    cost = [[-x for x in row] for row in np.asarray(table, dtype=np.int64).tolist()]
+    if len(cost) > len(cost[0]):
+        cost = [list(col) for col in zip(*cost)]
+    n, m = len(cost), len(cost[0])
     # 1-based rows and columns; column 0 is the root of each augmenting search
-    a = np.zeros((n + 1, m + 1), dtype=np.int64)
-    a[1:, 1:] = cost
-    u = np.zeros(n + 1, dtype=np.int64)
-    v = np.zeros(m + 1, dtype=np.int64)
-    owner = np.zeros(m + 1, dtype=np.intp)  # row matched to each column, 0 = free
-    way = np.zeros(m + 1, dtype=np.intp)  # previous column on the shortest path
-    inf = np.iinfo(np.int64).max  # infinite slack, kept in int64
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner = [0] * (m + 1)  # row matched to each column, 0 = free
+    way = [0] * (m + 1)  # previous column on the shortest path
     for i in range(1, n + 1):
         owner[0] = i
         j0 = 0
-        minv = np.full(m + 1, inf, dtype=np.int64)
-        used = np.zeros(m + 1, dtype=bool)
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
         while owner[j0] != 0:
             used[j0] = True
             i0 = owner[j0]
-            cur = a[i0] - u[i0] - v
-            better = ~used & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            slack = np.where(used, inf, minv)
-            j1 = int(slack.argmin())
-            delta = slack[j1]
-            u[owner[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            row, u0 = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u0 - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
         while j0 != 0:
             j1 = way[j0]
             owner[j0] = owner[j1]
             j0 = j1
-    cols = np.flatnonzero(owner[1:]) + 1
-    return -int(a[owner[cols], cols].sum())
+    return -sum(cost[owner[j] - 1][j - 1] for j in range(1, m + 1) if owner[j])
 
 
 def _sum_in_order(terms: np.ndarray) -> float:

@@ -244,16 +244,17 @@ def _named(h, decoders, gat, centroids=None) -> list:
 
 def _step(params, grads, scales: dict) -> None:
     """Descend in place: each array moves by its group's scale times its gradient.
-    Nothing moves if a gradient is non-finite.
+    Nothing moves if a scaled gradient is non-finite, so an overflowing step is
+    reported by the epoch that takes it.
 
     Each gradient is scaled in place before it is subtracted, so every one must
     be a fresh array that nothing else reads.
     """
     for group, name, grad in grads:
+        grad *= scales[group]
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient in group {group!r} ({name})")
-    for (group, _, value), (_, _, grad) in zip(params, grads, strict=True):
-        grad *= scales[group]
+    for (_, _, value), (_, _, grad) in zip(params, grads, strict=True):
         value -= grad
 
 
@@ -273,13 +274,15 @@ def _phase_errors(where: str):
 
 def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, last_assign):
     """One joint epoch of ``train`` on the neighborhoods ``nbhd``: attention, the
-    clustering head, the losses, and one step of ``model`` (h, decoders,
-    attention stack) and the centroids.
+    clustering head and its backward pass through the attention stack, then the
+    decoder pass, the losses, and one step of ``model`` (h, decoders, attention
+    stack) and the centroids.
 
     Returns (record, hard assignments, centroids), the record's churn against
-    ``last_assign`` and its monitors left to ``_monitor``. The decoders'
-    workspace, the attention caches and every gradient are local, so none of
-    them outlives the epoch.
+    ``last_assign`` and its monitors left to ``_monitor``. The attention caches
+    are dropped before the decoder pass, so they never coexist with the
+    decoders' workspace and gradients. All of them are local, so none outlives
+    the epoch.
     """
     h, decoders, stack = model
     ht, caches = gt.stack_forward(stack, h, nbhd)
@@ -291,25 +294,24 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
         centroids = _reseed_degenerate(ht, centroids, q)
         q = cl.soft_assign(ht, centroids)
         p = cl.target_distribution(q)
+    lc_value = cl.kl_loss(p, q)
+    assign = np.argmax(q, axis=1)
+    sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.alpha_row_sums() for cache in caches]
+    # shared parameters descend the mean per-sample loss, so the summed
+    # clustering gradients are scaled by gamma/N before stepping
+    cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
+    del ht, caches  # the attention caches go before the decoder pass
 
     rec = enc.reconstruct(h, decoders, ds)
     lr_value = enc.reconstruction_loss(rec)
-    rec_grads = enc.reconstruction_grads(rec)
-    del rec  # the decoders' workspace goes before the attention backward pass
-    lc_value = cl.kl_loss(p, q)
-    assign = np.argmax(q, axis=1)
     loss = total_loss(lr_value, lc_value, cfg.gamma)
-    sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.alpha_row_sums() for cache in caches]
     q_gap, p_gap, *alpha_gaps = [float(np.abs(x - 1.0).max()) for x in sums]
     churn = None if last_assign is None else float(np.mean(assign != last_assign))
     record = EpochRecord(
         "joint", lr_value, lc_value, loss, _epoch_metrics(assign, ds.labels),
         q_gap=q_gap, p_gap=p_gap, alpha_gap=max(alpha_gaps, default=0.0), churn=churn,
     )
-
-    # shared parameters descend the mean per-sample loss, so the summed
-    # clustering gradients are scaled by gamma/N before stepping
-    grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
+    grads = _joint_grads(enc.reconstruction_grads(rec), cluster_grads)
     _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
     return record, assign, centroids
 
@@ -332,15 +334,22 @@ def _monitor(record: EpochRecord, last: EpochRecord, armed: bool) -> EpochRecord
     return replace(record, best_loss=best_loss, no_improve=no_improve, stable=stable, stop=stop)
 
 
-def _joint_grads(stack, rec_grads, centroids, ht, caches, p, weight: float) -> list:
-    """Gradients of the joint loss as ``_named`` lists them, from the
-    ``reconstruction_grads`` pair ``rec_grads`` and the clustering loss weighted
-    by ``weight`` through the attention stack. The centroid gradient is left
-    unweighted."""
-    grad_h_rec, dec_grads = rec_grads
+def _clustering_grads(stack, centroids, ht, caches, p, weight: float):
+    """Gradients of the clustering loss weighted by ``weight``, through the
+    attention stack whose ``stack_forward`` gave ``ht`` and ``caches``:
+    (grad_h, per-layer grads, grad_centroids), the last left unweighted."""
     grad_ht, grad_mu = cl.cluster_grads(ht, centroids, p)
     grad_ht *= weight  # a fresh array: scaled where it lies
-    layer_grads, grad_h_gat = gt.stack_backward(stack, caches, grad_ht)
+    layer_grads, grad_h = gt.stack_backward(stack, caches, grad_ht)
+    return grad_h, layer_grads, grad_mu
+
+
+def _joint_grads(rec_grads, cluster_grads) -> list:
+    """Gradients of the joint loss as ``_named`` lists them, from the
+    ``reconstruction_grads`` pair ``rec_grads`` and the ``_clustering_grads``
+    triple ``cluster_grads``."""
+    grad_h_rec, dec_grads = rec_grads
+    grad_h_gat, layer_grads, grad_mu = cluster_grads
     return _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu)
 
 
@@ -456,10 +465,14 @@ class GradcheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _kink_margin(h, decoders, caches) -> float:
+def _kink_margin(h, decoders, stack, caches) -> float:
     """Smallest |pre-activation| at any ReLU/LeakyReLU kink in the frozen loss."""
     pre = [h @ theta.w1.T + theta.b1 for theta in decoders]
-    scores = [head.t for cache in caches for head in cache.heads]
+    scores = [
+        gt._head_scores(layer, k, cache.h_in, cache.adj)[1]
+        for layer, cache in zip(stack, caches, strict=True)
+        for k in range(layer.heads)
+    ]
     return min(float(np.abs(x).min()) for x in pre + scores)
 
 
@@ -486,7 +499,7 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
         h, decoders, stack = _init_model(n, ds.dims, cfg, seed)
         nbhd = gr.build_graph(h, cfg.k).neighborhoods()
         ht, caches = gt.stack_forward(stack, h, nbhd)
-        if _kink_margin(h, decoders, caches) > 1e-4:
+        if _kink_margin(h, decoders, stack, caches) > 1e-4:
             break
         seed += 1
 
@@ -495,8 +508,9 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
 
     # analytic gradients of L_r + gamma * L_c, assembled by the training step's code
     params = _named(h, decoders, _gat_pairs(stack), centroids)
+    cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma)
     rec_grads = enc.reconstruction_grads(enc.reconstruct(h, decoders, ds))
-    grads = _joint_grads(stack, rec_grads, centroids, ht, caches, p, cfg.gamma)
+    grads = _joint_grads(rec_grads, cluster_grads)
     grads[-1][2][...] *= cfg.gamma  # the centroid gradient, weighted like the rest
 
     errors = {}

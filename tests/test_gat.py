@@ -434,3 +434,21 @@ def test_caches_keep_no_head_projection(n, combine):
         assert any(x is cache.h_in for x in arrays)  # the walk reaches the kept arrays
         ends = (cache.h_in, cache.out)
         assert not [x for x in arrays if x.shape == (n, fp) and not any(x is e for e in ends)]
+
+
+@pytest.mark.parametrize("n", [40, 300])  # the dense and the CSR adjacency
+def test_caches_keep_no_per_edge_array(n):
+    # scores and coefficients are rebuilt by the backward pass; only the adjacency
+    # keeps arrays with one entry per edge
+    f = fp = 6
+    h, g = random_graph(28, n, f, k=4)
+    nbhd = g.neighborhoods()
+    edges = nbhd[1].shape[0]
+    stack = init_gat_stack(2, f, fp, 4, seed=9)
+    _, caches = stack_forward(stack, h, nbhd)
+    for cache in caches:
+        adjacency = [id(x) for x in _reachable_arrays(cache.adj)]
+        arrays = _reachable_arrays(cache)
+        assert any(x is cache.h_in for x in arrays)  # the walk reaches the kept arrays
+        per_edge = [x for x in arrays if edges in x.shape and id(x) not in adjacency]
+        assert not per_edge

@@ -269,6 +269,19 @@ def test_build_holds_no_n_by_n_array():
     assert peak < n * n * 8
 
 
+def test_nearest_holds_one_score_slab():
+    # one (B, N) slab of scores; row k-th scores come from a small partition buffer
+    n = 4 * graph._ROW_BLOCK
+    h = make_rng(14).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        graph._nearest(h, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * graph._ROW_BLOCK * n * 8
+
+
 def csr_of(g, include_self):
     """The self-looped CSR from ``neighborhoods()``, or the stored one without self loops."""
     return g.neighborhoods() if include_self else (g.indptr, g.indices)

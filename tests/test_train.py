@@ -387,7 +387,7 @@ def test_step_gets_fresh_gradients(monkeypatch):
     def recording_forward(stack, h, nbhd):
         out, caches = forward(stack, h, nbhd)
         for c in caches:
-            cached.extend([c.out, *(x for hc in c.heads for x in (hc.t, hc.alpha))])
+            cached.extend([c.h_in, c.out, c.alpha_row_sums()])
         return out, caches
 
     def checking_step(params, grads, scales):
@@ -421,6 +421,40 @@ def test_one_set_of_attention_caches_lives_at_a_time(monkeypatch):
     report = train(small_ds(), small_cfg(epochs=4, gat_layers=2))
     assert report.joint_epochs_run == 4
     assert live == [0] * (2 * 4 + 3)
+
+
+def test_no_attention_cache_lives_at_a_decoder_pass(monkeypatch):
+    # a joint epoch drops its caches after the attention backward pass, before reconstruct
+    live = []
+    reconstruct = slrl.encoder.reconstruct
+
+    def counting(*args, **kwargs):
+        gc.collect()
+        live.append(sum(isinstance(o, slrl.gat._LayerCache) for o in gc.get_objects()))
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(slrl.encoder, "reconstruct", counting)
+    report = train(small_ds(), small_cfg(epochs=4, gat_layers=2, early_stop_min_epochs=10**9))
+    assert report.joint_epochs_run == 4
+    assert live == [0] * (report.pretrain_epochs_run + 4)
+
+
+def test_overflowing_step_names_its_own_epoch(monkeypatch):
+    # a finite gradient whose scaled step overflows stops the epoch that takes it
+    train_mod = sys.modules["slrl.train"]
+    seen = {}
+    init_model = train_mod._init_model
+
+    def recording_init(*args):
+        model = init_model(*args)
+        seen["live"], seen["before"] = model[0], model[0].copy()
+        return model
+
+    monkeypatch.setattr(train_mod, "_init_model", recording_init)
+    message = r"^pretrain epoch 1: non-finite gradient in group 'h' \(h\)$"
+    with pytest.raises(NumericError, match=message):
+        train(small_ds(), small_cfg(learning_rate=1e308, pretrain_epochs=2))
+    assert np.array_equal(seen["live"], seen["before"])  # h did not move
 
 
 def test_each_epoch_makes_one_decoder_forward_pass(monkeypatch):
