@@ -20,6 +20,12 @@ squared errors join the loss, and its backward pass runs in place over the
 same buffers before the next view reuses them. ``reconstruction_loss`` and
 ``reconstruction_grads`` return what the pass computed. Passing an earlier
 ``Reconstruction`` back as ``out`` reuses all of its arrays.
+
+Given a step ``scale``, the pass also descends: each view's decoder steps
+on its gradients as soon as its backward pass has them, so its gradients
+live in one workspace sized for the largest view, which the next view
+reuses, and no view's decoder gradients outlast its step. Only the gradient
+of H, which sums over every view, is left for the caller to step.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .errors import ParameterError, ShapeError
-from .numerics import as_matrix, make_rng
+from .numerics import as_matrix, descend, make_rng
 
 __all__ = [
     "DecoderParams",
@@ -100,7 +106,10 @@ class Reconstruction:
     hid: np.ndarray  # flat, N * max(hidden): a view's ReLU layer, then its pre-activation gradient
     res: np.ndarray  # flat, N * max(d_v): a view's residual f_v(h) - x, then its output gradient
     grad_h: np.ndarray  # (N, F)
-    grads: list  # per view, a DecoderParams of gradients
+    grads: list  # per view, a DecoderParams of gradients; empty after a stepped pass
+    # a stepped pass's gradient workspace: a DecoderParams of flat arrays, each
+    # sized for the largest view, that holds one view's gradients until its step
+    work: DecoderParams | None = None
     loss: float = np.nan
 
 
@@ -114,10 +123,25 @@ def _view_forward(h, theta: DecoderParams, x, hid, res) -> None:
     res -= x
 
 
-def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = None):
+def _shaped(work: DecoderParams, theta: DecoderParams) -> DecoderParams:
+    """The leading part of each flat array of ``work``, shaped like ``theta``'s."""
+    return DecoderParams(
+        *(w[: p.size].reshape(p.shape) for w, p in zip(vars(work).values(), vars(theta).values()))
+    )
+
+
+def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = None, scale=None):
     """The whole decoder pass: for each view in turn, its forward pass, its
     squared errors added into the loss, and its backward pass in place over the
-    same workspace. Passing an earlier return value as ``out`` reuses its arrays."""
+    same workspace. Passing an earlier return value as ``out`` reuses its arrays;
+    it must come from a pass that was given a ``scale`` too, or neither was.
+
+    Without ``scale`` the pass keeps every view's decoder gradients. With it,
+    each view's decoder steps right after that view's backward pass, every
+    array by ``numerics.descend`` at ``scale``, and its gradients go: the
+    next view reuses their workspace. A non-finite scaled gradient raises
+    there, that array unmoved; the decoders of earlier views have stepped.
+    """
     n = np.shape(h)[0]
     if ds.n_samples != n:
         raise ShapeError(f"dataset has {ds.n_samples} samples, latent has {n}")
@@ -131,11 +155,17 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
             np.empty(n * max(theta.w1.shape[0] for theta in params)),
             np.empty(n * max(theta.w2.shape[0] for theta in params)),
             np.empty_like(h),
-            [DecoderParams(*map(np.empty_like, vars(theta).values())) for theta in params],
+            [],
         )
+        if scale is None:
+            out.grads = [DecoderParams(*map(np.empty_like, vars(t).values())) for t in params]
+        else:
+            sizes = zip(*([p.size for p in vars(t).values()] for t in params))
+            out.work = DecoderParams(*(np.empty(max(s)) for s in sizes))
+    grads = out.grads if scale is None else [_shaped(out.work, theta) for theta in params]
     total, grad_h = np.zeros(n), out.grad_h
     grad_h.fill(0.0)
-    for theta, x, grad in zip(params, ds.views, out.grads, strict=True):
+    for v, (theta, x, grad) in enumerate(zip(params, ds.views, grads, strict=True)):
         hid = out.hid[: n * theta.w1.shape[0]].reshape(n, -1)
         d_out = out.res[: n * theta.w2.shape[0]].reshape(n, -1)
         _view_forward(h, theta, x, hid, d_out)
@@ -150,6 +180,9 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
         np.sum(d_pre, axis=0, out=grad.b1)
         np.sum(d_out, axis=0, out=grad.b2)
         grad_h += d_pre @ theta.w1
+        if scale is not None:  # every read of this view's weights is done
+            for (name, value), g in zip(vars(theta).items(), vars(grad).values()):
+                descend(value, g, scale, f"group 'decoders' (decoder{v}.{name})")
     out.loss = float(total.mean())
     return out
 
@@ -164,6 +197,7 @@ def reconstruction_grads(rec: Reconstruction):
     ``h`` and ``params`` that ``rec`` was made from.
 
     Returns (grad_h, grads), grads[v] a DecoderParams: ``rec``'s own arrays,
-    which the next pass given ``rec`` as ``out`` rewrites.
+    which the next pass given ``rec`` as ``out`` rewrites. After a stepped
+    pass, whose decoders have already descended, ``grads`` is empty.
     """
     return rec.grad_h, rec.grads

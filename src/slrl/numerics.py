@@ -17,6 +17,7 @@ from .errors import NumericError, ParameterError, ShapeError
 __all__ = [
     "as_matrix",
     "make_rng",
+    "descend",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -37,6 +38,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
+
+
+def descend(value: np.ndarray, grad: np.ndarray, scale: float, name: str) -> None:
+    """One descent step in place: ``grad`` is scaled by ``scale`` where it lies,
+    checked finite, and subtracted from ``value``. A non-finite scaled gradient
+    raises ``NumericError`` naming ``name`` and leaves ``value`` as it was.
+
+    ``grad`` must be a fresh array that nothing else reads.
+    """
+    grad *= scale
+    if not np.isfinite(grad).all():
+        raise NumericError(f"non-finite gradient in {name}")
+    value -= grad
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:

@@ -23,8 +23,12 @@ meaningful at any N. Reported losses follow the printed objective
 the exact gradients of that objective.
 
 All trainable state is listed once, by ``_named``, under the names the
-checkpoint uses; the optimizer step, gradcheck and ``save_checkpoint`` all
-walk that listing.
+checkpoint uses; gradcheck and ``save_checkpoint`` walk that listing, and
+so does the optimizer step for every array but the decoders'. Those step
+inside the decoder pass (``encoder.reconstruct`` given their scale), each
+view's as soon as its gradients exist, so that one view's decoder
+gradients are alive at a time. Every array, there or in ``_step``, steps
+by ``numerics.descend``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .numerics import finite_diff_grad, relative_error
+from .numerics import descend, finite_diff_grad, relative_error
 
 __all__ = [
     "TrainConfig",
@@ -243,19 +247,18 @@ def _named(h, decoders, gat, centroids=None) -> list:
 
 
 def _step(params, grads, scales: dict) -> None:
-    """Descend in place: each array moves by its group's scale times its gradient.
-    Nothing moves if a scaled gradient is non-finite, so an overflowing step is
-    reported by the epoch that takes it.
+    """Descend in place, one array at a time in listing order: each moves by its
+    group's scale times its gradient. No array takes a non-finite step: the
+    first whose scaled gradient is non-finite stays as it was, and the epoch
+    raises there, naming it, so an overflowing step is reported by the epoch
+    that takes it. The arrays before it have moved; ``train`` returns nothing
+    after a raise, so none of them is seen.
 
     Each gradient is scaled in place before it is subtracted, so every one must
     be a fresh array that nothing else reads.
     """
-    for group, name, grad in grads:
-        grad *= scales[group]
-        if not np.isfinite(grad).all():
-            raise NumericError(f"non-finite gradient in group {group!r} ({name})")
-    for (_, _, value), (_, _, grad) in zip(params, grads, strict=True):
-        value -= grad
+    for (group, name, value), (_, _, grad) in zip(params, grads, strict=True):
+        descend(value, grad, scales[group], f"group {group!r} ({name})")
 
 
 # the errors the kernels of a training epoch raise
@@ -275,8 +278,8 @@ def _phase_errors(where: str):
 def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, last_assign):
     """One joint epoch of ``train`` on the neighborhoods ``nbhd``: attention, the
     clustering head and its backward pass through the attention stack, then the
-    decoder pass, the losses, and one step of ``model`` (h, decoders, attention
-    stack) and the centroids.
+    decoder pass, which steps the decoders, the losses, and one step of the
+    rest of ``model`` (h, attention stack) and the centroids.
 
     Returns (record, hard assignments, centroids), the record's churn against
     ``last_assign`` and its monitors left to ``_monitor``. The attention caches
@@ -302,7 +305,7 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
     del ht, caches  # the attention caches go before the decoder pass
 
-    rec = enc.reconstruct(h, decoders, ds)
+    rec = enc.reconstruct(h, decoders, ds, scale=scales["decoders"])
     lr_value = enc.reconstruction_loss(rec)
     loss = total_loss(lr_value, lc_value, cfg.gamma)
     q_gap, p_gap, *alpha_gaps = [float(np.abs(x - 1.0).max()) for x in sums]
@@ -311,8 +314,9 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
         "joint", lr_value, lc_value, loss, _epoch_metrics(assign, ds.labels),
         q_gap=q_gap, p_gap=p_gap, alpha_gap=max(alpha_gaps, default=0.0), churn=churn,
     )
+    # the pass stepped the decoders, so neither listing holds them
     grads = _joint_grads(enc.reconstruction_grads(rec), cluster_grads)
-    _step(_named(h, decoders, _gat_pairs(stack), centroids), grads, scales)
+    _step(_named(h, [], _gat_pairs(stack), centroids), grads, scales)
     return record, assign, centroids
 
 
@@ -369,17 +373,15 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     scales = {"h": lr * float(n), "decoders": lr, "gat": lr, "centroids": lr * (cfg.gamma / n)}
 
     # phase 1: reconstruction-only descent on H and the decoders, every epoch
-    # in the one workspace; no gradient is kept past its step
+    # in the one workspace; the pass steps the decoders, and _step then h
     rec = None
     for epoch in range(cfg.pretrain_epochs):
         with _phase_errors(f"pretrain epoch {epoch + 1}"):
-            rec = enc.reconstruct(h, decoders, ds, out=rec)
+            rec = enc.reconstruct(h, decoders, ds, out=rec, scale=scales["decoders"])
             loss = enc.reconstruction_loss(rec)
             total = total_loss(loss, 0.0, cfg.gamma)
             report.epochs.append(EpochRecord("pretrain", loss, 0.0, total))
-            grads = _named(*enc.reconstruction_grads(rec), [])
-            _step(_named(h, decoders, []), grads, scales)
-            del grads
+            _step(_named(h, [], []), _named(*enc.reconstruction_grads(rec), []), scales)
     del rec  # each joint epoch makes its own
 
     # phase 2 setup: graph, structured representation, k-means centroids; the

@@ -14,7 +14,7 @@ from slrl.encoder import (
     reconstruction_loss,
 )
 from slrl.errors import NumericError, ParameterError, ShapeError
-from slrl.numerics import finite_diff_grad, make_rng, relative_error
+from slrl.numerics import descend, finite_diff_grad, make_rng, relative_error
 
 from oracles import decode_oracle, reconstruction_grads_reference, reconstruction_oracle
 
@@ -241,6 +241,48 @@ def test_a_fresh_pass_holds_one_view_at_a_time():
     finally:
         tracemalloc.stop()
     grad_bytes = sum(g.nbytes for g in flat_grads(*reconstruction_grads(rec)))
+    assert peak - grad_bytes < 2 * view_bytes
+
+
+def copied(params) -> list:
+    return [DecoderParams(*(p.copy() for p in vars(theta).values())) for theta in params]
+
+
+@pytest.mark.parametrize("case", list(BIT_FOR_BIT_CASES))
+def test_a_stepped_pass_takes_the_step_of_the_kept_gradients(case):
+    h, params, ds = BIT_FOR_BIT_CASES[case]()
+    kept = copied(params)
+    rec = reconstruct(h, kept, ds)
+    for theta, grad in zip(kept, reconstruction_grads(rec)[1], strict=True):
+        for p, g in zip(vars(theta).values(), vars(grad).values(), strict=True):
+            descend(p, g, 0.1, "")
+    # a spent workspace, its gradient arrays poisoned, so that any entry not rewritten shows
+    spent = reconstruct(h + 0.5, copied(params), ds, scale=0.1)
+    for g in vars(spent.work).values():
+        g *= np.nan
+    stepped = reconstruct(h, params, ds, out=spent, scale=0.1)
+    assert stepped is spent and reconstruction_grads(stepped)[1] == []
+    assert reconstruction_loss(stepped) == reconstruction_loss(rec)
+    assert stepped.grad_h.tobytes() == rec.grad_h.tobytes()
+    for theta, want in zip(params, kept, strict=True):
+        for a, b in zip(vars(theta).values(), vars(want).values(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_stepped_pass_holds_one_view_of_decoder_gradients():
+    # each decoder steps as soon as its view's backward pass ends, and the next
+    # view reuses its gradient arrays: three views' gradients would pass the bound
+    h, params, ds = small_problem(seed=13, n=128, f=8, dims=(256, 256, 256))
+    view_bytes = 2 * h.shape[0] * 256 * h.itemsize  # one view's ReLU layer and residual
+    grad_bytes = sum(p.nbytes for p in vars(params[0]).values())  # one view's gradients
+    tracemalloc.start()
+    try:
+        rec = reconstruct(h, params, ds, scale=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reconstruction_grads(rec)[1] == []
+    assert sum(g.nbytes for g in vars(rec.work).values()) == grad_bytes
     assert peak - grad_bytes < 2 * view_bytes
 
 

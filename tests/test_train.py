@@ -278,7 +278,7 @@ def test_non_finite_joint_gradient_stops_before_the_step(monkeypatch):
     monkeypatch.setattr(slrl.cluster, "cluster_grads", overflowing)
     with pytest.raises(NumericError, match="joint epoch 1: non-finite gradient in group 'centroids'"):
         train(small_ds(), small_cfg())
-    assert np.array_equal(seen["live"], seen["before"])  # no array moved
+    assert np.array_equal(seen["live"], seen["before"])  # the centroids did not move
 
 
 def test_loss_log_format(tmp_path):
@@ -402,6 +402,42 @@ def test_step_gets_fresh_gradients(monkeypatch):
     monkeypatch.setattr(train_mod, "_step", checking_step)
     train(small_ds(), small_cfg(epochs=3, pretrain_epochs=2))
     assert len(checked) == 5 and cached
+
+
+@pytest.mark.parametrize("pretrain, where", [(2, "pretrain epoch 1"), (0, "joint epoch 1")])
+def test_a_non_finite_step_in_the_last_view_stops_that_array(monkeypatch, pretrain, where):
+    # the decoder pass steps each view's decoder from one gradient workspace,
+    # which must alias no parameter; a non-finite step stops at its own array
+    train_mod = sys.modules["slrl.train"]
+    model, seen = {}, {}
+    init_model, descend = train_mod._init_model, slrl.encoder.descend
+
+    def recording_init(*args):
+        model["h"], model["decoders"], stack = init_model(*args)
+        model["gat"] = [x for layer in stack for x in layer.w + layer.a]
+        return model["h"], model["decoders"], stack
+
+    def parameters():
+        return [model["h"], *model["gat"]] + [p for t in model["decoders"] for p in vars(t).values()]
+
+    def poisoning(value, grad, scale, name):
+        assert not any(np.shares_memory(grad, p) for p in parameters())
+        seen.setdefault("names", []).append(name)
+        if name == "group 'decoders' (decoder1.w2)":
+            seen["live"], seen["before"], seen["h"] = value, value.copy(), model["h"].copy()
+            grad[0, 0] = np.inf
+        descend(value, grad, scale, name)
+
+    monkeypatch.setattr(train_mod, "_init_model", recording_init)
+    monkeypatch.setattr(slrl.encoder, "descend", poisoning)
+    message = rf"^{where}: non-finite gradient in group 'decoders' \(decoder1\.w2\)$"
+    with pytest.raises(NumericError, match=message):
+        train(small_ds(), small_cfg(pretrain_epochs=pretrain))
+    assert seen["names"] == [f"group 'decoders' (decoder{v}.{f})" for v in (0, 1)
+                             for f in ("w1", "b1", "w2", "b2")][:7]
+    assert np.array_equal(seen["live"], seen["before"])  # decoder1.w2 did not move
+    assert np.array_equal(model["h"], seen["h"])  # nor did h
+    assert all(np.isfinite(p).all() for p in parameters())
 
 
 def test_one_set_of_attention_caches_lives_at_a_time(monkeypatch):
