@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateClusterError, DivergenceError, ParameterError, ShapeError
+from .errors import (
+    DegenerateClusterError,
+    DivergenceError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+)
 from .numerics import as_matrix, make_rng
 
 __all__ = [
@@ -37,12 +43,15 @@ _TOL = 1e-6
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (N, C), clipped at zero."""
+    """Squared Euclidean distances, (N, C), clipped at zero. Distances too large
+    for a double are a ``NumericError``: every kernel of such a row would be 0."""
     d = (
         np.sum(x * x, axis=1)[:, None]
         + np.sum(centers * centers, axis=1)[None, :]
         - 2.0 * (x @ centers.T)
     )
+    if not np.isfinite(d).all():
+        raise NumericError("points and centers too far apart: their squared distances overflow")
     return np.maximum(d, 0.0)
 
 

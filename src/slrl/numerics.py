@@ -1,4 +1,5 @@
-"""Dense float64 matrix helpers, seeded RNG, and the gradient-check contract.
+"""Dense float64 matrix helpers, seeded RNG, the descent step, and the
+gradient-check contract.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64; every public
 operation validates shapes and finiteness rather than trusting callers.

@@ -9,7 +9,7 @@ from slrl.cluster import (
     soft_assign,
     target_distribution,
 )
-from slrl.errors import DivergenceError, ParameterError
+from slrl.errors import DivergenceError, NumericError, ParameterError
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
 from oracles import kl_oracle, soft_assign_oracle, target_oracle
@@ -59,6 +59,16 @@ def test_kmeans_handles_duplicate_points():
     centers, labels, inertia = kmeans(x, 2, seed=0)
     assert inertia == pytest.approx(0.0, abs=1e-20)
     assert len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
+
+
+def test_squared_distances_that_overflow_are_a_numeric_error():
+    # every kernel of a row this far from all centroids would be 0, and Q 0/0
+    ht = np.zeros((3, 2))
+    mu = np.array([[2e300, 0.0], [-1.5e300, 1.0]])
+    with np.errstate(over="ignore"):
+        for fn in (lambda: soft_assign(ht, mu), lambda: cluster_grads(ht, mu, np.full((3, 2), 0.5))):
+            with pytest.raises(NumericError, match="squared distances overflow"):
+                fn()
 
 
 def test_soft_assign_equidistant():
