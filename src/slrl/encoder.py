@@ -21,11 +21,10 @@ same buffers before the next view reuses them. ``reconstruction_loss`` and
 ``reconstruction_grads`` return what the pass computed. Passing an earlier
 ``Reconstruction`` back as ``out`` reuses all of its arrays.
 
-Given a step ``scale``, the pass also descends: each view's decoder steps
-on its gradients as soon as its backward pass has them, so its gradients
-live in one workspace sized for the largest view, which the next view
-reuses, and no view's decoder gradients outlast its step. Only the gradient
-of H, which sums over every view, is left for the caller to step.
+Given a step ``scale``, the pass also steps each view's decoder as soon as
+that view's backward pass ends, so one gradient workspace sized for the
+largest view serves every view in turn. Only the gradient of H, a sum over
+all views, is left for the caller to step.
 """
 
 from __future__ import annotations
@@ -137,10 +136,9 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
     it must come from a pass that was given a ``scale`` too, or neither was.
 
     Without ``scale`` the pass keeps every view's decoder gradients. With it,
-    each view's decoder steps right after that view's backward pass, every
-    array by ``numerics.descend`` at ``scale``, and its gradients go: the
-    next view reuses their workspace. A non-finite scaled gradient raises
-    there, that array unmoved; the decoders of earlier views have stepped.
+    each of a view's decoder arrays steps by ``numerics.descend`` at ``scale``
+    right after that view's backward pass; a non-finite step raises there,
+    after the earlier views' decoders have stepped.
     """
     n = np.shape(h)[0]
     if ds.n_samples != n:

@@ -23,12 +23,10 @@ meaningful at any N. Reported losses follow the printed objective
 the exact gradients of that objective.
 
 All trainable state is listed once, by ``_named``, under the names the
-checkpoint uses; gradcheck and ``save_checkpoint`` walk that listing, and
-so does the optimizer step for every array but the decoders'. Those step
-inside the decoder pass (``encoder.reconstruct`` given their scale), each
-view's as soon as its gradients exist, so that one view's decoder
-gradients are alive at a time. Every array, there or in ``_step``, steps
-by ``numerics.descend``.
+checkpoint uses; the optimizer step, gradcheck and ``save_checkpoint`` all
+walk that listing, except that the decoders step inside the decoder pass
+(``encoder.reconstruct`` given their scale), each view's as soon as its
+gradients exist. Every array steps by ``numerics.descend``.
 """
 
 from __future__ import annotations
