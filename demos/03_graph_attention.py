@@ -2,8 +2,8 @@
 """Multi-head graph attention, forward and backward.
 
 Builds a small graph, inspects the attention rows (they always sum to 1),
-runs the layer in both combine modes, and verifies the hand-derived
-backward pass against central differences. Every layer runs through
+runs the layer (the sigmoid of the heads' mean aggregate), and verifies the
+hand-derived backward pass against central differences. Every layer runs through
 ``stack_forward``/``stack_backward``; a single layer is the stack ``[params]``.
 """
 
@@ -22,16 +22,11 @@ alphas = attention_coeffs(params, head=0, h=h, nbhd=nbhd)
 print("attention row sums:", [round(float(a.sum()), 12) for a in alphas])
 print("node 0 attends over", len(alphas[0]), "neighbors (self included)")
 
-out_avg, caches = stack_forward([params], h, nbhd)
-print("\naverage combine: output", out_avg.shape, "in (0,1):",
-      bool(out_avg.min() > 0 and out_avg.max() < 1))
-
-params_cat = init_gat(4, 4, heads=2, rng=make_rng(0), combine="concat")
-out_cat, _ = stack_forward([params_cat], h, nbhd)
-print("concat combine: output", out_cat.shape)
+out, caches = stack_forward([params], h, nbhd)
+print("\nlayer output", out.shape, "in (0,1):", bool(out.min() > 0 and out.max() < 1))
 
 # gradient of a random scalar functional of the output, wrt the inputs
-upstream = rng.normal(size=out_avg.shape)
+upstream = rng.normal(size=out.shape)
 [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
 
 num = finite_diff_grad(
@@ -42,7 +37,7 @@ print("\nbackward check (inputs):   rel err %.2e" % relative_error(grad_h.ravel(
 
 
 def with_head0_w(v):
-    return type(params)(w=[v.reshape(4, 4), params.w[1]], a=params.a, combine=params.combine)
+    return type(params)(w=[v.reshape(4, 4), params.w[1]], a=params.a)
 
 
 num_w = finite_diff_grad(

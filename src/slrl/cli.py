@@ -49,7 +49,6 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .gat import ACTIVATIONS, COMBINES
 from .graph import dump_edges
 from .train import TrainConfig, TrainReport, ablate, check_fit, save_checkpoint, write_loss_log
 from .train import gradcheck as run_gradcheck
@@ -75,8 +74,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     flag("--gamma", type=float)
     flag("--heads", type=int)
     flag("--layers", dest="gat_layers", metavar="LAYERS", type=int)
-    flag("--activation", choices=ACTIVATIONS)
-    flag("--combine", choices=COMBINES)
     flag("--clusters", type=int)
     flag("--seed", type=int)
 

@@ -77,7 +77,11 @@ def _plusplus_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray):
-    """Lloyd iterations; empty clusters are re-seeded from the farthest point."""
+    """One Lloyd update from ``centers``, then the labels and inertia of the result;
+    empty clusters are re-seeded from the farthest point. The loop allows
+    ``_MAX_ITER`` updates, but its first convergence test compares against an
+    infinite previous inertia and always passes, so each restart stops after
+    one update (ROADMAP item 9)."""
     n = x.shape[0]
     c = centers.shape[0]
     prev_inertia = np.inf

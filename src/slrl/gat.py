@@ -5,19 +5,19 @@ attention of node i over its neighborhood N_i (in training, i is in N_i) is
 
     alpha_ij = softmax_{j in N_i} LeakyReLU(a^kT [W^k h_i || W^k h_j]),
 
-each head aggregates g_i^k = sum_{j in N_i} alpha_ij^k W^k h_j, and heads
-combine either by averaging pre-activations (output dim F', activation
-applied after the average) or by concatenating activated head outputs
-(output dim K F'). Softmax rows are max-shifted for overflow safety.
+each head aggregates g_i^k = sum_{j in N_i} alpha_ij^k W^k h_j, and the layer
+outputs the sigmoid of the heads' mean, sigma((1/K) sum_k g_i^k): GAT's
+output-layer recipe. Every layer is F' wide, so layers chain F' -> F'.
+Softmax rows are max-shifted for overflow safety.
 
 Neighborhoods arrive as one CSR pair ``(indptr, indices)`` whose row i lists
 N_i as given; an empty row aggregates to zero.
 
 The backward pass is an exact vector-Jacobian product through the
-activation, aggregation, softmax, LeakyReLU, and linear maps; the test
+sigmoid, head mean, aggregation, softmax, LeakyReLU, and linear maps; the test
 suite checks it against central differences. A layer's cache keeps only
-what cannot be rebuilt cheaply: the layer input, the activated output
-(both activations' derivatives are functions of it), the adjacency, and a
+what cannot be rebuilt cheaply: the layer input, the sigmoid's output
+(its derivative is a function of it), the adjacency, and a
 (K, N) array of each head's attention row sums, which
 ``alpha_row_sums()`` returns. No per-head array is kept, and no per-edge
 array beyond the adjacency's own: the forward pass aggregates each head as
@@ -25,7 +25,7 @@ soon as its projection, edge scores and coefficients exist, and the
 backward pass rebuilds them, one head at a time, from the cached input by
 the same call (``_head_scores``), so bit for bit. The backward pass
 therefore reads the layer input and the parameters as they were at the
-forward pass. The per-head aggregates and the activation's input are not
+forward pass. The per-head aggregates and the sigmoid's input are not
 kept either.
 
 Attention needs three products over the graph, each weighted by one head's
@@ -46,7 +46,7 @@ provides them in one of two layouts, picked by the node count N:
 The switch sits at the measured crossover: in trainings with F' = 64 and
 k = 10, forward plus backward took about as long on either side at N = 256,
 the dense side was 1.3x faster at N = 150 and the CSR side 1.5x faster at
-N = 512. Scores, softmax, head combine and every gradient are the same code
+N = 512. Scores, softmax, head mean and every gradient are the same code
 on both sides; the sums inside the products run in a different order, so
 the two layouts agree to rounding, not bit for bit.
 """
@@ -61,8 +61,6 @@ from .errors import ParameterError, ShapeError
 from .numerics import as_matrix, make_rng
 
 __all__ = [
-    "ACTIVATIONS",
-    "COMBINES",
     "LEAKY_SLOPE",
     "GatParams",
     "init_gat",
@@ -72,9 +70,6 @@ __all__ = [
     "stack_backward",
 ]
 
-# layer activations and head-combine modes a GatParams accepts
-ACTIVATIONS = ("sigmoid", "elu")
-COMBINES = ("average", "concat")
 # negative-side slope of the LeakyReLU on attention scores, as in GAT
 LEAKY_SLOPE = 0.2
 # graphs of at most this many nodes attend through dense (N, N) matrices
@@ -89,8 +84,6 @@ class GatParams:
 
     w: list  # per head: (F', F)
     a: list  # per head: (2 F',)
-    activation: str = "sigmoid"  # "sigmoid" | "elu"
-    combine: str = "average"  # "average" | "concat"
 
     def __post_init__(self):
         if not self.w or len(self.w) != len(self.a):
@@ -101,10 +94,6 @@ class GatParams:
                 raise ShapeError("heads must share the same W shape")
             if ak.shape != (2 * fp,):
                 raise ShapeError(f"scoring vector must have length {2 * fp}")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
-        if self.combine not in COMBINES:
-            raise ParameterError(f"unknown combine mode {self.combine!r}")
 
     @property
     def heads(self) -> int:
@@ -118,19 +107,8 @@ class GatParams:
     def f_prime(self) -> int:
         return self.w[0].shape[0]
 
-    @property
-    def f_out(self) -> int:
-        return self.f_prime if self.combine == "average" else self.heads * self.f_prime
 
-
-def init_gat(
-    f_in: int,
-    f_prime: int,
-    heads: int,
-    rng: np.random.Generator,
-    activation: str = "sigmoid",
-    combine: str = "average",
-) -> GatParams:
+def init_gat(f_in: int, f_prime: int, heads: int, rng: np.random.Generator) -> GatParams:
     """He-uniform head weights (fan-in only) and Glorot-uniform scoring vectors.
 
     The fan-in rule keeps the post-attention sigmoid inputs at a usable
@@ -142,45 +120,18 @@ def init_gat(
     return GatParams(
         w=[rng.uniform(-sw, sw, size=(f_prime, f_in)) for _ in range(heads)],
         a=[rng.uniform(-sa, sa, size=2 * f_prime) for _ in range(heads)],
-        activation=activation,
-        combine=combine,
     )
 
 
-def init_gat_stack(
-    layers: int,
-    f_in: int,
-    f_prime: int,
-    heads: int,
-    seed: int,
-    activation: str = "sigmoid",
-    combine: str = "average",
-) -> list:
-    """A stack of attention layers with chained dimensions; [] when layers=0."""
+def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) -> list:
+    """A stack of attention layers, f_in -> F' and then F' -> F'; [] when layers=0."""
     rng = make_rng(seed)
-    stack = []
-    dim = f_in
-    for _ in range(layers):
-        layer = init_gat(dim, f_prime, heads, rng, activation, combine)
-        stack.append(layer)
-        dim = layer.f_out
-    return stack
+    return [init_gat(f_prime if i else f_in, f_prime, heads, rng) for i in range(layers)]
 
 
-def _activate(params: GatParams, x: np.ndarray) -> np.ndarray:
-    if params.activation == "sigmoid":
-        e = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
-
-
-def _activate_deriv(params: GatParams, act: np.ndarray) -> np.ndarray:
-    """Derivative in terms of the activation ``act`` the forward pass kept:
-    act (1 - act) for the sigmoid; for the ELU 1 where act > 0 (exactly where
-    its input is), else exp(x) = act + 1."""
-    if params.activation == "sigmoid":
-        return act * (1.0 - act)
-    return np.where(act > 0, 1.0, act + 1.0)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_neighborhoods(nbhd, n: int):
@@ -300,26 +251,15 @@ def _head_scores(params: GatParams, k: int, h, adj: _Adjacency):
 def _layer_forward(params: GatParams, h, adj: _Adjacency):
     # each head is aggregated while its projection and coefficients exist; only
     # one head's arrays live at a time
-    average = params.combine == "average"
-    aggs = []
     row_sums = np.empty((params.heads, adj.n))
-    pre = np.zeros((h.shape[0], params.f_prime)) if average else None
+    pre = np.zeros((h.shape[0], params.f_prime))
     for k in range(params.heads):
         z, _, alpha = _head_scores(params, k, h, adj)
         row_sums[k] = np.bincount(adj.row, alpha, minlength=adj.n)
-        agg = adj.aggregate(alpha, z)
+        pre += adj.aggregate(alpha, z)  # from zero, in head order, as ``sum`` over heads adds
         del z, alpha
-        if average:  # from zero, in head order: the additions ``sum`` over the heads made
-            pre += agg
-        else:
-            aggs.append(agg)
-        del agg
-    if average:
-        pre /= params.heads
-    else:
-        pre = np.concatenate(aggs, axis=1)
-        del aggs
-    out = _activate(params, pre)
+    pre /= params.heads
+    out = _sigmoid(pre)
     return out, _LayerCache(adj=adj, row_sums=row_sums, out=out, h_in=h)
 
 
@@ -329,14 +269,12 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     fp = params.f_prime
     grad_h = np.zeros_like(h)
     grad_w, grad_a = [], []
-    d_pre = upstream * _activate_deriv(params, cache.out)
-    if params.combine == "average":
-        d_pre /= params.heads
+    # the sigmoid's derivative is out (1 - out); each head's aggregate feeds the mean
+    d_agg = upstream * (cache.out * (1.0 - cache.out))
+    d_agg /= params.heads
     for k in range(params.heads):
         # the forward pass's projection, scores and coefficients, rebuilt bit for bit
         z, t, alpha = _head_scores(params, k, h, adj)
-        # each head's aggregate feeds the mean, or its own block of columns
-        d_agg = d_pre if params.combine == "average" else d_pre[:, k * fp : (k + 1) * fp]
         d_alpha = adj.edge_dots(d_agg, z)
         dz = adj.aggregate_t(alpha, d_agg)
         # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
@@ -403,7 +341,7 @@ def stack_backward(stack: list, caches: list, upstream):
         raise ShapeError(f"need one cache per layer: {len(stack)} layers, {len(caches)} caches")
     if not stack:
         return [], upstream
-    want = (caches[-1].h_in.shape[0], stack[-1].f_out)
+    want = (caches[-1].h_in.shape[0], stack[-1].f_prime)
     if upstream.shape != want:
         raise ShapeError(f"upstream shape {upstream.shape} does not match output {want}")
     grads = [None] * len(stack)

@@ -31,7 +31,6 @@ gradients exist. Every array steps by ``numerics.descend``.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,8 +79,6 @@ class TrainConfig:
     epochs: int = 200
     heads: int = 4
     gat_layers: int = 1
-    activation: str = "sigmoid"
-    combine: str = "average"
     pretrain_epochs: int = 50
     seed: int = 0
     clusters: int | None = None  # None: take the ground-truth label count
@@ -103,10 +100,6 @@ class TrainConfig:
             raise ParameterError("epoch counts must be >= 0")
         if self.heads < 1 or self.gat_layers < 0:
             raise ParameterError("need heads >= 1 and gat_layers >= 0")
-        if self.activation not in gt.ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
-        if self.combine not in gt.COMBINES:
-            raise ParameterError(f"unknown combine mode {self.combine!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -210,15 +203,7 @@ def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
     """Latent matrix, decoders and attention stack from seeds seed, seed+1, seed+2."""
     h = enc.init_latent(n, cfg.latent_dim, seed)
     decoders = enc.init_decoders(cfg.latent_dim, dims, seed + 1)
-    stack = gt.init_gat_stack(
-        cfg.gat_layers,
-        cfg.latent_dim,
-        cfg.latent_dim,
-        cfg.heads,
-        seed + 2,
-        activation=cfg.activation,
-        combine=cfg.combine,
-    )
+    stack = gt.init_gat_stack(cfg.gat_layers, cfg.latent_dim, cfg.latent_dim, cfg.heads, seed + 2)
     return h, decoders, stack
 
 
@@ -279,7 +264,7 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     decoder pass, which steps the decoders, the losses, and one step of the
     rest of ``model`` (h, attention stack) and the centroids.
 
-    Returns (record, hard assignments, centroids), the record's churn against
+    Returns (record, hard assignments), the record's churn against
     ``last_assign`` and its monitors left to ``_monitor``. The attention caches
     are dropped before the decoder pass, so they never coexist with the
     decoders' workspace and gradients. All of them are local, so none outlives
@@ -288,13 +273,7 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     h, decoders, stack = model
     ht, caches = gt.stack_forward(stack, h, nbhd)
     q = cl.soft_assign(ht, centroids)
-    try:
-        p = cl.target_distribution(q)
-    except cl.DegenerateClusterError:
-        warnings.warn("degenerate cluster during target refresh; re-seeding centroid")
-        centroids = _reseed_degenerate(ht, centroids, q)
-        q = cl.soft_assign(ht, centroids)
-        p = cl.target_distribution(q)
+    p = cl.target_distribution(q)
     lc_value = cl.kl_loss(p, q)
     assign = np.argmax(q, axis=1)
     sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.alpha_row_sums() for cache in caches]
@@ -315,7 +294,7 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     # the pass stepped the decoders, so neither listing holds them
     grads = _joint_grads(enc.reconstruction_grads(rec), cluster_grads)
     _step(_named(h, [], _gat_pairs(stack), centroids), grads, scales)
-    return record, assign, centroids
+    return record, assign
 
 
 # the early-stop monitors before the first joint epoch
@@ -393,7 +372,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             # the first epoch attends over the setup graph
             if nbhd is None:
                 nbhd = gr.build_graph(h, cfg.k).neighborhoods()
-            record, assign, centroids = _joint_epoch(
+            record, assign = _joint_epoch(
                 ds, cfg, (h, decoders, stack), centroids, nbhd, scales, assign
             )
         nbhd = None  # freed before the next build
@@ -415,20 +394,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     report.final_eval = _epoch_metrics(report.labels_pred, ds.labels)
     report.graph = g
     return report
-
-
-def _reseed_degenerate(ht, centroids, q) -> np.ndarray:
-    """Move zero-mass centroids onto the sample farthest from its centroid."""
-    centroids = centroids.copy()
-    mass = q.sum(axis=0)
-    assigned = np.argmax(q, axis=1)
-    dist = np.linalg.norm(ht - centroids[assigned], axis=1)
-    order = np.argsort(dist)[::-1]
-    pos = 0
-    for j in np.nonzero(mass <= 1e-12)[0]:
-        centroids[j] = ht[order[pos]]
-        pos += 1
-    return centroids
 
 
 def ablate(ds: MultiViewDataset, cfg: TrainConfig) -> dict:

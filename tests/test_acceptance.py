@@ -98,23 +98,20 @@ def test_criterion_oracle_equivalence():
         dense[np.repeat(np.arange(10), np.diff(g.indptr)), g.indices] = g.weights
         track(dense, gaussian_adjacency(h, 3, g.sigma))
 
-        # attention coefficients and the full multi-head layer, both modes
+        # attention coefficients and the full multi-head layer
         hg = rng.normal(size=(6, 4))
         graph = build_graph(hg, k=2)
         indptr, indices = graph.neighborhoods()
         lists = [indices[indptr[i] : indptr[i + 1]] for i in range(6)]
-        for combine in ("average", "concat"):
-            params = init_gat(4, 3, heads=2, rng=make_rng(1000 + seed), combine=combine)
-            rows = attention_coeffs(params, 0, hg, (indptr, indices))
-            want_rows = attention_oracle(params.w[0], params.a[0], LEAKY_SLOPE, hg, lists)
-            for got, want in zip(rows, want_rows):
-                track(got, want)
-            track(
-                stack_forward([params], hg, (indptr, indices))[0],
-                gat_layer_oracle(
-                    params.w, params.a, LEAKY_SLOPE, params.activation, combine, hg, lists
-                ),
-            )
+        params = init_gat(4, 3, heads=2, rng=make_rng(1000 + seed))
+        rows = attention_coeffs(params, 0, hg, (indptr, indices))
+        want_rows = attention_oracle(params.w[0], params.a[0], LEAKY_SLOPE, hg, lists)
+        for got, want in zip(rows, want_rows):
+            track(got, want)
+        track(
+            stack_forward([params], hg, (indptr, indices))[0],
+            gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, "sigmoid", "average", hg, lists),
+        )
 
         # clustering head: soft assignment, target sharpening, divergence
         ht = rng.normal(size=(7, 4))

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, and the settings are exactly
 the ones some caller sets."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import slrl
 from slrl.cli import build_parser, main
 from slrl.data import synth_multiview
+from slrl.gat import GatParams
 from slrl.train import TrainConfig, train
 
 MODULES = ["cluster", "data", "encoder", "gat", "graph", "metrics", "numerics", "train"]
@@ -26,8 +28,6 @@ SETTINGS = [
     "epochs",
     "heads",
     "gat_layers",
-    "activation",
-    "combine",
     "pretrain_epochs",
     "seed",
     "clusters",
@@ -49,13 +49,17 @@ def test_every_exported_name_resolves(module):
 # that ``reconstruct`` replaced; the edge kernel and sigma settings, which
 # changed only the weights that nothing but graph.txt reads; the report's
 # second names for ``final_eval`` and a slice of ``loss_history``; the
-# report's per-epoch lists and worst gaps, which ``report.epochs`` holds; and
-# the spent check of a decoder pass that now runs forward and backward at once
+# report's per-epoch lists and worst gaps, which ``report.epochs`` holds; the
+# spent check of a decoder pass that now runs forward and backward at once; the
+# attention layer's activation and head-combine settings, since every layer
+# averages its heads and applies a sigmoid; and the re-seed of a cluster with
+# no soft mass, which a strictly positive Q never has
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
     "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
     "final_metrics", "joint_losses", "metrics_history", "q_rowsum_gap", "p_rowsum_gap",
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
+    "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
 ]
 
 
@@ -67,6 +71,8 @@ def test_each_stage_has_one_entry_point():
     assert not hasattr(slrl.MultiViewDataset, "take")
     assert not any(hasattr(slrl.TrainReport, name) for name in DELETED)
     assert [f.name for f in fields(sys.modules["slrl.train"].GradcheckReport)] == ["errors"]
+    assert [f.name for f in fields(GatParams)] == ["w", "a"]
+    assert not hasattr(GatParams, "f_out")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--synth", "3x6", "--split", "0.8"])
     assert {"build_graph", "stack_forward", "stack_backward"} <= set(slrl.__all__)
@@ -77,6 +83,14 @@ def test_view_count_is_only_the_length_of_view_dims(command):
     # --views restated the length of --view-dims
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, "--synth", "3x6", "--views", "2"])
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "gradcheck"])
+@pytest.mark.parametrize("flag, value", [("--activation", "elu"), ("--combine", "concat")])
+def test_attention_layer_has_no_activation_or_combine_flag(command, flag, value):
+    # every attention layer averages its heads and applies a sigmoid
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--synth", "3x6", flag, value])
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +115,22 @@ def test_dependencies_are_exactly_the_third_party_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
     third_party = _imported_packages() - set(sys.stdlib_module_names) - {"slrl"}
     assert declared == third_party
+
+
+def _parser_options() -> set:
+    """Every option string of every ``slrl`` subcommand."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsers = subparsers.choices.values()
+    return {opt for sub in parsers for action in sub._actions for opt in action.option_strings}
+
+
+def test_every_readme_flag_is_an_option():
+    # a flag that README still lists after its option is deleted
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
+    assert "--synth" in flags  # the pattern finds README's flags
+    assert flags <= _parser_options(), sorted(flags - _parser_options())
 
 
 def test_train_config_holds_exactly_the_settings_callers_set():

@@ -351,8 +351,7 @@ def _subparser(command: str) -> argparse.ArgumentParser:
 CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 MODEL_FLAGS = {
     "--latent-dim": "latent_dim", "--k": "k", "--gamma": "gamma", "--heads": "heads",
-    "--layers": "gat_layers", "--activation": "activation", "--combine": "combine",
-    "--clusters": "clusters", "--seed": "seed",
+    "--layers": "gat_layers", "--clusters": "clusters", "--seed": "seed",
 }
 
 
@@ -375,14 +374,13 @@ def test_gradcheck_takes_exactly_the_model_flags():
 
 MODEL_ARGV = [
     "--latent-dim", "7", "--k", "4", "--gamma", "2.5", "--heads", "3", "--layers", "2",
-    "--activation", "elu", "--combine", "concat", "--clusters", "5", "--seed", "11",
+    "--clusters", "5", "--seed", "11",
 ]
 RUN_ARGV = [
     "--lr", "0.03", "--epochs", "17", "--pretrain-epochs", "6", "--repeats", "2", "--out", "o",
 ]
 MODEL_CONFIG = TrainConfig(
-    latent_dim=7, k=4, gamma=2.5, heads=3, gat_layers=2, activation="elu",
-    combine="concat", clusters=5, seed=11,
+    latent_dim=7, k=4, gamma=2.5, heads=3, gat_layers=2, clusters=5, seed=11,
 )
 
 

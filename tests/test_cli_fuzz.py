@@ -110,8 +110,6 @@ RUN_FLAGS = {
     "--gamma": (["0", "1", "10", "1e300"], ["-1", "nan", "inf", "x", ""]),
     "--heads": (["1", "2"], ["0", "-1", *ILL_TYPED]),
     "--layers": (["0", "1", "2"], ["-1", *ILL_TYPED]),
-    "--activation": (["sigmoid", "elu"], ["relu", "", "SIGMOID"]),
-    "--combine": (["average", "concat"], ["sum", ""]),
     "--clusters": (["2", "3"], ["1", "0", "13", "-1", *ILL_TYPED]),
     "--seed": (["0", "1"], ["-1", *ILL_TYPED]),
     "--lr": (["0.01", "0.1", "50"], ["0", "-1", "nan", "inf", "x", ""]),
@@ -121,8 +119,14 @@ GRID_FLAGS = {
     "--gamma-grid": (["1", "0,1"], ["x", "", "1,,2", "nan", "-1"]),
     "--k-grid": (["2", "2,3"], ["0", "x", "", "2,,3", "12"]),
 }
-# gone: every graph has Gaussian weights at the median-distance sigma
-REMOVED_FLAGS = {"--kernel": ["gaussian", "dot", "x"], "--sigma": ["1", "0.5", "nan", "x"]}
+# gone: every graph has Gaussian weights at the median-distance sigma, and every
+# attention layer averages its heads and applies a sigmoid
+REMOVED_FLAGS = {
+    "--kernel": ["gaussian", "dot", "x"],
+    "--sigma": ["1", "0.5", "nan", "x"],
+    "--activation": ["sigmoid", "elu"],
+    "--combine": ["average", "concat"],
+}
 
 
 @st.composite

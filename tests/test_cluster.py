@@ -71,6 +71,20 @@ def test_squared_distances_that_overflow_are_a_numeric_error():
                 fn()
 
 
+@pytest.mark.parametrize("c", [2, 10, 1000])
+def test_soft_assignments_are_strictly_positive_at_the_largest_finite_distances(c):
+    # one centroid at the samples and the rest as far away as a finite squared
+    # distance allows: each kernel is still at least 1 / (1 + max float), so no
+    # cluster has zero soft mass and the target distribution never meets one
+    far = 0.999 * np.sqrt(np.finfo(np.float64).max)
+    angle = np.linspace(0.0, 2.0 * np.pi, c - 1, endpoint=False)
+    mu = np.vstack([np.zeros((1, 2)), far * np.column_stack([np.cos(angle), np.sin(angle)])])
+    ht = make_rng(5).normal(size=(6, 2))
+    q = soft_assign(ht, mu)
+    assert q.min() > 0.0
+    assert np.all(np.isfinite(target_distribution(q)))
+
+
 def test_soft_assign_equidistant():
     ht = np.array([[0.0, 0.0]])
     mu = np.array([[1.0, 0.0], [-1.0, 0.0]])

@@ -31,8 +31,8 @@ def neighborhood_lists(indptr, indices):
     return [indices[indptr[i] : indptr[i + 1]] for i in range(len(indptr) - 1)]
 
 
-def random_params(seed, f_in, f_prime, heads, **kw):
-    return init_gat(f_in, f_prime, heads, make_rng(seed), **kw)
+def random_params(seed, f_in, f_prime, heads):
+    return init_gat(f_in, f_prime, heads, make_rng(seed))
 
 
 def random_graph(seed, n, f, k=3):
@@ -97,11 +97,9 @@ def test_forward_zero_weights_sigmoid_half():
     assert np.max(np.abs(out - 0.5)) < 1e-12
 
 
-@pytest.mark.parametrize("combine", ["average", "concat"])
-@pytest.mark.parametrize("activation", ["sigmoid", "elu"])
-def test_forward_matches_transcription_oracle(combine, activation):
+def test_forward_matches_transcription_oracle():
     for seed in range(20):
-        params = random_params(seed, 4, 3, heads=2, combine=combine, activation=activation)
+        params = random_params(seed, 4, 3, heads=2)
         h, g = random_graph(seed + 50, n=6, f=4, k=2)
         indptr, indices = g.neighborhoods()
         got = stack_forward([params], h, (indptr, indices))[0]
@@ -109,8 +107,8 @@ def test_forward_matches_transcription_oracle(combine, activation):
             params.w,
             params.a,
             LEAKY_SLOPE,
-            activation,
-            combine,
+            "sigmoid",
+            "average",
             h,
             neighborhood_lists(indptr, indices),
         )
@@ -161,13 +159,11 @@ def test_backward_zero_upstream():
     assert np.max(np.abs(grad_h)) == 0
 
 
-@pytest.mark.parametrize("combine", ["average", "concat"])
-def test_backward_matches_finite_differences(combine):
-    params = random_params(17, 3, 3, heads=2, combine=combine)
+def test_backward_matches_finite_differences():
+    params = random_params(17, 3, 3, heads=2)
     h, g = random_graph(18, n=5, f=3, k=2)
     nbhd = g.neighborhoods()
-    f_out = params.f_out
-    upstream = make_rng(19).normal(size=(5, f_out))
+    upstream = make_rng(19).normal(size=(5, params.f_prime))
 
     _, caches = stack_forward([params], h, nbhd)
     [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
@@ -181,7 +177,7 @@ def test_backward_matches_finite_differences(combine):
         def scalar_of_w(vec, k=k):
             w = [m.copy() for m in params.w]
             w[k] = vec.reshape(params.w[k].shape)
-            p = GatParams(w=w, a=params.a, activation=params.activation, combine=combine)
+            p = GatParams(w=w, a=params.a)
             return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num = finite_diff_grad(scalar_of_w, params.w[k].ravel(), 1e-5)
@@ -190,7 +186,7 @@ def test_backward_matches_finite_differences(combine):
         def scalar_of_a(vec, k=k):
             a = [v.copy() for v in params.a]
             a[k] = vec
-            p = GatParams(w=params.w, a=a, activation=params.activation, combine=combine)
+            p = GatParams(w=params.w, a=a)
             return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
@@ -268,11 +264,11 @@ def test_stack_backward_rejects_bad_upstream(upstream, kept):
 
 
 def test_stack_two_layers_shapes():
-    stack = init_gat_stack(2, 4, 3, heads=2, seed=0, combine="concat")
+    stack = init_gat_stack(2, 4, 3, heads=2, seed=0)
     h, g = random_graph(23, n=6, f=4)
     out, caches = stack_forward(stack, h, g.neighborhoods())
-    assert out.shape == (6, 6)  # concat: K * F' = 2 * 3
-    assert stack[1].f_in == 6
+    assert out.shape == (6, 3)  # every layer is F' wide
+    assert stack[1].f_in == 3
     grads, grad_h = stack_backward(stack, caches, np.ones_like(out))
     assert grad_h.shape == h.shape
     assert len(grads) == 2
@@ -293,20 +289,17 @@ NO_EDGES = [[]] * 5
 
 
 @pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
-@pytest.mark.parametrize("combine", ["average", "concat"])
-@pytest.mark.parametrize("activation", ["sigmoid", "elu"])
-def test_empty_neighborhoods_forward_matches_oracle(lists, combine, activation):
-    params = random_params(30, 3, 4, heads=2, combine=combine, activation=activation)
+def test_empty_neighborhoods_forward_matches_oracle(lists):
+    params = random_params(30, 3, 4, heads=2)
     h = make_rng(31).normal(size=(5, 3))
     nbhd = csr(lists)
     out = stack_forward([params], h, nbhd)[0]
-    want = gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, activation, combine, h, lists)
+    want = gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, "sigmoid", "average", h, lists)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - want)) < 1e-12
-    act_zero = 0.5 if activation == "sigmoid" else 0.0
     for i, ids in enumerate(lists):
         if not ids:
-            assert np.all(out[i] == act_zero)
+            assert np.all(out[i] == 0.5)  # the sigmoid of a zero aggregate
 
 
 @pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
@@ -350,7 +343,7 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
 def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)  # only the CSR side gathers in chunks
     h, g = random_graph(23, 40, 5, k=4)
-    stack = init_gat_stack(2, 5, 3, 2, seed=4, combine="concat", activation="elu")
+    stack = init_gat_stack(2, 5, 3, 2, seed=4)
     out, caches = stack_forward(stack, h, g.neighborhoods())
     assert isinstance(caches[0].adj, gat._SparseAdjacency)
     upstream = make_rng(24).normal(size=out.shape)
@@ -366,11 +359,10 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
 WITH_REPEAT = [[0, 3, 3, 1], [1, 0, 4], [], [3, 0, 1], [4, 1, 6], [], [6, 4, 0]]
 
 
-@pytest.mark.parametrize("activation, combine", [("sigmoid", "average"), ("elu", "concat")])
-def test_dense_and_csr_layouts_agree(monkeypatch, activation, combine):
-    stack = init_gat_stack(2, 4, 3, 2, seed=6, combine=combine, activation=activation)
+def test_dense_and_csr_layouts_agree(monkeypatch):
+    stack = init_gat_stack(2, 4, 3, 2, seed=6)
     h = make_rng(50).normal(size=(7, 4))
-    upstream = make_rng(51).normal(size=(7, stack[-1].f_out))
+    upstream = make_rng(51).normal(size=(7, stack[-1].f_prime))
     runs = {}
     for layout, switch in (("dense", 7), ("csr", 6)):
         monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
@@ -421,12 +413,11 @@ def _reachable_arrays(root) -> list:
 
 
 @pytest.mark.parametrize("n", [40, 300])  # the dense and the CSR adjacency
-@pytest.mark.parametrize("combine", ["average", "concat"])
-def test_caches_keep_no_head_projection(n, combine):
+def test_caches_keep_no_head_projection(n):
     # W^k h is rebuilt by the backward pass; no (N, F') array is kept for it
     f = fp = 6
     h, g = random_graph(27, n, f, k=4)
-    stack = init_gat_stack(2, f, fp, 4, seed=8, combine=combine)
+    stack = init_gat_stack(2, f, fp, 4, seed=8)
     _, caches = stack_forward(stack, h, g.neighborhoods())
     assert isinstance(caches[1].adj, gat._DenseAdjacency if n <= 256 else gat._SparseAdjacency)
     for cache in caches:

@@ -74,8 +74,8 @@ def test_config_validation():
         (dict(clusters=19), r"cluster count 19 outside \[2, 18\]"),
         (dict(clusters=1), r"cluster count 1 outside \[2, 18\]"),
         (dict(heads=0), "need heads >= 1 and gat_layers >= 0"),
-        (dict(activation="bogus"), "unknown activation 'bogus'"),
-        (dict(combine="x"), "unknown combine mode 'x'"),
+        (dict(gat_layers=-1), "need heads >= 1 and gat_layers >= 0"),
+        (dict(pretrain_epochs=-1), "epoch counts must be >= 0"),
         (dict(latent_dim=1), "latent_dim must be >= 2"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
     ],
@@ -204,7 +204,7 @@ def test_gradcheck_all_groups_pass():
     ds = synth_multiview(3, 4, [4, 3], noise=0.1, seed=0)  # N = 12, two views
     stacks = [
         dict(gat_layers=1),
-        dict(gat_layers=2, combine="concat", activation="elu"),
+        dict(gat_layers=2),
         dict(gat_layers=0),
     ]
     for stack in stacks:
@@ -239,7 +239,7 @@ def test_gradcheck_loss_reproducible():
 
 def test_checkpoint_round_trip(tmp_path):
     ds = small_ds()
-    rep = train(ds, small_cfg(gat_layers=2, combine="concat", activation="elu"))
+    rep = train(ds, small_cfg(gat_layers=2))
     save_checkpoint(rep, tmp_path / "ckpt")
     back = load_checkpoint(tmp_path / "ckpt")
     # every trainable array, listed here by hand, plus the two outputs

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from slrl import errors
 from slrl.data import synth_multiview
-from slrl.gat import ACTIVATIONS, COMBINES
 from slrl.train import TrainConfig, train
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
@@ -34,8 +33,6 @@ CONFIGS = st.builds(
     epochs=EPOCHS,
     heads=st.integers(1, 3),
     gat_layers=st.integers(0, 2),
-    activation=st.sampled_from(sorted(ACTIVATIONS)),
-    combine=st.sampled_from(sorted(COMBINES)),
     pretrain_epochs=EPOCHS,
     seed=st.integers(0, 3),
     clusters=st.one_of(st.none(), st.integers(1, 9)),
