@@ -13,7 +13,9 @@ setting that does not fit exits 2 and writes nothing. Then it writes a
 JSON manifest into the output directory before any training starts, so a run
 is reproducible from the manifest alone. After the command's body the manifest
 records how the run ended: ``"status": "ok"`` with ``completed_at``, or
-``"status": "error"`` with the message of the typed error that ended it. Plot
+``"status": "error"`` with the message of the error that ended it. Every
+``slrl.errors.SlrlError`` and every ``OSError`` ends a command with one
+``error:`` line on stderr and exit status 2, never a traceback. Plot
 emission is data-only (CSV loss curves, metric grids, 2-D PCA projections);
 rendering is left to external tools. BLAS threads follow the BLAS's own
 variables, such as ``OMP_NUM_THREADS``.
@@ -42,27 +44,14 @@ from .data import (
     save_dataset,
     synth_multiview,
 )
-from .errors import (
-    DegenerateClusterError,
-    DivergenceError,
-    FormatError,
-    NumericError,
-    ParameterError,
-)
+from .errors import ParameterError, SlrlError
 from .graph import dump_edges
 from .train import TrainConfig, TrainReport, ablate, check_fit, save_checkpoint, write_loss_log
 from .train import gradcheck as run_gradcheck
 from .train import train as run_train
 
-# the typed errors a command ends on: one ``error:`` line and exit status 2
-_ERRORS = (
-    ParameterError,
-    FormatError,
-    OSError,
-    NumericError,
-    DegenerateClusterError,
-    DivergenceError,
-)
+# the errors a command ends on: one ``error:`` line and exit status 2
+_ERRORS = (SlrlError, OSError)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

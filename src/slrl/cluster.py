@@ -81,7 +81,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray):
     empty clusters are re-seeded from the farthest point. The loop allows
     ``_MAX_ITER`` updates, but its first convergence test compares against an
     infinite previous inertia and always passes, so each restart stops after
-    one update (ROADMAP item 9)."""
+    one update (ROADMAP item 5)."""
     n = x.shape[0]
     c = centers.shape[0]
     prev_inertia = np.inf

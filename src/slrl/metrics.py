@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -213,15 +213,7 @@ class MetricsReport:
     c_true: int
 
     def as_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "f_score": self.f_score,
-            "ari": self.ari,
-            "n": self.n,
-            "c_pred": self.c_pred,
-            "c_true": self.c_true,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         """Flat key-value block, one ``key value`` pair per line."""

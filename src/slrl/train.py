@@ -43,13 +43,7 @@ from . import gat as gt
 from . import graph as gr
 from . import metrics as mt
 from .data import MultiViewDataset, read_matrix, write_matrix
-from .errors import (
-    DegenerateClusterError,
-    DivergenceError,
-    FormatError,
-    NumericError,
-    ParameterError,
-)
+from .errors import FormatError, NumericError, ParameterError, SlrlError
 from .numerics import descend, finite_diff_grad, relative_error
 
 __all__ = [
@@ -161,25 +155,20 @@ def total_loss(lr_value: float, lc_value: float, gamma: float) -> float:
     return value
 
 
-def _resolve_clusters(ds: MultiViewDataset, cfg: TrainConfig) -> int:
-    if cfg.clusters is not None:
-        return int(cfg.clusters)
-    c = ds.n_clusters()
-    if c is None:
-        raise ParameterError("dataset has no labels; pass the cluster count explicitly")
-    return c
-
-
-def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> None:
-    """Raise ``ParameterError`` unless ``cfg`` is valid and fits ``ds``: k below the
-    sample count and between 2 and N clusters. ``train`` runs this first."""
+def check_fit(ds: MultiViewDataset, cfg: TrainConfig) -> int:
+    """Return the cluster count, ``cfg.clusters`` or else the label count; raise
+    ``ParameterError`` unless ``cfg`` is valid and fits ``ds``: k below the sample
+    count and between 2 and N clusters. ``train`` runs this first."""
     cfg.validate()
     n = ds.n_samples
     if cfg.k > n - 1:
         raise ParameterError(f"k={cfg.k} too large for {n} samples")
-    c = _resolve_clusters(ds, cfg)
+    c = ds.n_clusters() if cfg.clusters is None else int(cfg.clusters)
+    if c is None:
+        raise ParameterError("dataset has no labels; pass the cluster count explicitly")
     if not 2 <= c <= n:
         raise ParameterError(f"cluster count {c} outside [2, {n}]")
+    return c
 
 
 def _epoch_metrics(assign: np.ndarray, labels) -> mt.MetricsReport | None:
@@ -187,7 +176,6 @@ def _epoch_metrics(assign: np.ndarray, labels) -> mt.MetricsReport | None:
 
 
 _GROUPS = ("h", "decoders", "gat", "centroids")
-_DECODER_FIELDS = ("w1", "b1", "w2", "b2")
 # early stopping: an epoch that does not lower the best loss by this relative
 # margin spends one unit of patience
 _EARLY_STOP_TOL = 1e-6
@@ -220,7 +208,7 @@ def _named(h, decoders, gat, centroids=None) -> list:
     """
     out = [("h", "h", h)]
     for v, theta in enumerate(decoders):
-        out += [("decoders", f"decoder{v}.{f}", getattr(theta, f)) for f in _DECODER_FIELDS]
+        out += [("decoders", f"decoder{v}.{f}", p) for f, p in vars(theta).items()]
     for layer_idx, (ws, avecs) in enumerate(gat):
         out += [("gat", f"gat{layer_idx}.head{k}.w", w) for k, w in enumerate(ws)]
         out += [("gat", f"gat{layer_idx}.head{k}.a", a) for k, a in enumerate(avecs)]
@@ -244,17 +232,13 @@ def _step(params, grads, scales: dict) -> None:
         descend(value, grad, scales[group], f"group {group!r} ({name})")
 
 
-# the errors the kernels of a training epoch raise
-_KERNEL_ERRORS = (NumericError, ParameterError, DegenerateClusterError, DivergenceError)
-
-
 @contextmanager
 def _phase_errors(where: str):
-    """Re-raise a kernel error, of the same type, with ``where`` before its message,
-    so that a failure names the epoch whose step led to it."""
+    """Re-raise a typed error (any ``SlrlError``), of the same type, with ``where``
+    before its message, so that a failure names the epoch whose step led to it."""
     try:
         yield
-    except _KERNEL_ERRORS as err:
+    except SlrlError as err:
         raise type(err)(f"{where}: {err}") from err
 
 
@@ -339,9 +323,8 @@ def _joint_grads(rec_grads, cluster_grads) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
-    check_fit(ds, cfg)
+    n_clusters = check_fit(ds, cfg)
     n = ds.n_samples
-    n_clusters = _resolve_clusters(ds, cfg)
 
     h, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
     report = TrainReport(decoders=decoders, gat_stack=stack)
@@ -453,11 +436,10 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
     close to a kink are re-seeded deterministically, since finite
     differences are meaningless across a kink.
     """
-    check_fit(ds, cfg)
+    n_clusters = check_fit(ds, cfg)
     n = ds.n_samples
     if n > 30:
         raise ParameterError(f"gradcheck needs N <= 30, got {n}")
-    n_clusters = _resolve_clusters(ds, cfg)
 
     seed = cfg.seed
     for _ in range(50):

@@ -52,14 +52,17 @@ def test_every_exported_name_resolves(module):
 # report's per-epoch lists and worst gaps, which ``report.epochs`` holds; the
 # spent check of a decoder pass that now runs forward and backward at once; the
 # attention layer's activation and head-combine settings, since every layer
-# averages its heads and applies a sigmoid; and the re-seed of a cluster with
-# no soft mass, which a strictly positive Q never has
+# averages its heads and applies a sigmoid; the re-seed of a cluster with
+# no soft mass, which a strictly positive Q never has; and second copies of
+# the typed errors, the cluster count and the decoder field order, which
+# ``SlrlError``, ``check_fit`` and ``DecoderParams`` state once
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
     "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
     "final_metrics", "joint_losses", "metrics_history", "q_rowsum_gap", "p_rowsum_gap",
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
     "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
+    "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS",
 ]
 
 

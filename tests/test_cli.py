@@ -15,7 +15,7 @@ import pytest
 import slrl.cli
 from slrl.cli import build_parser, main
 from slrl.data import load_dataset, save_dataset, synth_multiview
-from slrl.errors import DegenerateClusterError, DivergenceError, NumericError
+from slrl.errors import DegenerateClusterError, DivergenceError, NumericError, ShapeError
 from slrl.train import TrainConfig
 
 SRC = str(Path(slrl.cli.__file__).resolve().parents[1])
@@ -510,7 +510,9 @@ def test_each_repeat_report_is_released(tmp_path, monkeypatch):
     assert len(refs) == 3
 
 
-@pytest.mark.parametrize("exc", [NumericError, DegenerateClusterError, DivergenceError])
+@pytest.mark.parametrize(
+    "exc", [NumericError, DegenerateClusterError, DivergenceError, ShapeError]
+)
 def test_training_failures_map_to_exit_2(tmp_path, capsys, monkeypatch, exc):
     def fail(ds, cfg):
         raise exc("training failed")
@@ -519,6 +521,8 @@ def test_training_failures_map_to_exit_2(tmp_path, capsys, monkeypatch, exc):
     code = run_cli("train", "--synth", "3x5", "--out", str(tmp_path / "x"))
     assert code == 2
     assert capsys.readouterr().err == "error: training failed\n"
+    manifest = json.loads((tmp_path / "x" / "run_manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"] == "training failed"
 
 
 @pytest.fixture

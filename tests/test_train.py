@@ -10,11 +10,13 @@ import pytest
 from dataclasses import is_dataclass, replace
 
 from slrl.data import synth_multiview
+import slrl.cli
 import slrl.cluster
 import slrl.encoder
+import slrl.errors
 import slrl.gat
 import slrl.graph
-from slrl.errors import FormatError, NumericError, ParameterError
+from slrl.errors import FormatError, NumericError, ParameterError, ShapeError, SlrlError
 from slrl.train import (
     TrainConfig,
     ablate,
@@ -95,7 +97,8 @@ def test_check_fit_needs_clusters_without_labels():
     ds = replace(small_ds(), labels=None)
     with pytest.raises(ParameterError, match="no labels"):
         check_fit(ds, small_cfg())
-    check_fit(ds, small_cfg(clusters=3))
+    assert check_fit(ds, small_cfg(clusters=3)) == 3
+    assert check_fit(small_ds(), small_cfg()) == small_ds().n_clusters()
 
 
 def test_zero_joint_epochs_keeps_pretrained_state():
@@ -279,6 +282,36 @@ def test_non_finite_joint_gradient_stops_before_the_step(monkeypatch):
     with pytest.raises(NumericError, match="joint epoch 1: non-finite gradient in group 'centroids'"):
         train(small_ds(), small_cfg())
     assert np.array_equal(seen["live"], seen["before"])  # the centroids did not move
+
+
+def test_shape_error_in_an_epoch_names_the_epoch(monkeypatch):
+    def misshapen(ht, centroids):
+        raise ShapeError("centroids do not match ht")
+
+    monkeypatch.setattr(slrl.cluster, "soft_assign", misshapen)
+    with pytest.raises(ShapeError, match="^joint epoch 1: centroids do not match ht$"):
+        train(small_ds(), small_cfg())
+
+
+def test_every_typed_error_has_one_root_the_cli_maps():
+    # a new error class that the CLI does not map to exit 2 fails here
+    bases = {
+        "ShapeError": ValueError,
+        "ParameterError": ValueError,
+        "FormatError": ValueError,
+        "NumericError": ArithmeticError,
+        "DegenerateClusterError": RuntimeError,
+        "DivergenceError": ValueError,
+    }
+    classes = {
+        name: obj
+        for name, obj in vars(slrl.errors).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj is not SlrlError
+    }
+    assert classes.keys() == bases.keys()
+    for name, cls in classes.items():
+        assert issubclass(cls, SlrlError) and issubclass(cls, bases[name]), name
+        assert issubclass(cls, slrl.cli._ERRORS), name
 
 
 def test_loss_log_format(tmp_path):
