@@ -8,24 +8,23 @@ degenerate partitions where the textbook formulas divide by zero.
 
 import numpy as np
 
-from slrl import accuracy, ari, evaluate, nmi, pair_f_score
+from slrl import evaluate
 from slrl.metrics import aggregate_rows
 
 truth = [0, 0, 0, 1, 1, 2]
 pred_perfect = [2, 2, 2, 0, 0, 1]  # same partition, shuffled ids
 print("relabeled perfect prediction:")
-print("  ACC %.3f  NMI %.3f  F %.3f  ARI %.3f" % (
-    accuracy(pred_perfect, truth), nmi(pred_perfect, truth),
-    pair_f_score(pred_perfect, truth), ari(pred_perfect, truth)))
+rep = evaluate(pred_perfect, truth)
+print("  ACC %.3f  NMI %.3f  F %.3f  ARI %.3f" % (rep.acc, rep.nmi, rep.f_score, rep.ari))
 
 print("\nhand-checkable cases:")
-print("  ACC([0,0,1,1] vs [0,1,1,1]) =", accuracy([0, 0, 1, 1], [0, 1, 1, 1]))
-print("  ARI([0,0,1,1] vs [0,1,0,1]) =", ari([0, 0, 1, 1], [0, 1, 0, 1]))
+print("  ACC([0,0,1,1] vs [0,1,1,1]) =", evaluate([0, 0, 1, 1], [0, 1, 1, 1]).acc)
+print("  ARI([0,0,1,1] vs [0,1,0,1]) =", evaluate([0, 0, 1, 1], [0, 1, 0, 1]).ari)
 
 print("\ndegenerate conventions:")
-print("  NMI(all-same vs varied) =", nmi([0, 0, 0, 0], [0, 1, 0, 1]))
-print("  F(singletons vs pairs)  =", pair_f_score([0, 1, 2, 3], [0, 0, 1, 1]))
-print("  ARI(two identical one-cluster partitions) =", ari([0, 0, 0], [5, 5, 5]))
+print("  NMI(all-same vs varied) =", evaluate([0, 0, 0, 0], [0, 1, 0, 1]).nmi)
+print("  F(singletons vs pairs)  =", evaluate([0, 1, 2, 3], [0, 0, 1, 1]).f_score)
+print("  ARI(two identical one-cluster partitions) =", evaluate([0, 0, 0], [5, 5, 5]).ari)
 
 # reports aggregate over repeated runs as mean and standard deviation
 rng = np.random.default_rng(0)

@@ -39,7 +39,7 @@ from .gat import (
     stack_forward,
 )
 from .graph import NeighborGraph, build_graph, knn_indices
-from .metrics import MetricsReport, accuracy, ari, evaluate, nmi, pair_f_score
+from .metrics import MetricsReport, evaluate
 from .numerics import finite_diff_grad, make_rng, relative_error
 from .train import TrainConfig, TrainReport, ablate, gradcheck, total_loss, train
 
@@ -73,11 +73,7 @@ __all__ = [
     "build_graph",
     "knn_indices",
     "MetricsReport",
-    "accuracy",
-    "ari",
     "evaluate",
-    "nmi",
-    "pair_f_score",
     "finite_diff_grad",
     "make_rng",
     "relative_error",

@@ -286,9 +286,4 @@ def synth_multiview(
         basis = rng.normal(size=(gen_dim, d_v)) / np.sqrt(gen_dim)
         clean = latent @ basis
         views.append(clean + noise * rng.normal(size=(n, d_v)))
-    return MultiViewDataset(
-        views=views,
-        labels=labels,
-        view_names=[f"view{i}" for i in range(len(view_dims))],
-        kinds=["continuous"] * len(view_dims),
-    )
+    return MultiViewDataset(views=views, labels=labels)

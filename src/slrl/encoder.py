@@ -40,7 +40,6 @@ from .numerics import as_matrix, descend, make_rng
 __all__ = [
     "DecoderParams",
     "init_latent",
-    "init_decoder",
     "init_decoders",
     "Reconstruction",
     "reconstruct",
@@ -82,20 +81,15 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_out, fan_in))
 
 
-def init_decoder(f: int, d_v: int, rng: np.random.Generator) -> DecoderParams:
-    """Glorot-uniform weights, zero biases, hidden width max(2F, d_v)."""
-    hidden = max(2 * f, d_v)
-    return DecoderParams(
-        w1=_glorot(rng, hidden, f),
-        b1=np.zeros(hidden),
-        w2=_glorot(rng, d_v, hidden),
-        b2=np.zeros(d_v),
-    )
-
-
 def init_decoders(f: int, dims, seed: int) -> list:
+    """One decoder per view: Glorot-uniform weights, zero biases, hidden width max(2F, d_v)."""
     rng = make_rng(seed)
-    return [init_decoder(f, d_v, rng) for d_v in dims]
+    decoders = []
+    for d_v in dims:
+        hidden = max(2 * f, d_v)
+        w1, w2 = _glorot(rng, hidden, f), _glorot(rng, d_v, hidden)
+        decoders.append(DecoderParams(w1, np.zeros(hidden), w2, np.zeros(d_v)))
+    return decoders
 
 
 @dataclass
@@ -110,6 +104,9 @@ class Reconstruction:
     # sized for the largest view, that holds one view's gradients until its step
     work: DecoderParams | None = None
     loss: float = np.nan
+    # the pass the arrays were sized for: whether it steps, the shape of h and
+    # the shape of every decoder array
+    made_for: tuple = ()
 
 
 def _view_forward(h, theta: DecoderParams, x, hid, res) -> None:
@@ -133,7 +130,9 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
     """The whole decoder pass: for each view in turn, its forward pass, its
     squared errors added into the loss, and its backward pass in place over the
     same workspace. Passing an earlier return value as ``out`` reuses its arrays;
-    it must come from a pass that was given a ``scale`` too, or neither was.
+    it must come from a pass that was given a ``scale`` too, or neither was, over
+    arrays of the same shapes, else ``ShapeError`` is raised before any array is
+    written.
 
     Without ``scale`` the pass keeps every view's decoder gradients. With it,
     each of a view's decoder arrays steps by ``numerics.descend`` at ``scale``
@@ -148,18 +147,23 @@ def reconstruct(h, params, ds: MultiViewDataset, out: Reconstruction | None = No
     h = as_matrix(h, "h")
     for theta in params:
         theta.check_chain(h.shape[1])
+    made_for = (scale is not None, h.shape, [p.shape for t in params for p in vars(t).values()])
     if out is None:
         out = Reconstruction(
             np.empty(n * max(theta.w1.shape[0] for theta in params)),
             np.empty(n * max(theta.w2.shape[0] for theta in params)),
             np.empty_like(h),
             [],
+            made_for=made_for,
         )
         if scale is None:
             out.grads = [DecoderParams(*map(np.empty_like, vars(t).values())) for t in params]
         else:
             sizes = zip(*([p.size for p in vars(t).values()] for t in params))
             out.work = DecoderParams(*(np.empty(max(s)) for s in sizes))
+    elif out.made_for != made_for:
+        raise ShapeError("out must come from a pass of the same kind, with a scale or without, "
+                         "over a latent matrix and decoders of the same shapes")
     grads = out.grads if scale is None else [_shaped(out.work, theta) for theta in params]
     total, grad_h = np.zeros(n), out.grad_h
     grad_h.fill(0.0)

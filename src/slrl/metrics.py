@@ -1,21 +1,25 @@
 """Clustering agreement metrics: ACC, NMI, pairwise F-score, ARI.
 
-Every score is a function of one contingency table, the count of samples
-in each (pred cluster, truth cluster) pair; ``evaluate`` builds it once.
-No score depends on the table's row or column order, so all four are
-label-permutation invariant. The library returns fractions in [0, 1]
-(ARI in [-1, 1]); percentages only appear in reports.
+``evaluate`` is the one entry point: it builds one contingency table, the
+count of samples in each (pred cluster, truth cluster) pair, and returns all
+four scores from it. No score depends on the table's row or column order, so
+all four are label-permutation invariant. The library returns fractions in
+[0, 1] (ARI in [-1, 1]); percentages only appear in reports.
 
 Conventions pinned here so numbers are reproducible:
-  * ACC uses an optimal one-to-one cluster mapping, not a greedy mapping.
-    The mapping comes from an in-house exact assignment on the contingency
-    matrix (Kuhn-Munkres with row and column potentials, in Python
-    integers), so scoring loads no optimisation library.
+  * ACC uses an optimal one-to-one cluster mapping, not a greedy mapping;
+    surplus ids of a rectangular table stay unmatched. The mapping comes
+    from an in-house exact assignment on the contingency matrix
+    (Kuhn-Munkres with row and column potentials, in Python integers), so
+    scoring loads no optimisation library.
   * NMI normalizes mutual information by the arithmetic mean of the two
     label entropies; if either entropy is zero the score is 1 when the
     partitions are identical and 0 otherwise.
-  * The F-score is the pairwise variant: precision/recall over the
-    C(N,2) sample pairs, a pair being positive when co-clustered.
+  * The F-score is the pairwise variant: precision/recall over the C(N,2)
+    sample pairs, a pair being positive when co-clustered; 0 when undefined.
+  * ARI comes from the same pair counts; where its denominator is zero it is
+    1 for identical partitions and 0 otherwise. With one sample there are no
+    pairs, and F and ARI are both 1.
 """
 
 from __future__ import annotations
@@ -29,23 +33,19 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "accuracy",
-    "nmi",
-    "pair_f_score",
-    "ari",
     "MetricsReport",
     "evaluate",
     "aggregate_rows",
 ]
 
 
-def _check_labels(pred, truth, min_len: int = 1):
+def _check_labels(pred, truth):
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.shape[0] != truth.shape[0]:
         raise ParameterError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
-    if pred.shape[0] < min_len:
-        raise ParameterError(f"need at least {min_len} samples, got {pred.shape[0]}")
+    if pred.shape[0] == 0:
+        raise ParameterError("no labels to score")
     return pred, truth
 
 
@@ -166,40 +166,6 @@ def _ari(table: np.ndarray, pairs: tuple) -> float:
     return 2.0 * (n11 * n00 - n10 * n01) / denom
 
 
-def accuracy(pred, truth) -> float:
-    """Best agreement fraction over one-to-one mappings of cluster ids.
-
-    When the partitions have different numbers of clusters the contingency
-    matrix is rectangular; the assignment simply leaves the surplus ids
-    unmatched (equivalent to padding with zero rows/columns).
-    """
-    pred, truth = _check_labels(pred, truth)
-    return _max_matched(_table(pred, truth)) / pred.shape[0]
-
-
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by the arithmetic mean of entropies."""
-    pred, truth = _check_labels(pred, truth)
-    return _nmi(_table(pred, truth), pred.shape[0])
-
-
-def pair_f_score(pred, truth) -> float:
-    """Harmonic mean of pairwise precision and recall; 0 when undefined."""
-    pred, truth = _check_labels(pred, truth, min_len=2)
-    return _f_score(_pairs(_table(pred, truth), pred.shape[0]))
-
-
-def ari(pred, truth) -> float:
-    """Adjusted Rand index from the pair counts.
-
-    Degenerate inputs (both partitions all singletons or both one cluster)
-    are defined as 1 for identical partitions and 0 otherwise.
-    """
-    pred, truth = _check_labels(pred, truth, min_len=2)
-    table = _table(pred, truth)
-    return _ari(table, _pairs(table, pred.shape[0]))
-
-
 @dataclass
 class MetricsReport:
     """The four agreement scores for one prediction against ground truth."""
@@ -242,6 +208,16 @@ def evaluate(pred, truth) -> MetricsReport:
         c_pred=c_pred,
         c_true=c_true,
     )
+
+
+# Not part of the API: the benchmark's own tests import these two names, and
+# ``bench/`` changes only together with the benchmark (ROADMAP item 1).
+def accuracy(pred, truth) -> float:
+    return evaluate(pred, truth).acc
+
+
+def nmi(pred, truth) -> float:
+    return evaluate(pred, truth).nmi
 
 
 def aggregate_rows(reports) -> str:

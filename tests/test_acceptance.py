@@ -14,7 +14,7 @@ from slrl.cluster import kl_loss, soft_assign, target_distribution
 from slrl.data import synth_multiview
 from slrl.gat import LEAKY_SLOPE, attention_coeffs, init_gat, stack_forward
 from slrl.graph import build_graph
-from slrl.metrics import accuracy, ari, nmi, pair_f_score
+from slrl.metrics import evaluate
 from slrl.numerics import make_rng
 from slrl.train import TrainConfig, ablate, gradcheck, train
 
@@ -128,21 +128,20 @@ def test_criterion_oracle_equivalence():
 @pytest.mark.slow
 def test_criterion_metrics_exhaustive():
     # hand-verifiable anchors first
-    assert accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == 0.75
-    assert ari([0, 0, 1, 1], [0, 1, 0, 1]) == -0.5
+    assert evaluate([0, 0, 1, 1], [0, 1, 1, 1]).acc == 0.75
+    assert evaluate([0, 0, 1, 1], [0, 1, 0, 1]).ari == -0.5
     worst = 0.0
     pairs = 0
     for n in range(1, 9):
         parts = [np.array(p) for p in partitions_up_to(n, 3)]
         for i, pred in enumerate(parts):
             for truth in parts[i:]:
-                worst = max(worst, abs(accuracy(pred, truth) - acc_bruteforce(pred, truth)))
-                worst = max(worst, abs(nmi(pred, truth) - nmi_oracle(pred, truth)))
+                rep = evaluate(pred, truth)
+                worst = max(worst, abs(rep.acc - acc_bruteforce(pred, truth)))
+                worst = max(worst, abs(rep.nmi - nmi_oracle(pred, truth)))
                 if n >= 2:
-                    worst = max(
-                        worst, abs(pair_f_score(pred, truth) - f_score_oracle(pred, truth))
-                    )
-                    worst = max(worst, abs(ari(pred, truth) - ari_oracle(pred, truth)))
+                    worst = max(worst, abs(rep.f_score - f_score_oracle(pred, truth)))
+                    worst = max(worst, abs(rep.ari - ari_oracle(pred, truth)))
                 pairs += 1
     announce(
         "metrics-exhaustive", worst < 1e-10, f"worst |diff| {worst:.2e} over {pairs} pairs"

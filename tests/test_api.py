@@ -53,17 +53,23 @@ def test_every_exported_name_resolves(module):
 # spent check of a decoder pass that now runs forward and backward at once; the
 # attention layer's activation and head-combine settings, since every layer
 # averages its heads and applies a sigmoid; the re-seed of a cluster with
-# no soft mass, which a strictly positive Q never has; and second copies of
+# no soft mass, which a strictly positive Q never has; second copies of
 # the typed errors, the cluster count and the decoder field order, which
-# ``SlrlError``, ``check_fit`` and ``DecoderParams`` state once
+# ``SlrlError``, ``check_fit`` and ``DecoderParams`` state once; the
+# single-score functions, since ``evaluate`` returns all four scores from one
+# table; and the one-view decoder init that ``init_decoders`` absorbed.
+# ``accuracy`` and ``nmi`` stay in ``slrl.metrics``, outside ``__all__``,
+# because the benchmark's own tests import them
 DELETED = [
     "build_gaussian", "build_dot", "gat_forward", "gat_backward", "split", "apply_thread_cap",
     "decode", "per_sample_reconstruction", "KERNELS", "check_kernel", "_resolve_kernel",
     "final_metrics", "joint_losses", "metrics_history", "q_rowsum_gap", "p_rowsum_gap",
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
     "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
-    "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS",
+    "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS", "pair_f_score", "ari",
+    "init_decoder",
 ]
+BENCHMARK_ONLY = ["accuracy", "nmi"]
 
 
 def test_each_stage_has_one_entry_point():
@@ -73,6 +79,8 @@ def test_each_stage_has_one_entry_point():
         assert not any(hasattr(mod, name) for name in DELETED), mod.__name__
     assert not hasattr(slrl.MultiViewDataset, "take")
     assert not any(hasattr(slrl.TrainReport, name) for name in DELETED)
+    assert not set(BENCHMARK_ONLY) & (set(slrl.__all__) | set(slrl.metrics.__all__))
+    assert not any(hasattr(slrl, name) for name in BENCHMARK_ONLY)
     assert [f.name for f in fields(sys.modules["slrl.train"].GradcheckReport)] == ["errors"]
     assert [f.name for f in fields(GatParams)] == ["w", "a"]
     assert not hasattr(GatParams, "f_out")
@@ -134,6 +142,38 @@ def test_every_readme_flag_is_an_option():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
     assert "--synth" in flags  # the pattern finds README's flags
     assert flags <= _parser_options(), sorted(flags - _parser_options())
+
+
+def _slrl_imports(source: str) -> list:
+    """(module, name) for every name that a ``from slrl... import`` in ``source`` imports."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "slrl"
+        for alias in node.names
+    ]
+
+
+def test_every_readme_import_resolves():
+    # README's code blocks never run, so a deleted name they import fails nowhere else
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    names = [pair for block in blocks for pair in _slrl_imports(block)]
+    assert ("slrl", "train") in names  # the pattern finds README's imports
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"README imports {module}.{name}"
+
+
+def test_every_slrl_name_the_benchmark_imports_resolves():
+    # tier 1 runs only bench/tests, so a deleted name that the benchmark itself
+    # imports would otherwise fail only when the benchmark runs
+    names = [
+        (path.name, *pair)
+        for path in sorted((ROOT / "bench").rglob("*.py"))
+        for pair in _slrl_imports(path.read_text())
+    ]
+    assert ("test_bench_checks.py", "slrl.metrics", "nmi") in names
+    for path, module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{path} imports {module}.{name}"
 
 
 def test_train_config_holds_exactly_the_settings_callers_set():

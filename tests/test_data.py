@@ -14,7 +14,7 @@ from slrl.data import (
     write_matrix,
 )
 from slrl.errors import FormatError, ParameterError
-from slrl.metrics import accuracy
+from slrl.metrics import evaluate
 
 
 def write_text_matrix(path, m):
@@ -180,7 +180,7 @@ def test_synth_kmeans_on_concatenated_views_recovers_clusters():
     # generator quality gate: plain k-means on stacked views must reach 0.9
     ds = synth_multiview(3, 50, [8, 8], noise=0.05, seed=0)
     _, labels, _ = kmeans(np.hstack(ds.views), 3, seed=0)
-    assert accuracy(labels, ds.labels) >= 0.9
+    assert evaluate(labels, ds.labels).acc >= 0.9
 
 
 def test_synth_validates_arguments():

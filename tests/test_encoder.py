@@ -286,6 +286,25 @@ def test_a_stepped_pass_holds_one_view_of_decoder_gradients():
     assert peak - grad_bytes < 2 * view_bytes
 
 
+def values_of(h, params) -> list:
+    return [h.tobytes()] + [p.tobytes() for theta in params for p in vars(theta).values()]
+
+
+@pytest.mark.parametrize(
+    "first, then, other",
+    [(None, 0.1, {}), (0.1, None, {})]  # a result of the other kind of pass
+    + [(s, s, o) for s in (None, 0.1) for o in ({"n": 4}, {"dims": (3, 4)}, {"f": 3})],
+)
+def test_a_result_that_does_not_fit_the_pass_is_a_shape_error(first, then, other):
+    # the other kind of pass, then fewer samples, a narrower view, a narrower latent matrix
+    h, params, ds = small_problem(seed=14)  # n=6, f=4, dims=(3, 5)
+    out = reconstruct(*small_problem(seed=14, **other), scale=first)
+    before = values_of(h, params)
+    with pytest.raises(ShapeError, match="same kind"):
+        reconstruct(h, params, ds, out=out, scale=then)
+    assert values_of(h, params) == before
+
+
 def test_grads_reject_a_decoder_count_mismatch():
     h, params, ds = small_problem(seed=9)
     with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 import slrl.metrics
 from slrl.errors import ParameterError
-from slrl.metrics import _max_matched, accuracy, aggregate_rows, ari, evaluate, nmi, pair_f_score
+from slrl.metrics import _max_matched, aggregate_rows, evaluate
 from slrl.numerics import make_rng
 
 from oracles import (
@@ -18,24 +18,24 @@ from oracles import (
 
 
 def test_accuracy_identical():
-    assert accuracy([0, 1, 2, 0], [0, 1, 2, 0]) == 1.0
+    assert evaluate([0, 1, 2, 0], [0, 1, 2, 0]).acc == 1.0
 
 
 def test_accuracy_relabeling_invariant():
     truth = [0, 0, 1, 1, 2]
     pred = [2, 2, 0, 0, 1]
-    assert accuracy(pred, truth) == 1.0
+    assert evaluate(pred, truth).acc == 1.0
 
 
 def test_accuracy_hand_case():
-    assert accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx(0.75)
+    assert evaluate([0, 0, 1, 1], [0, 1, 1, 1]).acc == pytest.approx(0.75)
     assert acc_bruteforce([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx(0.75)
 
 
 def test_accuracy_rectangular_contingency():
     pred = [0, 1, 2, 3]
     truth = [0, 0, 1, 1]
-    assert accuracy(pred, truth) == pytest.approx(acc_bruteforce(pred, truth))
+    assert evaluate(pred, truth).acc == pytest.approx(acc_bruteforce(pred, truth))
 
 
 def _seeded_tables(seed, count, max_c, max_count):
@@ -71,14 +71,14 @@ def test_accuracy_equals_bruteforce_on_small_tables():
             continue
         best = acc_bruteforce(pred, truth)
         assert _max_matched(table) / pred.size == best, table
-        assert accuracy(pred, truth) == best, table
+        assert evaluate(pred, truth).acc == best, table
         checked += 1
     assert checked > 400
 
 
 def test_accuracy_length_mismatch():
     with pytest.raises(ParameterError):
-        accuracy([0, 1], [0, 1, 2])
+        evaluate([0, 1], [0, 1, 2])
 
 
 def test_accuracy_lower_bound():
@@ -87,48 +87,49 @@ def test_accuracy_lower_bound():
         n = int(rng.integers(2, 10))
         pred = rng.integers(0, 3, size=n)
         truth = rng.integers(0, 3, size=n)
-        assert accuracy(pred, truth) >= 1.0 / n
+        assert evaluate(pred, truth).acc >= 1.0 / n
 
 
 def test_nmi_identical_partitions_exact_one():
-    assert nmi([0, 0, 1, 1, 2], [5, 5, 7, 7, 9]) == 1.0
+    assert evaluate([0, 0, 1, 1, 2], [5, 5, 7, 7, 9]).nmi == 1.0
 
 
 def test_nmi_single_cluster_pred_zero():
-    assert nmi([0, 0, 0, 0], [0, 1, 0, 1]) == 0.0
+    assert evaluate([0, 0, 0, 0], [0, 1, 0, 1]).nmi == 0.0
 
 
 def test_nmi_both_single_cluster_one():
-    assert nmi([3, 3, 3], [1, 1, 1]) == 1.0
+    assert evaluate([3, 3, 3], [1, 1, 1]).nmi == 1.0
 
 
 def test_nmi_independent_case_matches_oracle():
     pred = [0, 0, 1, 1]
     truth = [0, 1, 0, 1]
-    assert nmi(pred, truth) == pytest.approx(nmi_oracle(pred, truth), abs=1e-12)
-    assert nmi(pred, truth) == pytest.approx(0.0, abs=1e-12)
+    got = evaluate(pred, truth).nmi
+    assert got == pytest.approx(nmi_oracle(pred, truth), abs=1e-12)
+    assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_score_identical():
-    assert pair_f_score([0, 1, 1, 0], [2, 3, 3, 2]) == 1.0
+    assert evaluate([0, 1, 1, 0], [2, 3, 3, 2]).f_score == 1.0
 
 
 def test_f_score_singletons_zero():
-    assert pair_f_score([0, 1, 2, 3], [0, 0, 1, 1]) == 0.0
+    assert evaluate([0, 1, 2, 3], [0, 0, 1, 1]).f_score == 0.0
 
 
 def test_f_score_hand_case():
     pred = [0, 0, 1, 1]
     truth = [0, 0, 0, 1]
-    assert pair_f_score(pred, truth) == pytest.approx(f_score_oracle(pred, truth))
+    assert evaluate(pred, truth).f_score == pytest.approx(f_score_oracle(pred, truth))
 
 
 def test_ari_identical():
-    assert ari([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
+    assert evaluate([0, 0, 1, 1], [1, 1, 0, 0]).ari == 1.0
 
 
 def test_ari_hand_case_minus_half():
-    assert ari([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(-0.5)
+    assert evaluate([0, 0, 1, 1], [0, 1, 0, 1]).ari == pytest.approx(-0.5)
     assert ari_oracle([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(-0.5)
 
 
@@ -137,13 +138,13 @@ def test_ari_relabeling_invariant():
     truth = rng.integers(0, 3, size=12)
     pred = rng.integers(0, 3, size=12)
     relabeled = (pred + 1) % 3
-    assert ari(relabeled, truth) == pytest.approx(ari(pred, truth))
+    assert evaluate(relabeled, truth).ari == pytest.approx(evaluate(pred, truth).ari)
 
 
 def test_ari_degenerate_conventions():
-    assert ari([0, 1, 2], [5, 6, 7]) == 1.0  # identical all-singleton partitions
-    assert ari([0, 0, 0], [1, 1, 1]) == 1.0  # identical one-cluster partitions
-    assert ari([0, 0, 0], [0, 1, 2]) == 0.0  # degenerate but different
+    assert evaluate([0, 1, 2], [5, 6, 7]).ari == 1.0  # identical all-singleton partitions
+    assert evaluate([0, 0, 0], [1, 1, 1]).ari == 1.0  # identical one-cluster partitions
+    assert evaluate([0, 0, 0], [0, 1, 2]).ari == 0.0  # degenerate but different
 
 
 def test_all_metrics_permutation_invariant():
@@ -151,9 +152,10 @@ def test_all_metrics_permutation_invariant():
     truth = rng.integers(0, 3, size=10)
     pred = rng.integers(0, 3, size=10)
     mapping = np.array([2, 0, 1])
-    for fn in (accuracy, nmi, pair_f_score, ari):
-        assert fn(mapping[pred], truth) == pytest.approx(fn(pred, truth), abs=1e-12)
-        assert fn(pred, mapping[truth]) == pytest.approx(fn(pred, truth), abs=1e-12)
+    for key in ("acc", "nmi", "f_score", "ari"):
+        want = getattr(evaluate(pred, truth), key)
+        assert getattr(evaluate(mapping[pred], truth), key) == pytest.approx(want, abs=1e-12)
+        assert getattr(evaluate(pred, mapping[truth]), key) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -161,13 +163,12 @@ def test_exhaustive_small_partitions(n):
     parts = [np.array(p) for p in partitions_up_to(n, 3)]
     for pred in parts:
         for truth in parts:
-            assert accuracy(pred, truth) == pytest.approx(acc_bruteforce(pred, truth), abs=1e-10)
-            assert nmi(pred, truth) == pytest.approx(nmi_oracle(pred, truth), abs=1e-10)
+            rep = evaluate(pred, truth)
+            assert rep.acc == pytest.approx(acc_bruteforce(pred, truth), abs=1e-10)
+            assert rep.nmi == pytest.approx(nmi_oracle(pred, truth), abs=1e-10)
             if n >= 2:
-                assert pair_f_score(pred, truth) == pytest.approx(
-                    f_score_oracle(pred, truth), abs=1e-10
-                )
-                assert ari(pred, truth) == pytest.approx(ari_oracle(pred, truth), abs=1e-10)
+                assert rep.f_score == pytest.approx(f_score_oracle(pred, truth), abs=1e-10)
+                assert rep.ari == pytest.approx(ari_oracle(pred, truth), abs=1e-10)
 
 
 def _bits(value):
@@ -175,14 +176,9 @@ def _bits(value):
 
 
 def assert_bitwise_as_reference(pred, truth):
-    """``evaluate`` and each public metric give the reference's values bit for bit."""
+    """``evaluate`` gives the reference's values bit for bit."""
     want = {key: _bits(value) for key, value in metrics_reference(pred, truth).items()}
     assert {key: _bits(value) for key, value in evaluate(pred, truth).as_dict().items()} == want
-    public = {"acc": accuracy, "nmi": nmi}
-    if len(pred) >= 2:
-        public.update(f_score=pair_f_score, ari=ari)
-    for key, fn in public.items():
-        assert _bits(fn(pred, truth)) == want[key], (key, pred, truth)
 
 
 def test_metrics_bitwise_as_reference_on_every_small_pair():
