@@ -9,7 +9,7 @@ hand-derived backward pass against central differences. Every layer runs through
 
 import numpy as np
 
-from slrl import build_graph, init_gat, stack_backward, stack_forward
+from slrl import build_graph, init_gat_stack, stack_backward, stack_forward
 from slrl.gat import attention_coeffs
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
 
@@ -17,7 +17,7 @@ rng = make_rng(3)
 h = rng.normal(size=(7, 4))
 nbhd = build_graph(h, k=2).neighborhoods()  # CSR rows with self loops
 
-params = init_gat(f_in=4, f_prime=4, heads=2, rng=make_rng(0))
+params = init_gat_stack(1, f_in=4, f_prime=4, heads=2, seed=0)[0]
 alphas = attention_coeffs(params, head=0, h=h, nbhd=nbhd)
 print("attention row sums:", [round(float(a.sum()), 12) for a in alphas])
 print("node 0 attends over", len(alphas[0]), "neighbors (self included)")

@@ -11,7 +11,6 @@ from .cluster import (
     cluster_grads,
     init_centroids,
     kl_loss,
-    kmeans,
     soft_assign,
     target_distribution,
 )
@@ -33,7 +32,6 @@ from .encoder import (
 from .gat import (
     GatParams,
     attention_coeffs,
-    init_gat,
     init_gat_stack,
     stack_backward,
     stack_forward,
@@ -49,7 +47,6 @@ __all__ = [
     "cluster_grads",
     "init_centroids",
     "kl_loss",
-    "kmeans",
     "soft_assign",
     "target_distribution",
     "MultiViewDataset",
@@ -65,7 +62,6 @@ __all__ = [
     "reconstruction_loss",
     "GatParams",
     "attention_coeffs",
-    "init_gat",
     "init_gat_stack",
     "stack_backward",
     "stack_forward",

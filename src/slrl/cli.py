@@ -121,7 +121,7 @@ def _load_input(args, seed: int) -> tuple[MultiViewDataset, dict]:
             clusters, per = map(int, args.synth.lower().split("x"))
         except ValueError:
             raise ParameterError(f"bad --synth spec {args.synth!r}, expected CLUSTERSxPER like 3x50")
-        dims = _comma_list("--view-dims", args.view_dims, int) if args.view_dims else [8, 8]
+        dims = [8, 8] if args.view_dims is None else _comma_list("--view-dims", args.view_dims, int)
         noise = 0.05 if args.noise is None else args.noise
         ds = synth_multiview(clusters, per, dims, noise=noise, seed=seed)
         spec = {
@@ -305,7 +305,8 @@ def cmd_gradcheck(args, argv) -> int:
         raise ParameterError(f"--tol must be finite and positive, got {args.tol:g}")
     if args.data is None:
         # a small instance, so that the central differences stay cheap
-        args.synth, args.view_dims = args.synth or "3x4", args.view_dims or "4,3"
+        args.synth = "3x4" if args.synth is None else args.synth
+        args.view_dims = "4,3" if args.view_dims is None else args.view_dims
         args.noise = 0.1 if args.noise is None else args.noise
     cfg = _config_from_args(args)
     ds, _ = _load_input(args, cfg.seed)

@@ -27,7 +27,6 @@ from .errors import (
 from .numerics import as_matrix, make_rng
 
 __all__ = [
-    "kmeans",
     "init_centroids",
     "soft_assign",
     "target_distribution",
@@ -77,15 +76,14 @@ def _plusplus_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray):
-    """One Lloyd update from ``centers``, then the labels and inertia of the result;
-    empty clusters are re-seeded from the farthest point. The loop allows
+    """One Lloyd update from ``centers``, then the inertia of the result; empty
+    clusters are re-seeded from the farthest point. The loop allows
     ``_MAX_ITER`` updates, but its first convergence test compares against an
     infinite previous inertia and always passes, so each restart stops after
     one update (ROADMAP item 5)."""
     n = x.shape[0]
     c = centers.shape[0]
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(_MAX_ITER):
         d2 = _sq_dists(x, centers)
         labels = np.argmin(d2, axis=1)
@@ -103,38 +101,19 @@ def _lloyd(x: np.ndarray, centers: np.ndarray):
             prev_inertia = inertia
             break
         prev_inertia = inertia
-    d2 = _sq_dists(x, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return centers, labels, inertia
-
-
-def kmeans(x, c: int, seed: int):
-    """Best-of-``_RESTARTS`` k-means with k-means++ seeding.
-
-    Returns (centroids, labels, inertia). Deterministic given seed.
-    """
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    if not 1 <= c <= n:
-        raise ParameterError(f"cluster count {c} outside [1, {n}]")
-    rng = make_rng(seed)
-    best = None
-    for _ in range(_RESTARTS):
-        centers = _plusplus_seed(x, c, rng)
-        centers, labels, inertia = _lloyd(x, centers)
-        if best is None or inertia < best[2]:
-            best = (centers, labels, inertia)
-    return best
+    inertia = float(_sq_dists(x, centers).min(axis=1).sum())
+    return centers, inertia
 
 
 def init_centroids(ht, c: int, seed: int) -> np.ndarray:
-    """Centroid matrix for the clustering head, via restarted k-means."""
+    """Centroid matrix for the clustering head: the centers of the best-inertia
+    k-means of ``_RESTARTS`` k-means++ restarts. Deterministic given seed."""
     ht = as_matrix(ht, "ht")
     if not 2 <= c <= ht.shape[0]:
         raise ParameterError(f"cluster count {c} outside [2, {ht.shape[0]}]")
-    centers, _, _ = kmeans(ht, c, seed=seed)
-    return centers
+    rng = make_rng(seed)
+    runs = (_lloyd(ht, _plusplus_seed(ht, c, rng)) for _ in range(_RESTARTS))
+    return min(runs, key=lambda run: run[1])[0]  # the first of equal inertias
 
 
 def soft_assign(ht, centroids) -> np.ndarray:

@@ -62,21 +62,31 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise FormatError("dataset needs at least one view")
-        self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
-        n = self.views[0].shape[0]
+        self.views = list(self.views)
         for i, v in enumerate(self.views):
+            try:
+                self.views[i] = v = np.asarray(v, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise FormatError(f"view {i} is not a numeric matrix") from None
             if v.ndim != 2:
                 raise FormatError(f"view {i} is not a matrix")
-            if v.shape[0] != n:
-                raise FormatError(f"view {i} has {v.shape[0]} rows, expected {n}")
+            if v.shape[0] != self.n_samples:
+                raise FormatError(f"view {i} has {v.shape[0]} rows, expected {self.n_samples}")
             if v.shape[1] < 1:
                 raise FormatError(f"view {i} has no features")
             if not np.isfinite(v).all():
                 raise FormatError(f"view {i} contains non-finite entries")
+        n = self.n_samples
         if n < 1:
             raise FormatError("dataset has no samples")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            given = np.asarray(self.labels)
+            if given.dtype.kind not in "biuf":
+                raise FormatError(f"labels must be integers, got {given.dtype} values")
+            with np.errstate(invalid="ignore"):
+                self.labels = given.astype(np.int64, copy=False)
+            if not np.array_equal(self.labels, given):  # a fraction, NaN or out of range
+                raise FormatError("labels must be integers in int64's range")
             if self.labels.ndim != 1:
                 raise FormatError(f"labels must be a vector, got shape {self.labels.shape}")
             if self.labels.shape[0] != n:

@@ -13,20 +13,19 @@ Softmax rows are max-shifted for overflow safety.
 Neighborhoods arrive as one CSR pair ``(indptr, indices)`` whose row i lists
 N_i as given; an empty row aggregates to zero.
 
-The backward pass is an exact vector-Jacobian product through the
-sigmoid, head mean, aggregation, softmax, LeakyReLU, and linear maps; the test
-suite checks it against central differences. A layer's cache keeps only
-what cannot be rebuilt cheaply: the layer input, the sigmoid's output
-(its derivative is a function of it), the adjacency, and a
-(K, N) array of each head's attention row sums, which
-``alpha_row_sums()`` returns. No per-head array is kept, and no per-edge
-array beyond the adjacency's own: the forward pass aggregates each head as
-soon as its projection, edge scores and coefficients exist, and the
+The backward pass is an exact vector-Jacobian product through the sigmoid,
+head mean, aggregation, softmax, LeakyReLU, and linear maps; the test suite
+checks it against central differences. A layer's cache keeps only what
+cannot be rebuilt cheaply: the layer input, the sigmoid's output (its
+derivative is a function of it), the adjacency, and ``row_sums``, a (K, N)
+array of each head's attention row sums. No per-head array is kept, and no
+per-edge array beyond the adjacency's own: the forward pass aggregates each
+head as soon as its projection, edge scores and coefficients exist, and the
 backward pass rebuilds them, one head at a time, from the cached input by
 the same call (``_head_scores``), so bit for bit. The backward pass
 therefore reads the layer input and the parameters as they were at the
-forward pass. The per-head aggregates and the sigmoid's input are not
-kept either.
+forward pass. The per-head aggregates and the sigmoid's input are not kept
+either.
 
 Attention needs three products over the graph, each weighted by one head's
 coefficients: the aggregate sum_j alpha_ij z_j, its transpose, and the
@@ -63,7 +62,6 @@ from .numerics import as_matrix, make_rng
 __all__ = [
     "LEAKY_SLOPE",
     "GatParams",
-    "init_gat",
     "init_gat_stack",
     "attention_coeffs",
     "stack_forward",
@@ -108,25 +106,26 @@ class GatParams:
         return self.w[0].shape[0]
 
 
-def init_gat(f_in: int, f_prime: int, heads: int, rng: np.random.Generator) -> GatParams:
-    """He-uniform head weights (fan-in only) and Glorot-uniform scoring vectors.
+def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) -> list:
+    """A stack of attention layers, f_in -> F' and then F' -> F'; [] when layers=0.
+    A single layer is ``init_gat_stack(1, ...)[0]``.
 
+    One generator draws, layer by layer, every head's W and then every head's a:
+    He-uniform head weights (fan-in only) and Glorot-uniform scoring vectors.
     The fan-in rule keeps the post-attention sigmoid inputs at a usable
     contrast; Glorot-width scoring vectors keep the initial attention
     close to uniform.
     """
-    sw = np.sqrt(6.0 / f_in)
-    sa = np.sqrt(6.0 / (2 * f_prime + 1))
-    return GatParams(
-        w=[rng.uniform(-sw, sw, size=(f_prime, f_in)) for _ in range(heads)],
-        a=[rng.uniform(-sa, sa, size=2 * f_prime) for _ in range(heads)],
-    )
-
-
-def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) -> list:
-    """A stack of attention layers, f_in -> F' and then F' -> F'; [] when layers=0."""
     rng = make_rng(seed)
-    return [init_gat(f_prime if i else f_in, f_prime, heads, rng) for i in range(layers)]
+    sa = np.sqrt(6.0 / (2 * f_prime + 1))
+    stack = []
+    for i in range(layers):
+        fan_in = f_prime if i else f_in
+        sw = np.sqrt(6.0 / fan_in)
+        w = [rng.uniform(-sw, sw, size=(f_prime, fan_in)) for _ in range(heads)]
+        a = [rng.uniform(-sa, sa, size=2 * f_prime) for _ in range(heads)]
+        stack.append(GatParams(w=w, a=a))
+    return stack
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -219,10 +218,6 @@ class _LayerCache:
     row_sums: np.ndarray  # (K, N): each head's per-node attention row sums
     out: np.ndarray  # the layer's activated output
     h_in: np.ndarray
-
-    def alpha_row_sums(self) -> np.ndarray:
-        """Per-head per-node attention row sums (should all be 1)."""
-        return self.row_sums
 
 
 def _segment_reduce(ufunc, x, indptr) -> np.ndarray:

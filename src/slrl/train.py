@@ -260,7 +260,7 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     p = cl.target_distribution(q)
     lc_value = cl.kl_loss(p, q)
     assign = np.argmax(q, axis=1)
-    sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.alpha_row_sums() for cache in caches]
+    sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.row_sums for cache in caches]
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
     cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma / ds.n_samples)

@@ -12,7 +12,7 @@ import pytest
 
 from slrl.cluster import kl_loss, soft_assign, target_distribution
 from slrl.data import synth_multiview
-from slrl.gat import LEAKY_SLOPE, attention_coeffs, init_gat, stack_forward
+from slrl.gat import LEAKY_SLOPE, attention_coeffs, init_gat_stack, stack_forward
 from slrl.graph import build_graph
 from slrl.metrics import evaluate
 from slrl.numerics import make_rng
@@ -103,7 +103,7 @@ def test_criterion_oracle_equivalence():
         graph = build_graph(hg, k=2)
         indptr, indices = graph.neighborhoods()
         lists = [indices[indptr[i] : indptr[i + 1]] for i in range(6)]
-        params = init_gat(4, 3, heads=2, rng=make_rng(1000 + seed))
+        params = init_gat_stack(1, 4, 3, heads=2, seed=1000 + seed)[0]
         rows = attention_coeffs(params, 0, hg, (indptr, indices))
         want_rows = attention_oracle(params.w[0], params.a[0], LEAKY_SLOPE, hg, lists)
         for got, want in zip(rows, want_rows):

@@ -57,7 +57,9 @@ def test_every_exported_name_resolves(module):
 # the typed errors, the cluster count and the decoder field order, which
 # ``SlrlError``, ``check_fit`` and ``DecoderParams`` state once; the
 # single-score functions, since ``evaluate`` returns all four scores from one
-# table; and the one-view decoder init that ``init_decoders`` absorbed.
+# table; the one-view decoder init that ``init_decoders`` absorbed; and the
+# k-means and one-layer attention init that ``init_centroids`` and
+# ``init_gat_stack`` absorbed, since only tests read k-means' labels and inertia.
 # ``accuracy`` and ``nmi`` stay in ``slrl.metrics``, outside ``__all__``,
 # because the benchmark's own tests import them
 DELETED = [
@@ -67,7 +69,7 @@ DELETED = [
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
     "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
     "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS", "pair_f_score", "ari",
-    "init_decoder",
+    "init_decoder", "kmeans", "init_gat",
 ]
 BENCHMARK_ONLY = ["accuracy", "nmi"]
 
@@ -142,6 +144,15 @@ def test_every_readme_flag_is_an_option():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
     assert "--synth" in flags  # the pattern finds README's flags
     assert flags <= _parser_options(), sorted(flags - _parser_options())
+
+
+def test_every_readme_cli_example_parses():
+    # a flag that README gives to a subcommand that does not take it
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    examples = [line.split("#")[0].split() for line in block.group(1).splitlines()]
+    assert len(examples) == 7 and all(argv[0] == "slrl" for argv in examples)
+    for argv in examples:
+        build_parser().parse_args(argv[1:])
 
 
 def _slrl_imports(source: str) -> list:

@@ -14,9 +14,9 @@ import pytest
 
 import slrl.cli
 from slrl.cli import build_parser, main
-from slrl.data import load_dataset, save_dataset, synth_multiview
+from slrl.data import MultiViewDataset, load_dataset, normalize, save_dataset, synth_multiview
 from slrl.errors import DegenerateClusterError, DivergenceError, NumericError, ShapeError
-from slrl.train import TrainConfig
+from slrl.train import TrainConfig, train
 
 SRC = str(Path(slrl.cli.__file__).resolve().parents[1])
 
@@ -166,6 +166,10 @@ def test_sweep_empty_grid_usage_error(tmp_path):
         ("sweep", "--view-dims", "4,,4"),
         ("sweep", "--gamma-grid", "1,zz"),
         ("sweep", "--k-grid", "3,y"),
+        # an empty list is an error, not the default dims
+        ("train", "--view-dims", ""),
+        ("gradcheck", "--view-dims", ""),
+        ("synth", "--view-dims", ""),
     ],
 )
 def test_bad_comma_list_names_the_flag(tmp_path, capsys, command, flag, value):
@@ -427,6 +431,15 @@ def test_bad_synth_spec_usage_error(tmp_path):
     assert run_cli("train", "--synth", "banana", "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_empty_synth_spec_is_an_error_not_the_default(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    out_flag = [] if command == "gradcheck" else ["--out", str(out)]
+    assert run_cli(command, "--synth", "", *out_flag) == 2
+    assert capsys.readouterr().err.startswith("error: bad --synth spec ''")
+    assert not out.exists()
+
+
 def test_train_dumps_graph_and_distributions(tmp_path):
     out = tmp_path / "run"
     run_cli(
@@ -594,6 +607,30 @@ def test_gradcheck_instance_takes_the_synthetic_flags(monkeypatch):
         assert ds.dims == expected.dims, argv
         for got, want in zip(ds.views, expected.views):
             assert np.array_equal(got, want), argv
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_no_normalize_trains_on_the_views_as_read(tmp_path, normalized):
+    ds = synth_multiview(3, 6, [4, 4], seed=0)
+    raw = tmp_path / "data"
+    save_dataset(MultiViewDataset(views=[5.0 * v - 2.0 for v in ds.views], labels=ds.labels), raw)
+    ds = load_dataset(raw)
+    assert min(v.min() for v in ds.views) < 0.0 < 1.0 < max(v.max() for v in ds.views)
+    cfg = TrainConfig(latent_dim=4, k=2, heads=1, pretrain_epochs=2, epochs=3, seed=0)
+    flags = ["--latent-dim", "4", "--k", "2", "--heads", "1", "--pretrain-epochs", "2",
+             "--epochs", "3", "--seed", "0"]
+    flags += [] if normalized else ["--no-normalize"]
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", str(raw), *flags, "--out", str(out)) == 0
+    want, other = train(normalize(ds), cfg), train(ds, cfg)
+    if not normalized:
+        want, other = other, want
+    assert not np.array_equal(want.q, other.q)  # the two inputs train apart
+    assert np.array_equal(np.loadtxt(out / "predictions.txt", dtype=np.int64), want.labels_pred)
+    np.savetxt(tmp_path / "q.csv", want.q, fmt="%.9g", delimiter=",")
+    assert (out / "q.csv").read_text() == (tmp_path / "q.csv").read_text()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["dataset"]["normalized"] is normalized
 
 
 @pytest.mark.parametrize("noise, recorded", [([], 0.05), (["--noise", "0.2"], 0.2)])

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from slrl.cluster import kmeans
+from slrl.cluster import init_centroids
 from slrl.data import (
     MultiViewDataset,
     load_dataset,
@@ -76,6 +76,29 @@ def test_labels_that_are_not_a_vector_are_a_format_error(labels):
     # a 2x2 or 4x1 array over 4 samples used to pass, flattened, as four labels
     with pytest.raises(FormatError, match="labels must be a vector, got shape"):
         MultiViewDataset(views=[np.zeros((4, 2))], labels=np.array(labels))
+
+
+@pytest.mark.parametrize(
+    "labels", [[0.5, 1.7, 2.2], [0.0, np.nan, 1.0], ["a", "b", "c"], [1e20, 0.0, 1.0], [1, None, 2]]
+)
+def test_labels_that_are_not_integers_are_a_format_error(labels):
+    # 0.5, 1.7 and 2.2 used to pass, truncated, as 0, 1 and 2
+    with pytest.raises(FormatError, match="^labels must be integers"):
+        MultiViewDataset(views=[np.zeros((3, 2))], labels=labels)
+
+
+@pytest.mark.parametrize(
+    "labels", [[2, 0, 1], [2.0, 0.0, 1.0], np.array([2, 0, 1], dtype=np.uint8), np.array([2, 0, 1])]
+)
+def test_integer_valued_labels_are_kept(labels):
+    ds = MultiViewDataset(views=[np.zeros((3, 2))], labels=labels)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
+
+
+def test_a_view_that_is_not_numeric_is_a_format_error():
+    for view in ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(FormatError, match="^view 1 is not a numeric matrix$"):
+            MultiViewDataset(views=[np.zeros((2, 2)), view])
 
 
 def test_truncated_binary_header_is_format_error(tmp_path):
@@ -179,7 +202,9 @@ def test_synth_deterministic():
 def test_synth_kmeans_on_concatenated_views_recovers_clusters():
     # generator quality gate: plain k-means on stacked views must reach 0.9
     ds = synth_multiview(3, 50, [8, 8], noise=0.05, seed=0)
-    _, labels, _ = kmeans(np.hstack(ds.views), 3, seed=0)
+    x = np.hstack(ds.views)
+    centers = init_centroids(x, 3, seed=0)
+    labels = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
     assert evaluate(labels, ds.labels).acc >= 0.9
 
 

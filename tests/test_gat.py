@@ -10,7 +10,6 @@ from slrl.gat import (
     LEAKY_SLOPE,
     GatParams,
     attention_coeffs,
-    init_gat,
     init_gat_stack,
     stack_backward,
     stack_forward,
@@ -32,7 +31,7 @@ def neighborhood_lists(indptr, indices):
 
 
 def random_params(seed, f_in, f_prime, heads):
-    return init_gat(f_in, f_prime, heads, make_rng(seed))
+    return init_gat_stack(1, f_in, f_prime, heads, seed)[0]
 
 
 def random_graph(seed, n, f, k=3):
@@ -278,7 +277,7 @@ def test_alpha_row_sums_exposed_by_cache():
     stack = init_gat_stack(1, 3, 3, heads=2, seed=1)
     h, g = random_graph(24, n=7, f=3)
     _, caches = stack_forward(stack, h, g.neighborhoods())
-    sums = caches[0].alpha_row_sums()
+    sums = caches[0].row_sums
     assert sums.shape == (2, 7)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
@@ -334,7 +333,7 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
     stack = init_gat_stack(1, 3, 3, heads=2, seed=35)
     h = make_rng(36).normal(size=(5, 3))
     _, caches = stack_forward(stack, h, csr(lists))
-    sums = caches[0].alpha_row_sums()
+    sums = caches[0].row_sums
     nonempty = np.array([len(ids) > 0 for ids in lists])
     assert np.max(np.abs(sums[:, nonempty] - 1.0), initial=0.0) < 1e-12
     assert np.all(sums[:, ~nonempty] == 0.0)
