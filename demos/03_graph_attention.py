@@ -27,7 +27,7 @@ print("\nlayer output", out.shape, "in (0,1):", bool(out.min() > 0 and out.max()
 
 # gradient of a random scalar functional of the output, wrt the inputs
 upstream = rng.normal(size=out.shape)
-[(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
+[grads], grad_h = stack_backward([params], caches, upstream)
 
 num = finite_diff_grad(
     lambda v: float(np.sum(upstream * stack_forward([params], v.reshape(h.shape), nbhd)[0])),
@@ -44,4 +44,4 @@ num_w = finite_diff_grad(
     lambda v: float(np.sum(upstream * stack_forward([with_head0_w(v)], h, nbhd)[0])),
     params.w[0].ravel(),
 )
-print("backward check (head 0 W): rel err %.2e" % relative_error(grad_w[0].ravel(), num_w))
+print("backward check (head 0 W): rel err %.2e" % relative_error(grads.w[0].ravel(), num_w))

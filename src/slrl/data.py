@@ -65,9 +65,15 @@ class MultiViewDataset:
         self.views = list(self.views)
         for i, v in enumerate(self.views):
             try:
-                self.views[i] = v = np.asarray(v, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise FormatError(f"view {i} is not a numeric matrix") from None
+                v = np.asarray(v)
+            except (TypeError, ValueError):  # rows of different lengths
+                v = None
+            # bool, integer or float, as labels: casting a complex view drops its imaginary part
+            if v is None or v.dtype.kind not in "biufc":
+                raise FormatError(f"view {i} is not a numeric matrix")
+            if v.dtype.kind == "c":
+                raise FormatError(f"view {i} has complex entries; views must be real")
+            self.views[i] = v = v.astype(np.float64, copy=False)
             if v.ndim != 2:
                 raise FormatError(f"view {i} is not a matrix")
             if v.shape[0] != self.n_samples:

@@ -286,7 +286,7 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
         dz += np.outer(col_dt, params.a[k][fp:])
         grad_w.append(dz.T @ h)
         grad_h += dz @ params.w[k]
-    return grad_w, grad_a, grad_h
+    return GatParams(w=grad_w, a=grad_a), grad_h
 
 
 def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
@@ -328,8 +328,8 @@ def stack_backward(stack: list, caches: list, upstream):
     """Backward through a layer stack; returns (per-layer grads, grad_h).
 
     ``caches`` come from the ``stack_forward`` call whose output ``upstream``
-    is the gradient of. per-layer grads is a list of (grad_w, grad_a) matching
-    ``stack`` order. For an empty stack the upstream passes through unchanged.
+    is the gradient of. per-layer grads is one ``GatParams`` of gradients per
+    layer, in ``stack`` order. For an empty stack the upstream passes through unchanged.
     """
     upstream = as_matrix(upstream, "upstream")
     if len(caches) != len(stack):
@@ -339,9 +339,7 @@ def stack_backward(stack: list, caches: list, upstream):
     want = (caches[-1].h_in.shape[0], stack[-1].f_prime)
     if upstream.shape != want:
         raise ShapeError(f"upstream shape {upstream.shape} does not match output {want}")
-    grads = [None] * len(stack)
-    g_out = upstream
+    grads, g_out = [None] * len(stack), upstream
     for idx in range(len(stack) - 1, -1, -1):
-        grad_w, grad_a, g_out = _layer_backward(stack[idx], caches[idx], g_out)
-        grads[idx] = (grad_w, grad_a)
+        grads[idx], g_out = _layer_backward(stack[idx], caches[idx], g_out)
     return grads, g_out

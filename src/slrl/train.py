@@ -31,8 +31,9 @@ gradients exist. Every array steps by ``numerics.descend``.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,19 @@ class TrainConfig:
     early_stop_min_epochs: int = 20
 
     def validate(self) -> None:
-        """Raise ``ParameterError`` for a setting out of range on its own; ``check_fit``
-        also checks the settings against the dataset."""
+        """Raise ``ParameterError`` for a setting of the wrong type or out of range on its
+        own; ``check_fit`` also checks the settings against the dataset."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            # the annotation names the type: an int field takes Python and numpy
+            # integers, a float field any real number, and neither takes a bool
+            integral = f.type.startswith("int")
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if integral else "a real number"
+                raise ParameterError(f"{f.name} must be {what}, got {value!r}")
         if self.latent_dim < 2:
             raise ParameterError("latent_dim must be >= 2")
         if self.k < 1:
@@ -195,23 +207,18 @@ def _init_model(n: int, dims, cfg: TrainConfig, seed: int):
     return h, decoders, stack
 
 
-def _gat_pairs(stack) -> list:
-    return [(layer.w, layer.a) for layer in stack]
-
-
-def _named(h, decoders, gat, centroids=None) -> list:
+def _named(h, decoders, stack=(), centroids=None) -> list:
     """(group, name, array) for every trainable array, named as in the checkpoint.
 
-    ``gat`` holds one (per-head W list, per-head a list) pair per layer, so a
-    stack (through ``_gat_pairs``) and its ``stack_backward`` gradients list
-    alike, as do decoders and their gradients.
+    Decoders and attention layers are walked by their fields (a layer: every head's
+    ``w``, then every ``a``), so parameters and their gradients list alike.
     """
     out = [("h", "h", h)]
     for v, theta in enumerate(decoders):
         out += [("decoders", f"decoder{v}.{f}", p) for f, p in vars(theta).items()]
-    for layer_idx, (ws, avecs) in enumerate(gat):
-        out += [("gat", f"gat{layer_idx}.head{k}.w", w) for k, w in enumerate(ws)]
-        out += [("gat", f"gat{layer_idx}.head{k}.a", a) for k, a in enumerate(avecs)]
+    for i, layer in enumerate(stack):
+        for f, per_head in vars(layer).items():
+            out += [("gat", f"gat{i}.head{k}.{f}", p) for k, p in enumerate(per_head)]
     if centroids is not None:
         out.append(("centroids", "centroids", centroids))
     return out
@@ -263,7 +270,8 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
     sums = [q.sum(axis=1), p.sum(axis=1)] + [cache.row_sums for cache in caches]
     # shared parameters descend the mean per-sample loss, so the summed
     # clustering gradients are scaled by gamma/N before stepping
-    cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma / ds.n_samples)
+    weight = cfg.gamma / ds.n_samples
+    grad_h, layer_grads, grad_mu = _clustering_grads(stack, centroids, ht, caches, p, weight)
     del ht, caches  # the attention caches go before the decoder pass
 
     rec = enc.reconstruct(h, decoders, ds, scale=scales["decoders"])
@@ -276,8 +284,8 @@ def _joint_epoch(ds, cfg: TrainConfig, model, centroids, nbhd, scales: dict, las
         q_gap=q_gap, p_gap=p_gap, alpha_gap=max(alpha_gaps, default=0.0), churn=churn,
     )
     # the pass stepped the decoders, so neither listing holds them
-    grads = _joint_grads(enc.reconstruction_grads(rec), cluster_grads)
-    _step(_named(h, [], _gat_pairs(stack), centroids), grads, scales)
+    grad_h += enc.reconstruction_grads(rec)[0]
+    _step(_named(h, [], stack, centroids), _named(grad_h, [], layer_grads, grad_mu), scales)
     return record, assign
 
 
@@ -309,15 +317,6 @@ def _clustering_grads(stack, centroids, ht, caches, p, weight: float):
     return grad_h, layer_grads, grad_mu
 
 
-def _joint_grads(rec_grads, cluster_grads) -> list:
-    """Gradients of the joint loss as ``_named`` lists them, from the
-    ``reconstruction_grads`` pair ``rec_grads`` and the ``_clustering_grads``
-    triple ``cluster_grads``."""
-    grad_h_rec, dec_grads = rec_grads
-    grad_h_gat, layer_grads, grad_mu = cluster_grads
-    return _named(grad_h_rec + grad_h_gat, dec_grads, layer_grads, grad_mu)
-
-
 # no numpy overflow/invalid warnings: _step, total_loss and as_matrix stop
 # every non-finite value with a typed error
 @np.errstate(over="ignore", invalid="ignore")
@@ -341,7 +340,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
             loss = enc.reconstruction_loss(rec)
             total = total_loss(loss, 0.0, cfg.gamma)
             report.epochs.append(EpochRecord("pretrain", loss, 0.0, total))
-            _step(_named(h, [], []), _named(*enc.reconstruction_grads(rec), []), scales)
+            _step(_named(h, []), _named(*enc.reconstruction_grads(rec)), scales)
     del rec  # each joint epoch makes its own
 
     # phase 2 setup: graph, structured representation, k-means centroids; the
@@ -454,11 +453,12 @@ def gradcheck(ds: MultiViewDataset, cfg: TrainConfig) -> GradcheckReport:
     p = cl.target_distribution(cl.soft_assign(ht, centroids))
 
     # analytic gradients of L_r + gamma * L_c, assembled by the training step's code
-    params = _named(h, decoders, _gat_pairs(stack), centroids)
-    cluster_grads = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma)
-    rec_grads = enc.reconstruction_grads(enc.reconstruct(h, decoders, ds))
-    grads = _joint_grads(rec_grads, cluster_grads)
-    grads[-1][2][...] *= cfg.gamma  # the centroid gradient, weighted like the rest
+    params = _named(h, decoders, stack, centroids)
+    grad_h, layer_grads, grad_mu = _clustering_grads(stack, centroids, ht, caches, p, cfg.gamma)
+    grad_h_rec, dec_grads = enc.reconstruction_grads(enc.reconstruct(h, decoders, ds))
+    grad_h += grad_h_rec
+    # the centroid gradient comes back unweighted: weight it like the rest
+    grads = _named(grad_h, dec_grads, layer_grads, cfg.gamma * grad_mu)
 
     errors = {}
     for group in _GROUPS:
@@ -489,7 +489,7 @@ def save_checkpoint(report: TrainReport, path) -> None:
     with a text index; vectors are stored as one-row matrices."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    named = _named(report.h, report.decoders, _gat_pairs(report.gat_stack), report.centroids)
+    named = _named(report.h, report.decoders, report.gat_stack, report.centroids)
     lines = []
     for name, array in [e[1:] for e in named] + [("ht", report.ht), ("q", report.q)]:
         fname = name + ".mvm"

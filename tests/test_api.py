@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slrl
@@ -57,9 +58,12 @@ def test_every_exported_name_resolves(module):
 # the typed errors, the cluster count and the decoder field order, which
 # ``SlrlError``, ``check_fit`` and ``DecoderParams`` state once; the
 # single-score functions, since ``evaluate`` returns all four scores from one
-# table; the one-view decoder init that ``init_decoders`` absorbed; and the
+# table; the one-view decoder init that ``init_decoders`` absorbed; the
 # k-means and one-layer attention init that ``init_centroids`` and
-# ``init_gat_stack`` absorbed, since only tests read k-means' labels and inertia.
+# ``init_gat_stack`` absorbed, since only tests read k-means' labels and inertia;
+# and the adapters that listed an attention stack as (W, a) tuples and merged the
+# two gradient sources, since ``stack_backward`` returns ``GatParams`` and
+# ``_named`` walks parameters and gradients by one rule.
 # ``accuracy`` and ``nmi`` stay in ``slrl.metrics``, outside ``__all__``,
 # because the benchmark's own tests import them
 DELETED = [
@@ -69,7 +73,7 @@ DELETED = [
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
     "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
     "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS", "pair_f_score", "ari",
-    "init_decoder", "kmeans", "init_gat",
+    "init_decoder", "kmeans", "init_gat", "_gat_pairs", "_joint_grads",
 ]
 BENCHMARK_ONLY = ["accuracy", "nmi"]
 
@@ -165,8 +169,24 @@ def _slrl_imports(source: str) -> list:
     ]
 
 
+def test_every_readme_python_block_runs(capsys):
+    # a README example that no longer runs against the API it shows
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    quick_start, attention = {}, {}
+    exec(compile(blocks[0], "README.md", "exec"), quick_start)
+    assert quick_start["report"].final_eval.acc == float(capsys.readouterr().out.split()[-1])
+    # the attention block takes a latent matrix h (N, 64) and the gradient upstream
+    rng = np.random.default_rng(0)
+    attention.update(h=rng.normal(size=(40, 64)), upstream=rng.normal(size=(40, 64)))
+    exec(compile(blocks[1], "README.md", "exec"), attention)
+    [grads] = attention["layer_grads"]
+    assert isinstance(grads, GatParams) and grads.heads == 4
+    assert attention["grad_w0"].shape == (64, 64) and attention["grad_h"].shape == (40, 64)
+
+
 def test_every_readme_import_resolves():
-    # README's code blocks never run, so a deleted name they import fails nowhere else
+    # a deleted name that README imports
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     names = [pair for block in blocks for pair in _slrl_imports(block)]
     assert ("slrl", "train") in names  # the pattern finds README's imports

@@ -96,9 +96,30 @@ def test_integer_valued_labels_are_kept(labels):
 
 
 def test_a_view_that_is_not_numeric_is_a_format_error():
-    for view in ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]]):
+    # text is rejected even when numpy could parse it as numbers, as for labels
+    for view in ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]], [["1", "2"], ["3", "4"]]):
         with pytest.raises(FormatError, match="^view 1 is not a numeric matrix$"):
             MultiViewDataset(views=[np.zeros((2, 2)), view])
+
+
+@pytest.mark.parametrize(
+    "view", [[[1 + 2j, 0], [3, 4j]], np.array([[1.0, 0.0], [3.0, 1.0]], dtype=np.complex64)]
+)
+def test_a_complex_view_is_a_format_error(view):
+    # casting to float64 dropped the imaginary part with only a ComplexWarning, so
+    # [[1+2j, 0], [3, 4j]] trained on [[1, 0], [3, 0]]; a zero imaginary part is no exception
+    with pytest.raises(FormatError, match="^view 1 has complex entries; views must be real$"):
+        MultiViewDataset(views=[np.zeros((2, 2)), view])
+
+
+@pytest.mark.parametrize(
+    "view", [[[True, False], [False, True]], np.array([[1, 2], [3, 4]], dtype=np.uint8),
+             [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]], dtype=np.float32)]
+)
+def test_bool_integer_and_float_views_are_read_as_float64(view):
+    ds = MultiViewDataset(views=[view])
+    assert ds.views[0].dtype == np.float64
+    assert np.array_equal(ds.views[0], np.asarray(view, dtype=np.float64))
 
 
 def test_truncated_binary_header_is_format_error(tmp_path):

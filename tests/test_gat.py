@@ -152,9 +152,9 @@ def test_backward_zero_upstream():
     params = random_params(15, 4, 3, heads=2)
     h, g = random_graph(16, n=6, f=4)
     _, caches = stack_forward([params], h, g.neighborhoods())
-    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, np.zeros((6, 3)))
-    assert all(np.max(np.abs(gw)) == 0 for gw in grad_w)
-    assert all(np.max(np.abs(ga)) == 0 for ga in grad_a)
+    [grads], grad_h = stack_backward([params], caches, np.zeros((6, 3)))
+    assert all(np.max(np.abs(gw)) == 0 for gw in grads.w)
+    assert all(np.max(np.abs(ga)) == 0 for ga in grads.a)
     assert np.max(np.abs(grad_h)) == 0
 
 
@@ -165,7 +165,7 @@ def test_backward_matches_finite_differences():
     upstream = make_rng(19).normal(size=(5, params.f_prime))
 
     _, caches = stack_forward([params], h, nbhd)
-    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
+    [grads], grad_h = stack_backward([params], caches, upstream)
 
     def scalar_of_h(vec):
         return float(np.sum(upstream * stack_forward([params], vec.reshape(h.shape), nbhd)[0]))
@@ -180,7 +180,7 @@ def test_backward_matches_finite_differences():
             return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num = finite_diff_grad(scalar_of_w, params.w[k].ravel(), 1e-5)
-        assert relative_error(grad_w[k].ravel(), num) < 1e-4
+        assert relative_error(grads.w[k].ravel(), num) < 1e-4
 
         def scalar_of_a(vec, k=k):
             a = [v.copy() for v in params.a]
@@ -189,7 +189,7 @@ def test_backward_matches_finite_differences():
             return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
-        assert relative_error(grad_a[k], num_a) < 1e-4
+        assert relative_error(grads.a[k], num_a) < 1e-4
 
 
 def test_backward_locality():
@@ -271,6 +271,10 @@ def test_stack_two_layers_shapes():
     grads, grad_h = stack_backward(stack, caches, np.ones_like(out))
     assert grad_h.shape == h.shape
     assert len(grads) == 2
+    # one GatParams of gradients per layer, shaped like that layer's parameters
+    for layer, grad in zip(stack, grads, strict=True):
+        assert isinstance(grad, GatParams)
+        assert [g.shape for g in grad.w + grad.a] == [x.shape for x in layer.w + layer.a]
 
 
 def test_alpha_row_sums_exposed_by_cache():
@@ -308,8 +312,8 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
     nbhd = csr(lists)
     upstream = make_rng(34).normal(size=(5, 3))
     _, caches = stack_forward([params], h, nbhd)
-    [(grad_w, grad_a)], grad_h = stack_backward([params], caches, upstream)
-    for grad in grad_w + grad_a + [grad_h]:
+    [grads], grad_h = stack_backward([params], caches, upstream)
+    for grad in grads.w + grads.a + [grad_h]:
         assert np.all(np.isfinite(grad))
 
     def scalar_of_h(vec):
@@ -325,7 +329,7 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
             return float(np.sum(upstream * stack_forward([p], h, nbhd)[0]))
 
         num_a = finite_diff_grad(scalar_of_a, params.a[k], 1e-5)
-        assert relative_error(grad_a[k], num_a) < 1e-4
+        assert relative_error(grads.a[k], num_a) < 1e-4
 
 
 @pytest.mark.parametrize("lists", [ONE_EMPTY_ROW, NO_EDGES], ids=["one-empty-row", "no-edges"])
@@ -350,8 +354,8 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     monkeypatch.setattr(gat, "_EDGE_CHUNK", 7)  # many chunks, the last one partial
     chunked = stack_backward(stack, caches, upstream)
     assert np.array_equal(whole[1], chunked[1])
-    for (w1, a1), (w2, a2) in zip(whole[0], chunked[0], strict=True):
-        assert all(np.array_equal(x, y) for x, y in zip(w1 + a1, w2 + a2, strict=True))
+    for g1, g2 in zip(whole[0], chunked[0], strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(g1.w + g1.a, g2.w + g2.a, strict=True))
 
 
 # row 0 lists node 3 twice, and rows 2 and 5 are empty
@@ -367,7 +371,7 @@ def test_dense_and_csr_layouts_agree(monkeypatch):
         monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
         out, caches = stack_forward(stack, h, csr(WITH_REPEAT))
         grads, grad_h = stack_backward(stack, caches, upstream)
-        flat = [g for grad_w, grad_a in grads for g in grad_w + grad_a]
+        flat = [g for layer in grads for g in layer.w + layer.a]
         runs[layout] = (type(caches[0].adj), [out, grad_h] + flat)
     assert runs["dense"][0] is gat._DenseAdjacency
     assert runs["csr"][0] is gat._SparseAdjacency

@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,47 @@ def test_settings_that_do_not_fit_fail_before_any_epoch(monkeypatch, fields, mes
     for run in (train, ablate):
         with pytest.raises(ParameterError, match=message):
             run(ds, cfg)
+
+
+# each setting of the wrong type trained as its truncation (seed=1.5 as seed=1,
+# clusters=2.5 as 2), passed unchanged (pretrain_epochs=True), or raised a raw
+# TypeError deep in the run
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("seed", 1.5, "an integer"),
+        ("clusters", 2.5, "an integer"),
+        ("clusters", True, "an integer"),
+        ("early_stop_min_epochs", 1.5, "an integer"),
+        ("pretrain_epochs", True, "an integer"),
+        ("k", 2.5, "an integer"),
+        ("k", "3", "an integer"),
+        ("heads", 2.0, "an integer"),
+        ("epochs", 2.5, "an integer"),
+        ("latent_dim", 8.0, "an integer"),
+        ("gat_layers", 1.5, "an integer"),
+        ("gamma", "1", "a real number"),
+        ("gamma", None, "a real number"),
+        ("learning_rate", None, "a real number"),
+        ("learning_rate", 1j, "a real number"),
+    ],
+)
+def test_a_setting_of_the_wrong_type_is_a_parameter_error(monkeypatch, field, value, what):
+    message = f"^{field} must be {what}, got {re.escape(repr(value))}$"
+    with pytest.raises(ParameterError, match=message):
+        small_cfg(**{field: value}).validate()
+    monkeypatch.setattr(slrl.encoder, "reconstruction_grads", lambda *a: pytest.fail("trained"))
+    with pytest.raises(ParameterError, match=message):
+        train(small_ds(), small_cfg(**{field: value}))
+
+
+def test_numpy_and_integer_valued_settings_are_accepted():
+    # numpy integers for the int fields, any real number for gamma and learning_rate
+    cfg = small_cfg(seed=np.int64(0), k=np.int32(3), clusters=np.uint8(3), epochs=np.int64(15),
+                    gamma=10, learning_rate=np.float64(0.01))
+    cfg.validate()
+    want = train(small_ds(), small_cfg(clusters=3))
+    assert np.array_equal(train(small_ds(), cfg).q, want.q)
 
 
 def test_check_fit_needs_clusters_without_labels():
@@ -424,17 +466,24 @@ def test_step_gets_fresh_gradients(monkeypatch):
         return out, caches
 
     def checking_step(params, grads, scales):
+        # parameters and gradients list by one rule: pair by pair, one name and one shape
+        for (group, name, p), (g_group, g_name, g) in zip(params, grads, strict=True):
+            assert (g_group, g_name, g.shape) == (group, name, p.shape)
         arrays = [g for _, _, g in grads]
         for i, g in enumerate(arrays):
             others = [p for _, _, p in params] + cached + arrays[:i] + arrays[i + 1 :]
             assert not any(np.shares_memory(g, x) for x in others)
-        checked.append(len(arrays))
+        checked.append([name for _, name, _ in grads])
         step(params, grads, scales)
 
     monkeypatch.setattr(slrl.gat, "stack_forward", recording_forward)
     monkeypatch.setattr(train_mod, "_step", checking_step)
-    train(small_ds(), small_cfg(epochs=3, pretrain_epochs=2))
+    train(small_ds(), small_cfg(epochs=3, pretrain_epochs=2, gat_layers=2))
     assert len(checked) == 5 and cached
+    # the joint steps list both layers' heads (2 heads each), w before a
+    heads = [f"gat{i}.head{k}.{f}" for i in range(2) for f in "wa" for k in range(2)]
+    assert checked[:2] == [["h"]] * 2
+    assert checked[2:] == [["h", *heads, "centroids"]] * 3
 
 
 @pytest.mark.parametrize("pretrain, where", [(2, "pretrain epoch 1"), (0, "joint epoch 1")])
