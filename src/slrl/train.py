@@ -324,6 +324,9 @@ def train(ds: MultiViewDataset, cfg: TrainConfig) -> TrainReport:
     """Run both phases and return the full report."""
     n_clusters = check_fit(ds, cfg)
     n = ds.n_samples
+    # Python floats: under numpy 2's promotion a numpy float32 setting would keep
+    # float32 precision in the step scales below
+    cfg = replace(cfg, gamma=float(cfg.gamma), learning_rate=float(cfg.learning_rate))
 
     h, decoders, stack = _init_model(n, ds.dims, cfg, cfg.seed)
     report = TrainReport(decoders=decoders, gat_stack=stack)
@@ -416,9 +419,7 @@ def _kink_margin(h, decoders, stack, caches) -> float:
     """Smallest |pre-activation| at any ReLU/LeakyReLU kink in the frozen loss."""
     pre = [h @ theta.w1.T + theta.b1 for theta in decoders]
     scores = [
-        gt._head_scores(layer, k, cache.h_in, cache.adj)[1]
-        for layer, cache in zip(stack, caches, strict=True)
-        for k in range(layer.heads)
+        gt._scores(layer, cache.h_in, cache.adj) for layer, cache in zip(stack, caches, strict=True)
     ]
     return min(float(np.abs(x).min()) for x in pre + scores)
 

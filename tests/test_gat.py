@@ -344,18 +344,25 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
 
 
 def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
-    monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)  # only the CSR side gathers in chunks
+    # ELL pieces of 7 slots against the default size: only the grouping of rows
+    # into pieces changes, so the output and every gradient are bitwise equal
+    monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)  # only the ELL side works in pieces
     h, g = random_graph(23, 40, 5, k=4)
     stack = init_gat_stack(2, 5, 3, 2, seed=4)
-    out, caches = stack_forward(stack, h, g.neighborhoods())
-    assert isinstance(caches[0].adj, gat._SparseAdjacency)
-    upstream = make_rng(24).normal(size=out.shape)
-    whole = stack_backward(stack, caches, upstream)
-    monkeypatch.setattr(gat, "_EDGE_CHUNK", 7)  # many chunks, the last one partial
-    chunked = stack_backward(stack, caches, upstream)
-    assert np.array_equal(whole[1], chunked[1])
-    for g1, g2 in zip(whole[0], chunked[0], strict=True):
-        assert all(np.array_equal(x, y) for x, y in zip(g1.w + g1.a, g2.w + g2.a, strict=True))
+    upstream = make_rng(24).normal(size=(40, 3))
+
+    def run():
+        out, caches = stack_forward(stack, h, g.neighborhoods())
+        grads, grad_h = stack_backward(stack, caches, upstream)
+        return caches[0].adj, [out, grad_h] + [x for layer in grads for x in layer.w + layer.a]
+
+    whole_adj, whole = run()
+    monkeypatch.setattr(gat, "_PIECE_SLOTS", 7)  # many pieces, some with a remainder row
+    pieced_adj, pieced = run()
+    assert isinstance(pieced_adj, gat._SparseAdjacency)
+    assert len(pieced_adj.rows) > 3 * len(whole_adj.rows)
+    assert len(pieced_adj.cols) > 3 * len(whole_adj.cols)
+    assert all(np.array_equal(x, y) for x, y in zip(whole, pieced, strict=True))
 
 
 # row 0 lists node 3 twice, and rows 2 and 5 are empty
@@ -380,6 +387,64 @@ def test_dense_and_csr_layouts_agree(monkeypatch):
         assert np.max(np.abs(dense - sparse)) < 1e-12
 
 
+def _hub_graph():
+    """40 nodes, not symmetric: node 0 lists 33 others, nodes 1-7 hold
+    ``WITH_REPEAT`` (ids shifted by one: a repeated neighbor and two empty rows)
+    and nodes 8-39 list 1 to 5 random others."""
+    rng = make_rng(52)
+    lists = [rng.choice(40, size=33, replace=False).tolist()]
+    lists += [[j + 1 for j in row] for row in WITH_REPEAT]
+    lists += [rng.choice(40, size=rng.integers(1, 6), replace=False).tolist() for _ in range(32)]
+    return lists
+
+
+def test_ell_pieces_of_a_hub_graph_match_dense_and_finite_differences(monkeypatch):
+    lists = _hub_graph()
+    nbhd = csr(lists)
+    stack = init_gat_stack(2, 4, 3, 2, seed=7)
+    h = make_rng(53).normal(size=(40, 4))
+    upstream = make_rng(54).normal(size=(40, 3))
+    monkeypatch.setattr(gat, "_PIECE_SLOTS", 7)
+    runs = {}
+    for layout, switch in (("dense", 40), ("ell", 0)):
+        monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
+        out, caches = stack_forward(stack, h, nbhd)
+        grads, grad_h = stack_backward(stack, caches, upstream)
+        runs[layout] = [out, grad_h] + [x for layer in grads for x in layer.w + layer.a]
+    adj = caches[0].adj
+    assert isinstance(adj, gat._SparseAdjacency)
+    # several widths, a width cut into several pieces and padded slots, on both sides
+    for pieces in (adj.rows, adj.cols):
+        widths = [slots.shape[1] for _, slots, _ in pieces]
+        assert len(set(widths)) >= 4 and max(map(widths.count, widths)) >= 2
+        assert any((slots == adj.indices.shape[0]).any() for _, slots, _ in pieces)
+    hub = [slots for nodes, slots, _ in adj.rows if 0 in nodes]
+    assert [x.shape for x in hub] == [(1, 38)]  # 33 edges and 5 pad slots
+    assert sorted(np.concatenate([nodes for nodes, _, _ in adj.rows])) == [
+        i for i, ids in enumerate(lists) if ids
+    ]
+    for dense, ell in zip(runs["dense"], runs["ell"], strict=True):
+        assert dense.shape == ell.shape
+        assert np.max(np.abs(dense - ell)) < 1e-12
+
+    # the ELL side's gradients against central differences, for h and every parameter
+    shapes = [x.shape for layer in stack for x in layer.w + layer.a]
+    sizes = [int(np.prod(s)) for s in shapes]
+
+    def rebuild(vec):
+        parts = [p.reshape(s) for p, s in zip(np.split(vec, np.cumsum(sizes)[:-1]), shapes)]
+        return [GatParams(w=parts[i : i + 2], a=parts[i + 2 : i + 4]) for i in (0, 4)]
+
+    def loss(hh, st):
+        return float(np.sum(upstream * stack_forward(st, hh, nbhd)[0]))
+
+    theta = np.concatenate([x.ravel() for layer in stack for x in layer.w + layer.a])
+    num_h = finite_diff_grad(lambda v: loss(v.reshape(h.shape), stack), h.ravel(), 1e-5)
+    num_theta = finite_diff_grad(lambda v: loss(h, rebuild(v)), theta, 1e-5)
+    assert relative_error(runs["ell"][1].ravel(), num_h) < 1e-4
+    assert relative_error(np.concatenate([x.ravel() for x in runs["ell"][2:]]), num_theta) < 1e-4
+
+
 def test_backward_holds_no_edge_by_feature_gather():
     n, f = 1024, 64
     h, g = random_graph(25, n, f, k=30)
@@ -395,7 +460,25 @@ def test_backward_holds_no_edge_by_feature_gather():
     finally:
         tracemalloc.stop()
     assert peak < edges * f * 8  # one (E, F') float64 gather
-    assert edges >= 8 * gat._EDGE_CHUNK  # so that the bound leaves no room for one
+    assert edges >= 8 * gat._PIECE_SLOTS  # so that the bound leaves no room for one
+
+
+def test_forward_holds_no_node_by_head_by_feature_array():
+    # the four heads' aggregates A^k h are never stacked into one (N, K F) array:
+    # the forward pass's peak stays under that array's size. The graph is sparser
+    # than the backward test's, since the (E, K) coefficients live through the
+    # forward pass and at k = 30 each would take three quarters of the bound.
+    n, f, heads = 2048, 64, 4
+    h, g = random_graph(27, n, f, k=5)
+    stack = init_gat_stack(1, f, f, heads, seed=6)
+    tracemalloc.start()
+    try:
+        _, caches = stack_forward(stack, h, g.neighborhoods())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(caches[0].adj, gat._SparseAdjacency)
+    assert peak < n * heads * f * 8  # one (N, K F') float64 array
 
 
 def _reachable_arrays(root) -> list:
@@ -415,7 +498,7 @@ def _reachable_arrays(root) -> list:
     return arrays
 
 
-@pytest.mark.parametrize("n", [40, 300])  # the dense and the CSR adjacency
+@pytest.mark.parametrize("n", [40, 300])  # the dense and the ELL adjacency
 def test_caches_keep_no_head_projection(n):
     # W^k h is rebuilt by the backward pass; no (N, F') array is kept for it
     f = fp = 6
@@ -430,7 +513,7 @@ def test_caches_keep_no_head_projection(n):
         assert not [x for x in arrays if x.shape == (n, fp) and not any(x is e for e in ends)]
 
 
-@pytest.mark.parametrize("n", [40, 300])  # the dense and the CSR adjacency
+@pytest.mark.parametrize("n", [40, 300])  # the dense and the ELL adjacency
 def test_caches_keep_no_per_edge_array(n):
     # scores and coefficients are rebuilt by the backward pass; only the adjacency
     # keeps arrays with one entry per edge

@@ -1,4 +1,4 @@
-"""The attention tests of ``test_gat.py`` again, with every graph on the CSR
+"""The attention tests of ``test_gat.py`` again, with every graph on the ELL
 side of ``gat._DENSE_MAX_N``; at their sizes they otherwise take the dense side."""
 
 import numpy as np

@@ -135,6 +135,16 @@ def test_numpy_and_integer_valued_settings_are_accepted():
     assert np.array_equal(train(small_ds(), cfg).q, want.q)
 
 
+def test_numpy_float_settings_train_like_the_floats_they_round_to():
+    # numpy 2 computes lr * N and gamma / N at float32 precision for float32 settings
+    lr, gamma = np.float32(0.01), np.float32(10.0)
+    got = train(small_ds(), small_cfg(learning_rate=lr, gamma=gamma))
+    want = train(small_ds(), small_cfg(learning_rate=float(lr), gamma=float(gamma)))
+    for name in ("h", "ht", "q", "centroids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.loss_history == want.loss_history
+
+
 def test_check_fit_needs_clusters_without_labels():
     ds = replace(small_ds(), labels=None)
     with pytest.raises(ParameterError, match="no labels"):
