@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .numerics import make_rng
+from .numerics import as_ints, make_rng
 
 __all__ = [
     "MultiViewDataset",
@@ -86,13 +86,7 @@ class MultiViewDataset:
         if n < 1:
             raise FormatError("dataset has no samples")
         if self.labels is not None:
-            given = np.asarray(self.labels)
-            if given.dtype.kind not in "biuf":
-                raise FormatError(f"labels must be integers, got {given.dtype} values")
-            with np.errstate(invalid="ignore"):
-                self.labels = given.astype(np.int64, copy=False)
-            if not np.array_equal(self.labels, given):  # a fraction, NaN or out of range
-                raise FormatError("labels must be integers in int64's range")
+            self.labels = as_ints(self.labels, "labels", FormatError)
             if self.labels.ndim != 1:
                 raise FormatError(f"labels must be a vector, got shape {self.labels.shape}")
             if self.labels.shape[0] != n:

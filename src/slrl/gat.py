@@ -32,31 +32,14 @@ the cached input by the forward pass's own calls, so bit for bit; it
 therefore reads the layer input and the parameters as they were at the
 forward pass.
 
-The three products over the graph, the aggregate, the per-edge dots and the
-transposed aggregates A^kT d, come from one adjacency object per
-``stack_forward`` call, in one of two layouts picked by the node count N:
-
-- N <= ``_DENSE_MAX_N``: a dense (N, N) matrix per head, so that each
-  product is a few BLAS calls. The per-edge dots cost N^2 F per head
-  instead of E F, which pays only while N is small.
-- Above it: padded-ELL pieces in numpy. Rows are grouped by degree, rounded
-  up a ladder of widths ``_WIDTH_STEP`` apart, and cut into pieces of about
-  ``_PIECE_SLOTS`` edge slots: (rows, width) blocks of edge positions and
-  neighbor ids whose pad slots point at a zero coefficient. Each piece
-  gathers h (or d) once for every head and writes its rows of the result,
-  so no (N, K, F) or (E, F') array exists. The transposed aggregate walks
-  column pieces, built on first use from one stable argsort of ``indices``.
-
-The switch was set where dense products and scipy's CSR products took
-equally long. Against the ELL pieces the dense side no longer clearly pays:
-a default training at N = 150 took 114-126 ms dense and 105-116 ms on ELL
-pieces alone (one BLAS thread, 2-core Xeon). Scores, softmax, head mean and
-every gradient are the same code on both sides; the sums inside the
-products run in a different order, so the two layouts agree to rounding,
-not bit for bit. Each row of a piece's products comes from that row's own
-gather, and a piece holds at least two rows, since numpy multiplies a
-one-row matrix by a matrix-vector kernel that rounds differently; the test
-suite checks that pieces of 7 slots give the default size's bits.
+The aggregate, the per-edge dots and the transposed aggregates A^kT d run
+over padded-ELL pieces: rows grouped by degree up a ladder of widths
+``_WIDTH_STEP`` apart and cut into pieces of about ``_PIECE_SLOTS`` edge slots,
+whose pad slots point at a zero coefficient. Each piece gathers h (or d) once
+for every head and writes its rows of the result, so no (N, K, F) or (E, F')
+array exists; the column pieces of A^kT d come from one stable argsort of
+``indices``. A piece holds at least two rows, since numpy runs a one-row
+product as matrix-vector, which rounds differently.
 """
 
 from __future__ import annotations
@@ -67,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import as_matrix, make_rng
+from .numerics import as_ints, as_matrix, make_rng
 
 __all__ = [
     "LEAKY_SLOPE",
@@ -80,8 +63,6 @@ __all__ = [
 
 # negative-side slope of the LeakyReLU on attention scores, as in GAT
 LEAKY_SLOPE = 0.2
-# graphs of at most this many nodes attend through dense (N, N) matrices
-_DENSE_MAX_N = 256
 # edge slots (rows x width) per ELL piece, and the ratio of consecutive widths
 _PIECE_SLOTS = 512
 _WIDTH_STEP = 1.25
@@ -151,57 +132,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_neighborhoods(nbhd, n: int):
-    """The CSR pair ``(indptr, indices)`` as int64 arrays, checked against n nodes."""
-    indptr, indices = (np.asarray(x, dtype=np.int64) for x in nbhd)
-    if indptr.ndim != 1 or indptr.shape[0] != n + 1:
-        raise ShapeError(f"indptr must have {n + 1} entries for {n} nodes, got {indptr.shape}")
-    ends_ok = indptr[0] == 0 and indptr[-1] == indices.size
-    if indices.ndim != 1 or not ends_ok or np.any(np.diff(indptr) < 0):
-        raise ShapeError(f"indptr must not decrease from 0 to len(indices)={indices.size}")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise ShapeError(f"neighbor ids must lie in [0, {n})")
-    return indptr, indices
-
-
-class _Adjacency:
-    """A neighborhood CSR and the three products attention takes over it, for
-    every head k at once from the (E + 1, K) coefficients ``alpha`` of
-    ``_coefficients``: ``aggregate`` gives sum_k (A^k h) W^kT, ``edge_dots``
-    gives the (E, K) dots (d_i W^k) . h_j of every edge (i, j), and
-    ``aggregate_t`` gives the (N, K, F') stack of A^kT d."""
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        self.indptr, self.indices = indptr, indices
-        self.n = indptr.shape[0] - 1
-        self.row = np.repeat(np.arange(self.n), np.diff(indptr))  # CSR row id of each edge
-
-
-class _DenseAdjacency(_Adjacency):
-    """One dense (N, N) matrix per head, so that BLAS does the work."""
-
-    def __init__(self, indptr, indices):
-        super().__init__(indptr, indices)
-        self.code = self.row * self.n + indices
-
-    def _matrix(self, alpha_k):
-        # a row that lists a neighbor twice sums both entries, as a CSR product does
-        return np.bincount(self.code, alpha_k, minlength=self.n * self.n).reshape(self.n, self.n)
-
-    def aggregate(self, alpha, h, w):
-        heads = range(alpha.shape[1])
-        return sum((self._matrix(alpha[:-1, k]) @ h) @ w[k].T for k in heads)
-
-    def edge_dots(self, d, h, w):
-        dots = (d @ w) @ h.T  # (K, N, N): (d_i W^k) . h_j
-        # copied to C order, as the ELL side returns it, for the softmax rows
-        return np.take(dots.reshape(w.shape[0], -1), self.code, axis=1).T.copy()
-
-    def aggregate_t(self, alpha, d):
-        heads = range(alpha.shape[1])
-        return np.stack([self._matrix(alpha[:-1, k]).T @ d for k in heads], axis=1)
-
-
 def _width_ladder(top: int) -> list:
     """ELL row widths from 1 up to at least ``top``, each ``_WIDTH_STEP`` times the last."""
     widths = [1]
@@ -238,12 +168,30 @@ def _pieces(ptr, edges, ids) -> list:
     return pieces
 
 
-class _SparseAdjacency(_Adjacency):
-    """Padded-ELL pieces over rows, and over columns for the transposed product."""
+class _Adjacency:
+    """A neighborhood CSR and the three products attention takes over it, for
+    every head k at once from the (E + 1, K) coefficients ``alpha`` of
+    ``_coefficients``: ``aggregate`` gives sum_k (A^k h) W^kT, ``edge_dots``
+    gives the (E, K) dots (d_i W^k) . h_j of every edge (i, j), and
+    ``aggregate_t`` gives the (N, K, F') stack of A^kT d, from ELL pieces over
+    rows and over columns, each built on first use. The CSR pair ``nbhd`` is
+    kept as int64 arrays, checked against n nodes."""
 
-    def __init__(self, indptr, indices):
-        super().__init__(indptr, indices)
-        self.rows = _pieces(indptr, np.arange(indices.shape[0]), indices)
+    def __init__(self, nbhd, n: int):
+        indptr, indices = (as_ints(x, "neighborhood CSR entries") for x in nbhd)
+        if indptr.ndim != 1 or indptr.shape[0] != n + 1:
+            raise ShapeError(f"indptr must have {n + 1} entries for {n} nodes, got {indptr.shape}")
+        ends_ok = indptr[0] == 0 and indptr[-1] == indices.size
+        if indices.ndim != 1 or not ends_ok or np.any(np.diff(indptr) < 0):
+            raise ShapeError(f"indptr must not decrease from 0 to len(indices)={indices.size}")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ShapeError(f"neighbor ids must lie in [0, {n})")
+        self.indptr, self.indices, self.n = indptr, indices, n
+        self.row = np.repeat(np.arange(n), np.diff(indptr))  # CSR row id of each edge
+
+    @cached_property
+    def rows(self) -> list:
+        return _pieces(self.indptr, np.arange(self.indices.shape[0]), self.indices)
 
     @cached_property
     def cols(self) -> list:
@@ -275,11 +223,6 @@ class _SparseAdjacency(_Adjacency):
             coef = np.take(alpha, slots, axis=0).transpose(0, 2, 1)
             out[nodes] = coef @ np.take(d, nbrs, axis=0)  # (rows, K, F')
         return out
-
-
-def _adjacency(indptr, indices) -> _Adjacency:
-    dense = indptr.shape[0] - 1 <= _DENSE_MAX_N
-    return (_DenseAdjacency if dense else _SparseAdjacency)(indptr, indices)
 
 
 @dataclass(slots=True)
@@ -389,10 +332,9 @@ def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     h = as_matrix(h, "h")
     if not 0 <= head < params.heads:
         raise ParameterError(f"head {head} outside [0, {params.heads})")
-    indptr, indices = _check_neighborhoods(nbhd, h.shape[0])
-    adj = _Adjacency(indptr, indices)  # scores need no products
+    adj = _Adjacency(nbhd, h.shape[0])  # scores build no pieces
     alpha = _coefficients(_scores(params, h, adj), adj)[:-1, head]
-    return [alpha[indptr[i] : indptr[i + 1]] for i in range(h.shape[0])]
+    return [alpha[s:e] for s, e in zip(adj.indptr[:-1], adj.indptr[1:])]
 
 
 def stack_forward(stack: list, h, nbhd):
@@ -405,7 +347,7 @@ def stack_forward(stack: list, h, nbhd):
     h = as_matrix(h, "h")
     if not stack:
         return h, []
-    adj = _adjacency(*_check_neighborhoods(nbhd, h.shape[0]))
+    adj = _Adjacency(nbhd, h.shape[0])
     caches = []
     x = h
     for layer in stack:

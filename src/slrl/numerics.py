@@ -1,5 +1,5 @@
-"""Dense float64 matrix helpers, seeded RNG, the descent step, and the
-gradient-check contract.
+"""Dense float64 matrix helpers, the whole-number check on integer inputs,
+seeded RNG, the descent step, and the gradient-check contract.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64; every public
 operation validates shapes and finiteness rather than trusting callers.
@@ -17,6 +17,7 @@ from .errors import NumericError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
+    "as_ints",
     "make_rng",
     "descend",
     "finite_diff_grad",
@@ -39,6 +40,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
+
+
+def as_ints(a, name: str, error=ShapeError) -> np.ndarray:
+    """``a`` as int64, if every entry is a whole number in int64's range: integer
+    dtypes and integer-valued floats pass, and anything else raises ``error``."""
+    given = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        ints = given.astype(np.int64, copy=False) if given.dtype.kind in "biuf" else None
+    if ints is None or not np.array_equal(ints, given):  # a fraction, NaN or out of range
+        raise error(f"{name} must be integers in int64's range, got {given.dtype} values")
+    return ints
 
 
 def descend(value: np.ndarray, grad: np.ndarray, scale: float, name: str) -> None:

@@ -60,10 +60,8 @@ def _leaky(x, slope):
     return x if x > 0 else slope * x
 
 
-def _act(x, name):
-    if name == "sigmoid":
-        return 1.0 / (1.0 + math.exp(-x))
-    return x if x > 0 else math.exp(x) - 1.0
+def _sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 def attention_oracle(w, a, slope, h, neighborhoods):
@@ -81,8 +79,9 @@ def attention_oracle(w, a, slope, h, neighborhoods):
     return rows
 
 
-def gat_layer_oracle(ws, aas, slope, activation, combine, h, neighborhoods):
-    """Multi-head forward: per-head attention aggregation, then combine."""
+def gat_layer_oracle(ws, aas, slope, h, neighborhoods):
+    """Multi-head forward: per-head attention aggregation, then the sigmoid of
+    the heads' mean."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     heads = len(ws)
@@ -95,11 +94,7 @@ def gat_layer_oracle(ws, aas, slope, activation, combine, h, neighborhoods):
             for pos, j in enumerate(nbrs):
                 agg[i] += alpha[i][pos] * (ws[k] @ h[j])
         per_head.append(agg)
-    if combine == "average":
-        pre = sum(per_head) / heads
-        return np.vectorize(lambda v: _act(v, activation))(pre)
-    parts = [np.vectorize(lambda v: _act(v, activation))(g) for g in per_head]
-    return np.concatenate(parts, axis=1)
+    return np.vectorize(_sigmoid)(sum(per_head) / heads)
 
 
 # -------------------------------------------------------------- clustering

@@ -110,7 +110,7 @@ def test_criterion_oracle_equivalence():
             track(got, want)
         track(
             stack_forward([params], hg, (indptr, indices))[0],
-            gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, "sigmoid", "average", hg, lists),
+            gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, hg, lists),
         )
 
         # clustering head: soft assignment, target sharpening, divergence

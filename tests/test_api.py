@@ -61,9 +61,11 @@ def test_every_exported_name_resolves(module):
 # table; the one-view decoder init that ``init_decoders`` absorbed; the
 # k-means and one-layer attention init that ``init_centroids`` and
 # ``init_gat_stack`` absorbed, since only tests read k-means' labels and inertia;
-# and the adapters that listed an attention stack as (W, a) tuples and merged the
+# the adapters that listed an attention stack as (W, a) tuples and merged the
 # two gradient sources, since ``stack_backward`` returns ``GatParams`` and
-# ``_named`` walks parameters and gradients by one rule.
+# ``_named`` walks parameters and gradients by one rule; and the dense attention
+# layout with its size switch, since every graph attends through the one ELL
+# adjacency, which also checks its own CSR pair.
 # ``accuracy`` and ``nmi`` stay in ``slrl.metrics``, outside ``__all__``,
 # because the benchmark's own tests import them
 DELETED = [
@@ -73,7 +75,8 @@ DELETED = [
     "alpha_rowsum_gap", "lc_min", "early_stop_reason", "_update_invariant_gaps", "_unspent",
     "ACTIVATIONS", "COMBINES", "_activate", "_activate_deriv", "_reseed_degenerate",
     "_KERNEL_ERRORS", "_resolve_clusters", "_DECODER_FIELDS", "pair_f_score", "ari",
-    "init_decoder", "kmeans", "init_gat", "_gat_pairs", "_joint_grads",
+    "init_decoder", "kmeans", "init_gat", "_gat_pairs", "_joint_grads", "_DENSE_MAX_N",
+    "_DenseAdjacency", "_SparseAdjacency", "_adjacency", "_check_neighborhoods",
 ]
 BENCHMARK_ONLY = ["accuracy", "nmi"]
 

@@ -259,8 +259,8 @@ def test_sweep_without_labels_usage_error(tmp_path, capsys):
 
 
 # Prints [scipy modules after the CLI import, exit code of a small in-process
-# training, scipy modules after it, whether a forward pass over a graph above
-# the dense switch loaded scipy.sparse] as the last line.
+# training, scipy modules after it, whether a forward pass over a 300-node
+# graph loaded scipy.sparse] as the last line.
 _SCIPY_PROBE = """
 import json, sys
 import numpy as np
@@ -273,7 +273,7 @@ def scipy_modules():
 after_import = scipy_modules()
 code = slrl.cli.main(["train", "--synth", "3x10", "--out", {out!r}])
 after_train = scipy_modules()
-n = gat._DENSE_MAX_N + 1
+n = 300
 stack = gat.init_gat_stack(1, 2, 2, heads=1, seed=0)
 gat.stack_forward(stack, np.ones((n, 2)), (np.arange(n + 1), np.arange(n)))
 print(json.dumps([after_import, code, after_train, "scipy.sparse" in sys.modules]))
@@ -281,9 +281,9 @@ print(json.dumps([after_import, code, after_train, "scipy.sparse" in sys.modules
 
 
 def test_cli_import_loads_no_scipy_optimize(tmp_path):
-    # ACC's assignment is in-house and attention runs on numpy products on
-    # either side of gat._DENSE_MAX_N, so neither the CLI import, nor a small
-    # training, nor attention over a larger graph loads any scipy module.
+    # ACC's assignment is in-house and attention runs on numpy products, so
+    # neither the CLI import, nor a small training, nor attention over a
+    # larger graph loads any scipy module.
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE.format(out=str(tmp_path / "o"))],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,

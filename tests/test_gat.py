@@ -103,13 +103,7 @@ def test_forward_matches_transcription_oracle():
         indptr, indices = g.neighborhoods()
         got = stack_forward([params], h, (indptr, indices))[0]
         want = gat_layer_oracle(
-            params.w,
-            params.a,
-            LEAKY_SLOPE,
-            "sigmoid",
-            "average",
-            h,
-            neighborhood_lists(indptr, indices),
+            params.w, params.a, LEAKY_SLOPE, h, neighborhood_lists(indptr, indices)
         )
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-9
@@ -205,8 +199,9 @@ def test_backward_locality():
     assert np.max(np.abs(grad_h[outsider])) == 0.0
 
 
-# 3-node CSR pairs that each break one rule: indptr has n + 1 entries, starts
-# at 0, never decreases and ends at len(indices); every id lies in [0, n)
+# 3-node CSR pairs that each break one rule: every entry is a whole number,
+# indptr has n + 1 entries, starts at 0, never decreases and ends at
+# len(indices); every id lies in [0, n)
 BAD_PAIRS = {
     "indptr-too-long": ([0, 1, 2, 3, 3], [1, 2, 0]),
     "indptr-too-short": ([0, 1, 3], [1, 2, 0]),
@@ -215,6 +210,9 @@ BAD_PAIRS = {
     "indptr-end-mismatch": ([0, 1, 2, 2], [1, 2, 0]),
     "id-past-n": ([0, 1, 2, 3], [1, 5, 0]),
     "id-negative": ([0, 1, 2, 3], [1, -1, 0]),
+    "id-fraction": ([0, 1, 2, 3], [0.7, 1.9, 2.2]),  # was read as ids 0, 1, 2
+    "id-nan": ([0, 1, 2, 3], [1.0, np.nan, 0.0]),
+    "indptr-fraction": ([0.0, 1.5, 2, 3], [1, 2, 0]),
 }
 
 
@@ -229,6 +227,23 @@ def test_malformed_neighborhoods_raise_shape_error(pair, call):
     }[call]
     with pytest.raises(ShapeError):
         run()
+
+
+@pytest.mark.parametrize("call", ["attention_coeffs", "stack"])
+def test_integer_valued_neighborhoods_are_accepted(call):
+    # floats that are whole numbers, and any integer dtype, read as the int64 pair
+    params = random_params(44, 3, 3, heads=2)
+    h = make_rng(45).normal(size=(3, 3))
+    pairs = [
+        ([0, 2, 3, 4], [1, 2, 0, 1]),
+        ([0.0, 2.0, 3.0, 4.0], [1.0, 2.0, 0.0, 1.0]),
+        (np.array([0, 2, 3, 4], dtype=np.uint8), np.array([1, 2, 0, 1], dtype=np.int32)),
+    ]
+    if call == "stack":
+        runs = [stack_forward([params], h, pair)[0] for pair in pairs]
+    else:
+        runs = [np.concatenate(attention_coeffs(params, 1, h, pair)) for pair in pairs]
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 def test_stack_identity_when_empty():
@@ -297,7 +312,7 @@ def test_empty_neighborhoods_forward_matches_oracle(lists):
     h = make_rng(31).normal(size=(5, 3))
     nbhd = csr(lists)
     out = stack_forward([params], h, nbhd)[0]
-    want = gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, "sigmoid", "average", h, lists)
+    want = gat_layer_oracle(params.w, params.a, LEAKY_SLOPE, h, lists)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - want)) < 1e-12
     for i, ids in enumerate(lists):
@@ -346,7 +361,6 @@ def test_empty_neighborhoods_alpha_row_sums(lists):
 def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     # ELL pieces of 7 slots against the default size: only the grouping of rows
     # into pieces changes, so the output and every gradient are bitwise equal
-    monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)  # only the ELL side works in pieces
     h, g = random_graph(23, 40, 5, k=4)
     stack = init_gat_stack(2, 5, 3, 2, seed=4)
     upstream = make_rng(24).normal(size=(40, 3))
@@ -359,7 +373,7 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     whole_adj, whole = run()
     monkeypatch.setattr(gat, "_PIECE_SLOTS", 7)  # many pieces, some with a remainder row
     pieced_adj, pieced = run()
-    assert isinstance(pieced_adj, gat._SparseAdjacency)
+    assert isinstance(pieced_adj, gat._Adjacency)
     assert len(pieced_adj.rows) > 3 * len(whole_adj.rows)
     assert len(pieced_adj.cols) > 3 * len(whole_adj.cols)
     assert all(np.array_equal(x, y) for x, y in zip(whole, pieced, strict=True))
@@ -369,22 +383,45 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
 WITH_REPEAT = [[0, 3, 3, 1], [1, 0, 4], [], [3, 0, 1], [4, 1, 6], [], [6, 4, 0]]
 
 
-def test_dense_and_csr_layouts_agree(monkeypatch):
+def _check_stack(stack, h, lists, upstream):
+    """The stack's output against the oracle, layer by layer (< 1e-12), and its
+    gradients for h and every parameter against central differences (< 1e-4).
+    Returns the first layer's adjacency."""
+    nbhd = csr(lists)
+    out, caches = stack_forward(stack, h, nbhd)
+    want = h
+    for layer in stack:
+        want = gat_layer_oracle(layer.w, layer.a, LEAKY_SLOPE, want, lists)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) < 1e-12
+
+    grads, grad_h = stack_backward(stack, caches, upstream)
+    heads = stack[0].heads
+    shapes = [x.shape for layer in stack for x in layer.w + layer.a]
+    sizes = [int(np.prod(s)) for s in shapes]
+
+    def rebuild(vec):
+        parts = [p.reshape(s) for p, s in zip(np.split(vec, np.cumsum(sizes)[:-1]), shapes)]
+        layers = [parts[i : i + 2 * heads] for i in range(0, len(parts), 2 * heads)]
+        return [GatParams(w=x[:heads], a=x[heads:]) for x in layers]
+
+    def loss(hh, st):
+        return float(np.sum(upstream * stack_forward(st, hh, nbhd)[0]))
+
+    theta = np.concatenate([x.ravel() for layer in stack for x in layer.w + layer.a])
+    num_h = finite_diff_grad(lambda v: loss(v.reshape(h.shape), stack), h.ravel(), 1e-5)
+    num_theta = finite_diff_grad(lambda v: loss(h, rebuild(v)), theta, 1e-5)
+    got_theta = np.concatenate([x.ravel() for layer in grads for x in layer.w + layer.a])
+    assert relative_error(grad_h.ravel(), num_h) < 1e-4
+    assert relative_error(got_theta, num_theta) < 1e-4
+    return caches[0].adj
+
+
+def test_repeated_neighbor_and_empty_rows_match_oracle_and_finite_differences():
     stack = init_gat_stack(2, 4, 3, 2, seed=6)
     h = make_rng(50).normal(size=(7, 4))
     upstream = make_rng(51).normal(size=(7, stack[-1].f_prime))
-    runs = {}
-    for layout, switch in (("dense", 7), ("csr", 6)):
-        monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
-        out, caches = stack_forward(stack, h, csr(WITH_REPEAT))
-        grads, grad_h = stack_backward(stack, caches, upstream)
-        flat = [g for layer in grads for g in layer.w + layer.a]
-        runs[layout] = (type(caches[0].adj), [out, grad_h] + flat)
-    assert runs["dense"][0] is gat._DenseAdjacency
-    assert runs["csr"][0] is gat._SparseAdjacency
-    for dense, sparse in zip(runs["dense"][1], runs["csr"][1], strict=True):
-        assert dense.shape == sparse.shape
-        assert np.max(np.abs(dense - sparse)) < 1e-12
+    _check_stack(stack, h, WITH_REPEAT, upstream)
 
 
 def _hub_graph():
@@ -398,21 +435,13 @@ def _hub_graph():
     return lists
 
 
-def test_ell_pieces_of_a_hub_graph_match_dense_and_finite_differences(monkeypatch):
+def test_ell_pieces_of_a_hub_graph_match_oracle_and_finite_differences(monkeypatch):
     lists = _hub_graph()
-    nbhd = csr(lists)
     stack = init_gat_stack(2, 4, 3, 2, seed=7)
     h = make_rng(53).normal(size=(40, 4))
     upstream = make_rng(54).normal(size=(40, 3))
     monkeypatch.setattr(gat, "_PIECE_SLOTS", 7)
-    runs = {}
-    for layout, switch in (("dense", 40), ("ell", 0)):
-        monkeypatch.setattr(gat, "_DENSE_MAX_N", switch)
-        out, caches = stack_forward(stack, h, nbhd)
-        grads, grad_h = stack_backward(stack, caches, upstream)
-        runs[layout] = [out, grad_h] + [x for layer in grads for x in layer.w + layer.a]
-    adj = caches[0].adj
-    assert isinstance(adj, gat._SparseAdjacency)
+    adj = _check_stack(stack, h, lists, upstream)
     # several widths, a width cut into several pieces and padded slots, on both sides
     for pieces in (adj.rows, adj.cols):
         widths = [slots.shape[1] for _, slots, _ in pieces]
@@ -423,26 +452,6 @@ def test_ell_pieces_of_a_hub_graph_match_dense_and_finite_differences(monkeypatc
     assert sorted(np.concatenate([nodes for nodes, _, _ in adj.rows])) == [
         i for i, ids in enumerate(lists) if ids
     ]
-    for dense, ell in zip(runs["dense"], runs["ell"], strict=True):
-        assert dense.shape == ell.shape
-        assert np.max(np.abs(dense - ell)) < 1e-12
-
-    # the ELL side's gradients against central differences, for h and every parameter
-    shapes = [x.shape for layer in stack for x in layer.w + layer.a]
-    sizes = [int(np.prod(s)) for s in shapes]
-
-    def rebuild(vec):
-        parts = [p.reshape(s) for p, s in zip(np.split(vec, np.cumsum(sizes)[:-1]), shapes)]
-        return [GatParams(w=parts[i : i + 2], a=parts[i + 2 : i + 4]) for i in (0, 4)]
-
-    def loss(hh, st):
-        return float(np.sum(upstream * stack_forward(st, hh, nbhd)[0]))
-
-    theta = np.concatenate([x.ravel() for layer in stack for x in layer.w + layer.a])
-    num_h = finite_diff_grad(lambda v: loss(v.reshape(h.shape), stack), h.ravel(), 1e-5)
-    num_theta = finite_diff_grad(lambda v: loss(h, rebuild(v)), theta, 1e-5)
-    assert relative_error(runs["ell"][1].ravel(), num_h) < 1e-4
-    assert relative_error(np.concatenate([x.ravel() for x in runs["ell"][2:]]), num_theta) < 1e-4
 
 
 def test_backward_holds_no_edge_by_feature_gather():
@@ -477,7 +486,7 @@ def test_forward_holds_no_node_by_head_by_feature_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(caches[0].adj, gat._SparseAdjacency)
+    assert isinstance(caches[0].adj, gat._Adjacency)
     assert peak < n * heads * f * 8  # one (N, K F') float64 array
 
 
@@ -498,14 +507,14 @@ def _reachable_arrays(root) -> list:
     return arrays
 
 
-@pytest.mark.parametrize("n", [40, 300])  # the dense and the ELL adjacency
+@pytest.mark.parametrize("n", [40, 300])
 def test_caches_keep_no_head_projection(n):
     # W^k h is rebuilt by the backward pass; no (N, F') array is kept for it
     f = fp = 6
     h, g = random_graph(27, n, f, k=4)
     stack = init_gat_stack(2, f, fp, 4, seed=8)
     _, caches = stack_forward(stack, h, g.neighborhoods())
-    assert isinstance(caches[1].adj, gat._DenseAdjacency if n <= 256 else gat._SparseAdjacency)
+    assert isinstance(caches[1].adj, gat._Adjacency)
     for cache in caches:
         arrays = _reachable_arrays(cache)
         assert any(x is cache.h_in for x in arrays)  # the walk reaches the kept arrays
@@ -513,7 +522,7 @@ def test_caches_keep_no_head_projection(n):
         assert not [x for x in arrays if x.shape == (n, fp) and not any(x is e for e in ends)]
 
 
-@pytest.mark.parametrize("n", [40, 300])  # the dense and the ELL adjacency
+@pytest.mark.parametrize("n", [40, 300])
 def test_caches_keep_no_per_edge_array(n):
     # scores and coefficients are rebuilt by the backward pass; only the adjacency
     # keeps arrays with one entry per edge

@@ -1,11 +1,12 @@
-"""The attention tests of ``test_gat.py`` again, with every graph on the ELL
-side of ``gat._DENSE_MAX_N``; at their sizes they otherwise take the dense side."""
+"""The attention tests of ``test_gat.py`` again, with every ELL piece cut to
+two rows (``gat._PIECE_SLOTS`` = 2); at their sizes each width otherwise fits
+in one piece, so here the oracle, finite-difference and equivariance checks
+also cover rows split across pieces."""
 
 import numpy as np
 import pytest
 
 from slrl import gat
-from slrl.gat import stack_forward
 
 from test_gat import (  # noqa: F401  collected again under this module
     test_alpha_row_sums_exposed_by_cache,
@@ -30,11 +31,11 @@ from test_gat import (  # noqa: F401  collected again under this module
 
 
 @pytest.fixture(autouse=True)
-def csr_layout(monkeypatch):
-    monkeypatch.setattr(gat, "_DENSE_MAX_N", 0)
+def two_row_pieces(monkeypatch):
+    monkeypatch.setattr(gat, "_PIECE_SLOTS", 2)
 
 
-def test_layout_is_csr():
-    stack = gat.init_gat_stack(1, 3, 3, heads=1, seed=0)
-    _, caches = stack_forward(stack, np.ones((2, 3)), (np.array([0, 1, 2]), np.array([0, 1])))
-    assert isinstance(caches[0].adj, gat._SparseAdjacency)
+def test_pieces_hold_two_rows():
+    # five rows of one edge: no one-row remainder, so the last piece takes three
+    pieces = gat._pieces(np.arange(6), np.arange(5), np.arange(5))
+    assert [p[0].tolist() for p in pieces] == [[0, 1], [2, 3, 4]]
