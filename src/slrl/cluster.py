@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .numerics import as_matrix, make_rng
+from .numerics import as_int, as_matrix, make_rng
 
 __all__ = [
     "init_centroids",
@@ -108,7 +108,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray):
 def init_centroids(ht, c: int, seed: int) -> np.ndarray:
     """Centroid matrix for the clustering head: the centers of the best-inertia
     k-means of ``_RESTARTS`` k-means++ restarts. Deterministic given seed."""
-    ht = as_matrix(ht, "ht")
+    ht, c = as_matrix(ht, "ht"), as_int(c, "c")
     if not 2 <= c <= ht.shape[0]:
         raise ParameterError(f"cluster count {c} outside [2, {ht.shape[0]}]")
     rng = make_rng(seed)

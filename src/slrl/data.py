@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .numerics import as_ints, make_rng
+from .numerics import as_int, as_ints, make_rng
 
 __all__ = [
     "MultiViewDataset",
@@ -258,9 +258,10 @@ def synth_multiview(
     ``_MIN_SEPARATION``, which keeps the difficulty of a given noise level
     comparable across seeds; if 100 draws miss, it is a ``ParameterError``.
     """
+    clusters, per_cluster = as_int(clusters, "clusters"), as_int(per_cluster, "per_cluster")
     if clusters < 2 or per_cluster < 2:
         raise ParameterError("need clusters >= 2 and per_cluster >= 2")
-    view_dims = [int(d) for d in view_dims]
+    view_dims = [as_int(d, "each view_dims entry") for d in view_dims]
     if not view_dims or any(d < 2 for d in view_dims):
         raise ParameterError("each view needs dimension >= 2")
     # written so that nan fails too: every comparison with nan is false

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .errors import ParameterError, ShapeError
-from .numerics import as_matrix, descend, make_rng
+from .numerics import as_int, as_matrix, descend, make_rng
 
 __all__ = [
     "DecoderParams",
@@ -70,6 +70,7 @@ class DecoderParams:
 
 def init_latent(n: int, f: int, seed: int) -> np.ndarray:
     """The (N, F) latent matrix, entries drawn i.i.d. uniform on [-0.05, 0.05]."""
+    n, f = as_int(n, "n"), as_int(f, "f")
     if n < 1 or f < 2:
         raise ParameterError(f"need n >= 1 and f >= 2, got n={n}, f={f}")
     rng = make_rng(seed)
@@ -83,9 +84,9 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 def init_decoders(f: int, dims, seed: int) -> list:
     """One decoder per view: Glorot-uniform weights, zero biases, hidden width max(2F, d_v)."""
-    rng = make_rng(seed)
+    f, rng = as_int(f, "f"), make_rng(seed)
     decoders = []
-    for d_v in dims:
+    for d_v in (as_int(d, "each dims entry") for d in dims):
         hidden = max(2 * f, d_v)
         w1, w2 = _glorot(rng, hidden, f), _glorot(rng, d_v, hidden)
         decoders.append(DecoderParams(w1, np.zeros(hidden), w2, np.zeros(d_v)))

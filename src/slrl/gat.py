@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import as_ints, as_matrix, make_rng
+from .numerics import as_int, as_ints, as_matrix, make_rng
 
 __all__ = [
     "LEAKY_SLOPE",
@@ -70,32 +70,31 @@ _WIDTH_STEP = 1.25
 
 @dataclass
 class GatParams:
-    """Parameters of one attention layer."""
+    """Parameters of one attention layer, every head's stacked on the first axis."""
 
-    w: list  # per head: (F', F)
-    a: list  # per head: (2 F',)
+    w: np.ndarray  # (K, F', F): head k's linear map is w[k]
+    a: np.ndarray  # (K, 2 F'): head k's scoring vector is a[k]
 
     def __post_init__(self):
-        if not self.w or len(self.w) != len(self.a):
-            raise ShapeError("need one scoring vector per head")
-        fp, f = self.w[0].shape
-        for wk, ak in zip(self.w, self.a):
-            if wk.shape != (fp, f):
-                raise ShapeError("heads must share the same W shape")
-            if ak.shape != (2 * fp,):
-                raise ShapeError(f"scoring vector must have length {2 * fp}")
+        try:  # per-head lists stack here; ragged ones cannot
+            self.w, self.a = (np.asarray(x, dtype=np.float64) for x in (self.w, self.a))
+        except ValueError:
+            raise ShapeError("the heads of a layer must share their shapes") from None
+        if self.w.ndim != 3 or not self.heads or self.a.shape != (self.heads, 2 * self.f_prime):
+            got = f"w {self.w.shape} and a {self.a.shape}"
+            raise ShapeError(f"need w (K, F', F) and a (K, 2F') for K >= 1 heads, got {got}")
 
     @property
     def heads(self) -> int:
-        return len(self.w)
+        return self.w.shape[0]
 
     @property
     def f_in(self) -> int:
-        return self.w[0].shape[1]
+        return self.w.shape[2]
 
     @property
     def f_prime(self) -> int:
-        return self.w[0].shape[0]
+        return self.w.shape[1]
 
 
 def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) -> list:
@@ -108,15 +107,16 @@ def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) 
     contrast; Glorot-width scoring vectors keep the initial attention
     close to uniform.
     """
+    layers, heads = as_int(layers, "layers"), as_int(heads, "heads")
+    f_in, f_prime = as_int(f_in, "f_in"), as_int(f_prime, "f_prime")
     rng = make_rng(seed)
     sa = np.sqrt(6.0 / (2 * f_prime + 1))
     stack = []
     for i in range(layers):
         fan_in = f_prime if i else f_in
         sw = np.sqrt(6.0 / fan_in)
-        w = [rng.uniform(-sw, sw, size=(f_prime, fan_in)) for _ in range(heads)]
-        a = [rng.uniform(-sa, sa, size=2 * f_prime) for _ in range(heads)]
-        stack.append(GatParams(w=w, a=a))
+        w = rng.uniform(-sw, sw, size=(heads, f_prime, fan_in))
+        stack.append(GatParams(w=w, a=rng.uniform(-sa, sa, size=(heads, 2 * f_prime))))
     return stack
 
 
@@ -254,7 +254,7 @@ def _scores(params: GatParams, h, adj: _Adjacency):
     """Every head's per-edge scores before the LeakyReLU, (E, K): the forward pass
     makes them, and the backward pass and gradcheck rebuild them from the layer
     input by this same call."""
-    src, dst = _score_vectors(np.stack(params.w), np.stack(params.a))
+    src, dst = _score_vectors(params.w, params.a)
     t = np.take(h @ src, adj.row, axis=0)
     t += np.take(h @ dst, adj.indices, axis=0)
     return t
@@ -277,7 +277,7 @@ def _coefficients(t, adj: _Adjacency):
 def _layer_forward(params: GatParams, h, adj: _Adjacency):
     alpha = _coefficients(_scores(params, h, adj), adj)
     row_sums = _segment_reduce(np.add, alpha[:-1], adj.indptr).T
-    pre = adj.aggregate(alpha, h, np.stack(params.w))
+    pre = adj.aggregate(alpha, h, params.w)
     del alpha
     pre /= params.heads
     out = _sigmoid(pre)  # overwrites pre
@@ -287,7 +287,7 @@ def _layer_forward(params: GatParams, h, adj: _Adjacency):
 def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     h, adj = cache.h_in, cache.adj
     heads, fp = params.heads, params.f_prime
-    w = np.stack(params.w)  # (K, F', F)
+    w, a = params.w, params.a
     # the sigmoid's derivative is out (1 - out); each head's aggregate feeds the mean
     d_agg = upstream * (cache.out * (1.0 - cache.out))
     d_agg /= heads
@@ -310,7 +310,6 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     c = adj.aggregate_t(alpha, d_agg).reshape(adj.n, heads * fp)  # A^kT d, heads side by side
     del alpha
     # src_k = W^kT a_src^k and dst_k = W^kT a_dst^k, whose gradients are (K, F)
-    a = np.stack(params.a)
     src, dst = _score_vectors(w, a)
     g_src, g_dst = row_dt.T @ h, col_dt.T @ h
     grad_w = (c.T @ h).reshape(w.shape)
@@ -320,7 +319,7 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     grad_h = c @ w.reshape(heads * fp, -1)
     grad_h += row_dt @ src.T
     grad_h += col_dt @ dst.T
-    return GatParams(w=list(grad_w), a=list(grad_a)), grad_h
+    return GatParams(w=grad_w, a=grad_a), grad_h
 
 
 def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
@@ -329,7 +328,7 @@ def attention_coeffs(params: GatParams, head: int, h, nbhd) -> list:
     Entry i is aligned with row i of the ``(indptr, indices)`` pair ``nbhd``
     and sums to 1 unless the row is empty.
     """
-    h = as_matrix(h, "h")
+    h, head = as_matrix(h, "h"), as_int(head, "head")
     if not 0 <= head < params.heads:
         raise ParameterError(f"head {head} outside [0, {params.heads})")
     adj = _Adjacency(nbhd, h.shape[0])  # scores build no pieces

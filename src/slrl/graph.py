@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .numerics import as_matrix
+from .numerics import as_int, as_matrix
 
 __all__ = ["NeighborGraph", "knn_indices", "build_graph", "dump_edges"]
 
@@ -127,7 +127,7 @@ def _block_nearest(h: np.ndarray, m2h: np.ndarray, sq: np.ndarray, start: int, k
 def _nearest(h: np.ndarray, k: int):
     """Each row's k nearest other rows, the smaller id winning a tie: ids (N, k),
     ascending within a row, and their squared distances (N, k)."""
-    n = h.shape[0]
+    n, k = h.shape[0], as_int(k, "k")
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} outside [1, {n - 1}]")
     sq = np.sum(h * h, axis=1)

@@ -1,5 +1,5 @@
-"""Dense float64 matrix helpers, the whole-number check on integer inputs,
-seeded RNG, the descent step, and the gradient-check contract.
+"""Dense float64 matrix helpers, the integer checks on counts, seeds and integer
+arrays, seeded RNG, the descent step, and the gradient-check contract.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64; every public
 operation validates shapes and finiteness rather than trusting callers.
@@ -9,6 +9,7 @@ Randomness is always threaded through an explicit ``numpy.random.Generator``
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import NumericError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
+    "as_int",
     "as_ints",
     "make_rng",
     "descend",
@@ -27,9 +29,18 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: equal seeds give equal draw sequences."""
+    seed = as_int(seed, "seed")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int, if it is a Python or numpy integer: a bool, a float
+    (integer-valued or not) and anything else raise ``ParameterError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

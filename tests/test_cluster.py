@@ -45,6 +45,16 @@ def test_centroids_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("c, seed, name", [(2.5, 0, "c"), (2.0, 0, "c"), (2, 0.5, "seed")])
+def test_centroids_take_only_integer_counts_and_seeds(c, seed, name):
+    # a float count raised TypeError inside k-means++, and a float seed was truncated
+    x = make_rng(3).normal(size=(10, 2))
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        init_centroids(x, c, seed)
+    want = init_centroids(x, 2, 1)
+    assert init_centroids(x, np.int64(2), np.int64(1)).tobytes() == want.tobytes()
+
+
 def test_centroids_range_validation():
     x = np.zeros((5, 2))
     with pytest.raises(ParameterError):

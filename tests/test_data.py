@@ -238,6 +238,31 @@ def test_synth_validates_arguments():
         synth_multiview(3, 5, [4], noise=-0.1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((3, 4, [4, 3], 0.05, 1.7), "seed"),
+        ((3, 4, [4.7, 3]), "view_dims"),
+        ((3, 4, [4, 3.0]), "view_dims"),
+        ((3, 2.5, [4, 3]), "per_cluster"),
+        ((2.5, 4, [4, 3]), "clusters"),
+        ((True, 4, [4, 3]), "clusters"),
+    ],
+)
+def test_synth_rejects_counts_widths_and_seeds_that_are_not_integers(args, name):
+    # a fractional seed or view width was truncated; fractional counts raised TypeError
+    with pytest.raises(ParameterError, match=f"{name}.* must be an integer"):
+        synth_multiview(*args)
+
+
+def test_synth_takes_numpy_integers_as_python_ones():
+    want = synth_multiview(3, 4, [4, 3], seed=1)
+    got = synth_multiview(np.int64(3), np.int32(4), np.array([4, 3]), seed=np.int64(1))
+    assert got.dims == [4, 3] and all(type(d) is int for d in got.dims)
+    for a, b in zip([*want.views, want.labels], [*got.views, got.labels], strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_synth_centers_keep_their_separation_or_fail():
     # 50 centers in 2 dimensions: no draw of 100 keeps them 0.5 apart
     with pytest.raises(ParameterError, match="^no draw of 50 cluster centers in 2 generator"):

@@ -62,6 +62,23 @@ def test_init_latent_range():
     assert np.all(h >= -0.05) and np.all(h <= 0.05)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: init_latent(2.5, 3, 0), "n"),
+        (lambda: init_latent(3, 4.0, 0), "f"),
+        (lambda: init_latent(3, 4, 0.5), "seed"),
+        (lambda: init_decoders(3.0, [4], 0), "f"),
+        (lambda: init_decoders(3, [4.5], 0), "dims"),
+    ],
+    ids=["latent-n", "latent-f", "latent-seed", "decoders-f", "decoders-dims"],
+)
+def test_init_takes_only_integer_sizes_and_seeds(call, name):
+    # fractional sizes raised TypeError inside the generator
+    with pytest.raises(ParameterError, match=f"{name}.* must be an integer"):
+        call()
+
+
 def test_init_latent_validation():
     with pytest.raises(ParameterError):
         init_latent(0, 4, seed=0)

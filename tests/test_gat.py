@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from slrl import gat
-from slrl.errors import ShapeError
+from slrl.data import synth_multiview
+from slrl.errors import ParameterError, ShapeError
 from slrl.gat import (
     LEAKY_SLOPE,
     GatParams,
@@ -16,6 +17,7 @@ from slrl.gat import (
 )
 from slrl.graph import build_graph
 from slrl.numerics import finite_diff_grad, make_rng, relative_error
+from slrl.train import TrainConfig, load_checkpoint, save_checkpoint, train
 
 from oracles import attention_oracle, gat_layer_oracle
 
@@ -246,6 +248,78 @@ def test_integer_valued_neighborhoods_are_accepted(call):
     assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: init_gat_stack(1.0, 3, 3, 2, 0), "layers"),
+        (lambda: init_gat_stack(1, 3.0, 3, 2, 0), "f_in"),
+        (lambda: init_gat_stack(1, 3, 3.5, 2, 0), "f_prime"),
+        (lambda: init_gat_stack(1, 3, 3, True, 0), "heads"),
+        (lambda: init_gat_stack(1, 3, 3, 2, 0.5), "seed"),
+        (lambda: attention_coeffs(random_params(0, 3, 3, 2), 0.5, np.eye(3), csr([[0]] * 3)),
+         "head"),
+    ],
+    ids=["layers", "f_in", "f_prime", "heads", "seed", "head"],
+)
+def test_counts_must_be_integers(call, name):
+    # fractional counts raised TypeError (init) or IndexError (the head), and a
+    # fractional seed was truncated
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_heads_are_stacked_arrays(tmp_path):
+    # each layer holds its heads' W as one (K, F', F) array and their a as one
+    # (K, 2F') array, whether drawn, returned as gradients or built from lists
+    stack = init_gat_stack(2, 5, 3, heads=4, seed=2)
+    h, g = random_graph(46, n=12, f=5)
+    out, caches = stack_forward(stack, h, g.neighborhoods())
+    grads, _ = stack_backward(stack, caches, make_rng(47).normal(size=out.shape))
+    for params in [*stack, *grads]:
+        assert type(params.w) is np.ndarray and params.w.dtype == np.float64
+        assert type(params.a) is np.ndarray and params.a.dtype == np.float64
+        assert params.a.shape == (4, 6)
+    assert [p.w.shape for p in [*stack, *grads]] == [(4, 3, 5), (4, 3, 3)] * 2
+    from_lists = GatParams(w=list(stack[0].w), a=[list(a) for a in stack[0].a])
+    assert from_lists.w.tobytes() == stack[0].w.tobytes()
+    assert from_lists.a.tobytes() == stack[0].a.tobytes()
+    # the numbers of the per-head draws: per layer, every head's W, then every a
+    rng, sa = make_rng(2), np.sqrt(6.0 / 7)
+    for layer, fan_in in zip(stack, (5, 3)):
+        sw = np.sqrt(6.0 / fan_in)
+        w = [rng.uniform(-sw, sw, size=(3, fan_in)) for _ in range(4)]
+        a = [rng.uniform(-sa, sa, size=6) for _ in range(4)]
+        assert layer.w.tobytes() == np.stack(w).tobytes()
+        assert layer.a.tobytes() == np.stack(a).tobytes()
+
+    # ragged W, ragged a, a head without a, a of the wrong length, no heads, a 2-D w
+    malformed = [
+        ([np.zeros((4, 3)), np.zeros((4, 2))], [np.zeros(8)] * 2),
+        ([np.zeros((4, 3))] * 2, [np.zeros(8), np.zeros(6)]),
+        ([np.zeros((4, 3))] * 2, [np.zeros(8)]),
+        ([np.zeros((4, 3))], [np.zeros(6)]),
+        ([], []),
+        (np.zeros((4, 3)), np.zeros((4, 8))),
+    ]
+    for w, a in malformed:
+        with pytest.raises(ShapeError):
+            GatParams(w=w, a=a)
+
+    report = train(
+        synth_multiview(3, 6, [4, 3], seed=0),
+        TrainConfig(latent_dim=4, k=3, heads=2, gat_layers=2, epochs=1, pretrain_epochs=1),
+    )
+    save_checkpoint(report, tmp_path)
+    names = [line.split()[0] for line in (tmp_path / "index.txt").read_text().splitlines()]
+    want = [f"gat{i}.head{k}.{f}" for i in range(2) for f in "wa" for k in range(2)]
+    assert [name for name in names if name.startswith("gat")] == want
+    back = load_checkpoint(tmp_path)
+    for i, layer in enumerate(report.gat_stack):
+        for k in range(2):
+            assert back[f"gat{i}.head{k}.w"].tobytes() == layer.w[k].tobytes()
+            assert back[f"gat{i}.head{k}.a"].tobytes() == layer.a[k].tobytes()
+
+
 def test_stack_identity_when_empty():
     h = make_rng(22).normal(size=(4, 3))
     out, caches = stack_forward([], h, None)
@@ -289,7 +363,7 @@ def test_stack_two_layers_shapes():
     # one GatParams of gradients per layer, shaped like that layer's parameters
     for layer, grad in zip(stack, grads, strict=True):
         assert isinstance(grad, GatParams)
-        assert [g.shape for g in grad.w + grad.a] == [x.shape for x in layer.w + layer.a]
+        assert [g.shape for g in [*grad.w, *grad.a]] == [x.shape for x in [*layer.w, *layer.a]]
 
 
 def test_alpha_row_sums_exposed_by_cache():
@@ -328,7 +402,7 @@ def test_empty_neighborhoods_backward_matches_finite_differences(lists):
     upstream = make_rng(34).normal(size=(5, 3))
     _, caches = stack_forward([params], h, nbhd)
     [grads], grad_h = stack_backward([params], caches, upstream)
-    for grad in grads.w + grads.a + [grad_h]:
+    for grad in [*grads.w, *grads.a, grad_h]:
         assert np.all(np.isfinite(grad))
 
     def scalar_of_h(vec):
@@ -368,7 +442,7 @@ def test_backward_edge_chunks_do_not_change_gradients(monkeypatch):
     def run():
         out, caches = stack_forward(stack, h, g.neighborhoods())
         grads, grad_h = stack_backward(stack, caches, upstream)
-        return caches[0].adj, [out, grad_h] + [x for layer in grads for x in layer.w + layer.a]
+        return caches[0].adj, [out, grad_h] + [x for layer in grads for x in [*layer.w, *layer.a]]
 
     whole_adj, whole = run()
     monkeypatch.setattr(gat, "_PIECE_SLOTS", 7)  # many pieces, some with a remainder row
@@ -397,7 +471,7 @@ def _check_stack(stack, h, lists, upstream):
 
     grads, grad_h = stack_backward(stack, caches, upstream)
     heads = stack[0].heads
-    shapes = [x.shape for layer in stack for x in layer.w + layer.a]
+    shapes = [x.shape for layer in stack for x in [*layer.w, *layer.a]]
     sizes = [int(np.prod(s)) for s in shapes]
 
     def rebuild(vec):
@@ -408,10 +482,10 @@ def _check_stack(stack, h, lists, upstream):
     def loss(hh, st):
         return float(np.sum(upstream * stack_forward(st, hh, nbhd)[0]))
 
-    theta = np.concatenate([x.ravel() for layer in stack for x in layer.w + layer.a])
+    theta = np.concatenate([x.ravel() for layer in stack for x in [*layer.w, *layer.a]])
     num_h = finite_diff_grad(lambda v: loss(v.reshape(h.shape), stack), h.ravel(), 1e-5)
     num_theta = finite_diff_grad(lambda v: loss(h, rebuild(v)), theta, 1e-5)
-    got_theta = np.concatenate([x.ravel() for layer in grads for x in layer.w + layer.a])
+    got_theta = np.concatenate([x.ravel() for layer in grads for x in [*layer.w, *layer.a]])
     assert relative_error(grad_h.ravel(), num_h) < 1e-4
     assert relative_error(got_theta, num_theta) < 1e-4
     return caches[0].adj

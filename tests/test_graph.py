@@ -47,6 +47,19 @@ def test_knn_range_validation():
         knn_indices(h, 4)
 
 
+@pytest.mark.parametrize("call", [build_graph, knn_indices])
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_k_must_be_an_integer(call, k):
+    # numpy's partition raised TypeError for a float k
+    h = make_rng(0).normal(size=(6, 2))
+    with pytest.raises(ParameterError, match="^k must be an integer"):
+        call(h, k)
+    got, want = call(h, np.int64(2)), call(h, 2)
+    if call is build_graph:
+        got, want = ([g.indptr, g.indices, g.weights] for g in (got, want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
 def test_gaussian_identical_points_weight_one():
     # two pairs, so that the median selected distance is 1, not 0
     h = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [6.0, 5.0]])

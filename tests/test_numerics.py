@@ -20,6 +20,20 @@ def test_rng_rejects_a_negative_seed():
         make_rng(-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), float("nan"), True, "1", None])
+def test_rng_rejects_a_seed_that_is_not_an_integer(seed):
+    # a fractional seed drew as its integer part, and a NaN seed escaped as ValueError
+    with pytest.raises(ParameterError, match="^seed must be an integer"):
+        make_rng(seed)
+
+
+def test_rng_takes_python_and_numpy_integer_seeds():
+    want = make_rng(7).random(5)
+    for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+        assert make_rng(seed).random(5).tobytes() == want.tobytes()
+    assert make_rng(2**70).random(5).shape == (5,)  # beyond int64, as PCG64 takes it
+
+
 def test_finite_diff_square():
     g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]), eps=1e-5)
     assert abs(g[0] - 6.0) < 1e-6

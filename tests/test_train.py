@@ -506,7 +506,7 @@ def test_a_non_finite_step_in_the_last_view_stops_that_array(monkeypatch, pretra
 
     def recording_init(*args):
         model["h"], model["decoders"], stack = init_model(*args)
-        model["gat"] = [x for layer in stack for x in layer.w + layer.a]
+        model["gat"] = [x for layer in stack for x in [*layer.w, *layer.a]]
         return model["h"], model["decoders"], stack
 
     def parameters():
