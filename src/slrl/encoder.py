@@ -84,9 +84,9 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 def init_decoders(f: int, dims, seed: int) -> list:
     """One decoder per view: Glorot-uniform weights, zero biases, hidden width max(2F, d_v)."""
-    f, rng = as_int(f, "f"), make_rng(seed)
+    f, rng = as_int(f, "f", least=1), make_rng(seed)
     decoders = []
-    for d_v in (as_int(d, "each dims entry") for d in dims):
+    for d_v in (as_int(d, "each dims entry", least=1) for d in dims):
         hidden = max(2 * f, d_v)
         w1, w2 = _glorot(rng, hidden, f), _glorot(rng, d_v, hidden)
         decoders.append(DecoderParams(w1, np.zeros(hidden), w2, np.zeros(d_v)))

@@ -36,10 +36,15 @@ The aggregate, the per-edge dots and the transposed aggregates A^kT d run
 over padded-ELL pieces: rows grouped by degree up a ladder of widths
 ``_WIDTH_STEP`` apart and cut into pieces of about ``_PIECE_SLOTS`` edge slots,
 whose pad slots point at a zero coefficient. Each piece gathers h (or d) once
-for every head and writes its rows of the result, so no (N, K, F) or (E, F')
-array exists; the column pieces of A^kT d come from one stable argsort of
-``indices``. A piece holds at least two rows, since numpy runs a one-row
-product as matrix-vector, which rounds differently.
+for every head and writes its rows of the result, so no (E, F') array exists.
+The column pieces of A^kT d come from one stable argsort of ``indices``, cut
+within blocks of ``_NODE_BLOCK`` consecutive nodes: the backward pass builds
+C^k = A^kT d a block at a time, adds its C^kT h into W's gradient and writes
+its C^k W^k into the block's rows of the input gradient, so neither pass holds
+an (N, K, F) array. Splitting a product's rows keeps its bits, so only W's
+gradient, a sum over blocks, rounds differently when there are several. Every
+piece and block holds at least two rows, since numpy runs a one-row product as
+matrix-vector, which rounds differently.
 """
 
 from __future__ import annotations
@@ -66,6 +71,8 @@ LEAKY_SLOPE = 0.2
 # edge slots (rows x width) per ELL piece, and the ratio of consecutive widths
 _PIECE_SLOTS = 512
 _WIDTH_STEP = 1.25
+# nodes per block of the backward pass's transposed aggregates A^kT d
+_NODE_BLOCK = 256
 
 
 @dataclass
@@ -107,8 +114,8 @@ def init_gat_stack(layers: int, f_in: int, f_prime: int, heads: int, seed: int) 
     contrast; Glorot-width scoring vectors keep the initial attention
     close to uniform.
     """
-    layers, heads = as_int(layers, "layers"), as_int(heads, "heads")
-    f_in, f_prime = as_int(f_in, "f_in"), as_int(f_prime, "f_prime")
+    layers, heads = as_int(layers, "layers", least=0), as_int(heads, "heads", least=1)
+    f_in, f_prime = as_int(f_in, "f_in", least=1), as_int(f_prime, "f_prime", least=1)
     rng = make_rng(seed)
     sa = np.sqrt(6.0 / (2 * f_prime + 1))
     stack = []
@@ -130,6 +137,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.where(upper, 1.0, e)
     out /= 1.0 + e
     return out
+
+
+def _spans(n: int, size: int) -> list:
+    """``(start, stop)`` of consecutive runs of ``size`` from range(n), the last
+    taking a one-item remainder, so that no run of a longer range has one item:
+    numpy runs a one-row product as matrix-vector, which rounds differently."""
+    cuts = list(range(size, n - 1, size))
+    return list(zip([0] + cuts, cuts + [n]))
 
 
 def _width_ladder(top: int) -> list:
@@ -158,12 +173,9 @@ def _pieces(ptr, edges, ids) -> list:
         pos[pad] = 0
         slots = np.where(pad, edges.shape[0], edges[pos])
         nbrs = np.where(pad, 0, ids[pos])
-        # at least two rows per piece and no one-row remainder: a row takes
-        # numpy's one-row (matrix-vector) path only when alone at its width,
-        # whatever the piece size
-        rows = max(2, _PIECE_SLOTS // width)
-        cuts = list(range(rows, nodes.size - 1, rows))
-        for s, e in zip([0] + cuts, cuts + [nodes.size]):
+        # at least two rows per piece: a row takes numpy's one-row
+        # (matrix-vector) path only when alone at its width, whatever the piece size
+        for s, e in _spans(nodes.size, max(2, _PIECE_SLOTS // width)):
             pieces.append((nodes[s:e], slots[s:e], nbrs[s:e]))
     return pieces
 
@@ -173,9 +185,11 @@ class _Adjacency:
     every head k at once from the (E + 1, K) coefficients ``alpha`` of
     ``_coefficients``: ``aggregate`` gives sum_k (A^k h) W^kT, ``edge_dots``
     gives the (E, K) dots (d_i W^k) . h_j of every edge (i, j), and
-    ``aggregate_t`` gives the (N, K, F') stack of A^kT d, from ELL pieces over
-    rows and over columns, each built on first use. The CSR pair ``nbhd`` is
-    kept as int64 arrays, checked against n nodes."""
+    ``aggregate_t`` gives, from C^k = A^kT d, W's gradient part C^kT h and the
+    input gradient's part sum_k C^k W^k. They run over ELL pieces over rows
+    (``rows``) and over columns (``col_blocks``, cut within each node block;
+    ``cols`` lists them flat), each built on first use. The CSR pair ``nbhd``
+    is kept as int64 arrays, checked against n nodes."""
 
     def __init__(self, nbhd, n: int):
         indptr, indices = (as_ints(x, "neighborhood CSR entries") for x in nbhd)
@@ -194,11 +208,18 @@ class _Adjacency:
         return _pieces(self.indptr, np.arange(self.indices.shape[0]), self.indices)
 
     @cached_property
-    def cols(self) -> list:
-        # the edges in column order, so that column j's are a segment like a row's
+    def col_blocks(self) -> list:
+        # (start, stop, pieces) per node block, the pieces' node ids counted from
+        # start; the edges in column order make column j's a segment like a row's
         order = np.argsort(self.indices, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(self.indices, minlength=self.n))])
-        return _pieces(ptr, order, self.row[order])
+        nbrs = self.row[order]
+        spans = _spans(self.n, _NODE_BLOCK)
+        return [(s, e, _pieces(ptr[s : e + 1], order, nbrs)) for s, e in spans]
+
+    @property
+    def cols(self) -> list:  # every column piece, with absolute node ids
+        return [(nodes + s, *rest) for s, _, pieces in self.col_blocks for nodes, *rest in pieces]
 
     def aggregate(self, alpha, h, w):
         w_cat = w.transpose(0, 2, 1).reshape(-1, w.shape[1])  # W^kT stacked: (K F, F')
@@ -217,12 +238,19 @@ class _Adjacency:
             out[slots] = np.take(h, nbrs, axis=0) @ dw.transpose(0, 2, 1)
         return out[:-1]
 
-    def aggregate_t(self, alpha, d):
-        out = np.zeros((self.n, alpha.shape[1], d.shape[1]))
-        for nodes, slots, nbrs in self.cols:
-            coef = np.take(alpha, slots, axis=0).transpose(0, 2, 1)
-            out[nodes] = coef @ np.take(d, nbrs, axis=0)  # (rows, K, F')
-        return out
+    def aggregate_t(self, alpha, d, h, w):
+        heads, fp, f = w.shape
+        w_flat = w.reshape(heads * fp, f)  # W^k stacked: (K F', F)
+        grad_w, grad_h = np.zeros((heads * fp, f)), np.zeros((self.n, f))
+        for start, stop, pieces in self.col_blocks:
+            c = np.zeros((stop - start, heads, fp))
+            for nodes, slots, nbrs in pieces:
+                coef = np.take(alpha, slots, axis=0).transpose(0, 2, 1)
+                c[nodes] = coef @ np.take(d, nbrs, axis=0)  # (rows, K, F')
+            c = c.reshape(stop - start, heads * fp)  # A^kT d, heads side by side
+            grad_w += c.T @ h[start:stop]
+            grad_h[start:stop] = c @ w_flat
+        return grad_w.reshape(w.shape), grad_h
 
 
 @dataclass(slots=True)
@@ -294,29 +322,29 @@ def _layer_backward(params: GatParams, cache: _LayerCache, upstream):
     # the forward pass's scores and coefficients, rebuilt bit for bit
     t = _scores(params, h, adj)
     alpha = _coefficients(t, adj)
+    neg = t <= 0  # where the LeakyReLU takes its slope
+    del t
     d_alpha = adj.edge_dots(d_agg, h, w)
     # softmax rows: d e_ij = alpha_ij (d alpha_ij - sum_j' alpha_ij' d alpha_ij')
     dot = _segment_reduce(np.add, alpha[:-1] * d_alpha, adj.indptr)
     d_t = d_alpha
     d_t -= np.take(dot, adj.row, axis=0)
     d_t *= alpha[:-1]
-    d_t *= np.where(t > 0, 1.0, LEAKY_SLOPE)
-    del t, dot
+    d_t *= np.where(neg, LEAKY_SLOPE, 1.0)
+    del neg, dot
     # t_ij = h_i . src_k + h_j . dst_k: sum d_t over rows and over columns
     row_dt = _segment_reduce(np.add, d_t, adj.indptr)
     code = (adj.indices[:, None] * heads + np.arange(heads)).ravel()
     col_dt = np.bincount(code, d_t.ravel(), minlength=adj.n * heads).reshape(adj.n, heads)
-    del d_t
-    c = adj.aggregate_t(alpha, d_agg).reshape(adj.n, heads * fp)  # A^kT d, heads side by side
+    del code, d_t, d_alpha
+    grad_w, grad_h = adj.aggregate_t(alpha, d_agg, h, w)
     del alpha
     # src_k = W^kT a_src^k and dst_k = W^kT a_dst^k, whose gradients are (K, F)
     src, dst = _score_vectors(w, a)
     g_src, g_dst = row_dt.T @ h, col_dt.T @ h
-    grad_w = (c.T @ h).reshape(w.shape)
     grad_w += a[:, :fp, None] * g_src[:, None, :]
     grad_w += a[:, fp:, None] * g_dst[:, None, :]
     grad_a = np.concatenate([w @ g_src[..., None], w @ g_dst[..., None]], axis=1)[..., 0]
-    grad_h = c @ w.reshape(heads * fp, -1)
     grad_h += row_dt @ src.T
     grad_h += col_dt @ dst.T
     return GatParams(w=grad_w, a=grad_a), grad_h

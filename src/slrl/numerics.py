@@ -29,17 +29,18 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: equal seeds give equal draw sequences."""
-    seed = as_int(seed, "seed")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    seed = as_int(seed, "seed", least=0)
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as a Python int, if it is a Python or numpy integer: a bool, a float
-    (integer-valued or not) and anything else raise ``ParameterError`` naming ``name``."""
+def as_int(value, name: str, least: int | None = None) -> int:
+    """``value`` as a Python int, if it is a Python or numpy integer and, when ``least``
+    is given, at least ``least``: a bool, a float (integer-valued or not), anything
+    else and a smaller integer raise ``ParameterError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

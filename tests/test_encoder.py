@@ -79,6 +79,17 @@ def test_init_takes_only_integer_sizes_and_seeds(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "f, dims, name",
+    [(0, [4], "f"), (-2, [4], "f"), (3, [-1], "each dims entry"), (3, [4, 0], "each dims entry")],
+    ids=["f-zero", "f-negative", "dims-negative", "dims-zero"],
+)
+def test_decoders_need_positive_sizes(f, dims, name):
+    # a negative size raised numpy's ValueError, and a zero one built zero-width layers
+    with pytest.raises(ParameterError, match=f"^{name} must be >= 1, got "):
+        init_decoders(f, dims, 0)
+
+
 def test_init_latent_validation():
     with pytest.raises(ParameterError):
         init_latent(0, 4, seed=0)

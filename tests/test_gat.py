@@ -268,6 +268,24 @@ def test_counts_must_be_integers(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "args, name, least",
+    [
+        ((-1, 3, 3, 2, 0), "layers", 0),
+        ((1, 0, 3, 2, 0), "f_in", 1),
+        ((1, 3, 0, 2, 0), "f_prime", 1),
+        ((1, 3, 3, 0, 0), "heads", 1),
+        ((1, 3, 3, -1, 0), "heads", 1),
+    ],
+    ids=["layers", "f_in", "f_prime", "heads-zero", "heads-negative"],
+)
+def test_sizes_must_be_in_range(args, name, least):
+    # a negative size raised numpy's ValueError, f_in = 0 ZeroDivisionError, no
+    # heads a ShapeError, and layers = -1 gave an empty stack
+    with pytest.raises(ParameterError, match=f"^{name} must be >= {least}, got "):
+        init_gat_stack(*args)
+
+
 def test_heads_are_stacked_arrays(tmp_path):
     # each layer holds its heads' W as one (K, F', F) array and their a as one
     # (K, 2F') array, whether drawn, returned as gradients or built from lists
@@ -562,6 +580,56 @@ def test_forward_holds_no_node_by_head_by_feature_array():
         tracemalloc.stop()
     assert isinstance(caches[0].adj, gat._Adjacency)
     assert peak < n * heads * f * 8  # one (N, K F') float64 array
+
+
+def test_backward_holds_no_node_by_head_by_feature_array():
+    # the transposed aggregates A^kT d are built one block of nodes at a time, so
+    # the backward pass never holds them as one (N, K F') array: its peak stays
+    # under that array's size plus two (N, F) arrays
+    n, f, heads = 2048, 64, 4
+    h, g = random_graph(29, n, f, k=5)
+    stack = init_gat_stack(1, f, f, heads, seed=7)
+    out, caches = stack_forward(stack, h, g.neighborhoods())
+    upstream = make_rng(30).normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        stack_backward(stack, caches, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n * heads * f + 2 * n * f) * 8
+    assert len(caches[0].adj.col_blocks) == n // gat._NODE_BLOCK
+
+
+def test_backward_node_blocks_move_only_w_gradients(monkeypatch):
+    # blocks of 7 nodes, the last taking a one-node remainder, against a single
+    # block: the output, the input gradient and every a gradient are bitwise
+    # equal, and W's gradients, sums of per-block products, agree to rounding
+    n = 7 * 42 + 1
+    h, g = random_graph(57, n, 5, k=4)
+    stack = init_gat_stack(2, 5, 3, 2, seed=11)
+    upstream = make_rng(58).normal(size=(n, 3))
+
+    def run(block):
+        monkeypatch.setattr(gat, "_NODE_BLOCK", block)
+        out, caches = stack_forward(stack, h, g.neighborhoods())
+        grads, grad_h = stack_backward(stack, caches, upstream)
+        return caches[0].adj, [out, grad_h, *(layer.a for layer in grads)], grads
+
+    whole_adj, whole, whole_grads = run(n)
+    adj, blocked, grads = run(7)
+    assert len(whole_adj.col_blocks) == 1 and len(adj.col_blocks) == 42
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(whole, blocked, strict=True))
+    for got, want in zip(grads, whole_grads, strict=True):
+        assert np.max(np.abs(got.w - want.w)) <= 1e-13 * np.max(np.abs(want.w))
+    # the column pieces cover every column with edges once, block after block
+    nodes = [piece[0] for piece in adj.cols]
+    assert sorted(np.concatenate(nodes)) == np.flatnonzero(np.bincount(adj.indices)).tolist()
+    bounds = [(start, stop) for start, stop, _ in adj.col_blocks]
+    assert bounds[-1] == (7 * 41, n)
+    block_of = [[b for b, (s, e) in enumerate(bounds) if s <= min(x) and max(x) < e] for x in nodes]
+    assert all(len(b) == 1 for b in block_of)
+    assert [b for [b] in block_of] == sorted(b for [b] in block_of)
 
 
 def _reachable_arrays(root) -> list:
